@@ -42,12 +42,9 @@ class BulkField:
         # float mirror: integer matmul has no BLAS path; values stay far
         # below 2^53 so float64 products are exact
         self.red_f = self.red.astype(np.float64)
+        self.place_values = np.power(np.int64(p), np.arange(n, dtype=np.int64))
 
     # -- element construction ---------------------------------------------
-
-    def digits_range(self, start, stop):
-        """Digit rows for element indices [start, stop)."""
-        return self.digits_of(np.arange(start, stop, dtype=np.int64))
 
     def digits_of(self, idx):
         """Digit rows for an arbitrary int64 index array."""
@@ -55,6 +52,10 @@ class BulkField:
         for j in range(self.n):
             idx, out[:, j] = np.divmod(idx, self.p)
         return out
+
+    def index_of(self, a):
+        """Element indices of digit rows: the inverse of digits_of."""
+        return a @ self.place_values
 
     def const(self, value):
         """Digits of a scalar: an int (prime subfield) or an FFElem."""

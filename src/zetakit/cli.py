@@ -42,7 +42,6 @@ def _add_common(sp, field=True, order=False, bound=False, spec=True):
     if bound:
         sp.add_argument("--bound", type=int, required=True, help="height bound B")
     sp.add_argument("--out", help="output path (default: stdout)")
-    sp.add_argument("--threads", type=int, default=1, help="accepted for compatibility")
     sp.add_argument("--budget", type=int, help="enumeration budget override")
 
 

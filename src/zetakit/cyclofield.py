@@ -325,10 +325,6 @@ class AdditiveCharacter:
         return Cyclotomic.zeta_power(self.p, self.exponent(x))
 
 
-def char_eval(chi: AdditiveCharacter, x: FFElem) -> Cyclotomic:
-    return chi(x)
-
-
 def character(field: FieldSpec, c=1) -> AdditiveCharacter:
     """Convenience constructor; c is an int or coefficient list."""
     return AdditiveCharacter(field, field.element(c) if not isinstance(c, FFElem) else c)

@@ -2,10 +2,11 @@
 
 Points of P^n(Q) are gcd-and-sign normalized integer vectors; the Weil
 height of a normalized point is max|x_i|, raised to the bundle degree m
-for O(m).  Counting is exhaustive enumeration inside the height box,
-vectorized and chunked; everything downstream (height zeta partial sums,
-abscissa estimates, asymptotic fits, accumulation classification) works
-off exact count tables.
+for O(m).  Counting is exhaustive enumeration inside the height box by
+one vectorized, chunked scan (`_box_heights`) that evaluates polynomials
+exactly: in int64 under a proven bound, over Python ints above it.
+Everything downstream (abscissa estimates, asymptotic fits, accumulation
+classification) works off exact count tables.
 """
 
 from __future__ import annotations
@@ -109,23 +110,38 @@ def _height_root(B, m):
     return H
 
 
-def _eval_rows(poly, cols):
-    """Evaluate an integer polynomial on coordinate columns (int64 arrays)."""
-    total = np.zeros(cols[0].shape, dtype=np.int64)
-    for exps, c in poly.terms.items():
-        v = np.full(cols[0].shape, c, dtype=np.int64)
-        for i, e in enumerate(exps):
-            if e:
-                v *= cols[i] ** e
-        total += v
-    return total
+def _row_evaluator(poly, H):
+    """Evaluator of an integer polynomial on coordinate columns with
+    |x_i| <= H.  It works in int64 when sum |c| * H^deg < 2^63, which
+    bounds every partial product and sum, and over Python ints otherwise.
+    """
+    big = sum(abs(c) * H ** sum(exps) for exps, c in poly.terms.items()) >= 1 << 63
+    dtype = object if big else np.int64
+
+    def evaluate(cols):
+        total = np.zeros(cols[0].shape, dtype=dtype)
+        for exps, c in poly.terms.items():
+            v = np.full(cols[0].shape, c, dtype=dtype)
+            for col, e in zip(cols, exps):
+                if e:
+                    v *= col.astype(dtype, copy=False) ** e
+            total += v
+        return total
+
+    return evaluate
 
 
-def point_heights(X: VarietySpec, m: int, B, budget=None):
-    """Sorted max|x_i| values over the normalized points of X with height
-    h_{O(m)} <= B; the basis for every count below."""
-    if X.ambient != "projective":
-        raise ValueError("height counting is defined on projective specs")
+def _conditions(X, H):
+    """(poly, evaluator, must vanish) for each equation and inequation."""
+    return ([(e, _row_evaluator(e, H), True) for e in X.equations]
+            + [(h, _row_evaluator(h, H), False) for h in X.inequations])
+
+
+def _box_heights(X: VarietySpec, m: int, B, budget, within=None):
+    """The box scan: sorted max|x_i| over the normalized points of X with
+    h_{O(m)} <= B.  With within=U, each of those points must also satisfy
+    U's conditions, and NotASubvariety names the first one that does not.
+    """
     budget = budget if budget is not None else default_budget()
     H = _height_root(B, m)
     side = 2 * H + 1
@@ -133,6 +149,8 @@ def point_heights(X: VarietySpec, m: int, B, budget=None):
     total = side**nv
     if total > budget:
         raise BudgetExceeded(total, budget)
+    own = _conditions(X, H)
+    outer = _conditions(within, H) if within is not None else []
     heights = []
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
@@ -141,33 +159,38 @@ def point_heights(X: VarietySpec, m: int, B, budget=None):
             idx, digit = np.divmod(idx, side)
             cols.append(digit - H)
         cols = cols[::-1]  # x0 most significant, for determinism only
+        mask = np.ones(len(idx), dtype=bool)
+        for _, ev, vanish in own:
+            mask &= (ev(cols) == 0) == vanish
+        if not mask.all():
+            cols = [col[mask] for col in cols]
         arr = np.stack(cols, axis=1)
-        mask = np.gcd.reduce(np.abs(arr), axis=1) == 1
-        # leading nonzero coordinate positive
-        first = np.argmax(arr != 0, axis=1)
-        mask &= arr[np.arange(len(arr)), first] > 0
-        for e in X.equations:
-            mask &= _eval_rows(e, cols) == 0
-        for h in X.inequations:
-            mask &= _eval_rows(h, cols) != 0
-        if mask.any():
-            heights.append(np.abs(arr[mask]).max(axis=1))
-    if not heights:
-        return np.zeros(0, dtype=np.int64)
+        # gcd 1, leading nonzero coordinate positive
+        keep = np.gcd.reduce(np.abs(arr), axis=1) == 1
+        keep &= arr[np.arange(len(arr)), np.argmax(arr != 0, axis=1)] > 0
+        pts = arr[keep]
+        for poly, ev, vanish in outer:
+            bad = (ev(list(pts.T)) == 0) != vanish
+            if bad.any():
+                raise NotASubvariety(f"point {pts[bad][0].tolist()} violates "
+                                     f"{poly!r}{'' if vanish else ' != 0'}")
+        heights.append(np.abs(pts).max(axis=1))
     out = np.concatenate(heights)
     out.sort()
     return out
 
 
+def point_heights(X: VarietySpec, m: int, B, budget=None):
+    """Sorted max|x_i| values over the normalized points of X with height
+    h_{O(m)} <= B; the basis for every count below."""
+    if X.ambient != "projective":
+        raise ValueError("height counting is defined on projective specs")
+    return _box_heights(X, m, B, budget)
+
+
 def count_points(X: VarietySpec, m: int, B, budget=None) -> int:
     """Number of rational points of X with h_{O(m)} <= B, exactly."""
     return int(len(point_heights(X, m, B, budget)))
-
-
-def height_zeta_partial(X: VarietySpec, m: int, s, B, budget=None) -> float:
-    """Partial sum of the height zeta function: sum over h(x) <= B of h^(-s)."""
-    hs = point_heights(X, m, B, budget).astype(np.float64)
-    return float(np.sum(hs ** (-float(s) * m)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +221,10 @@ def height_count_table(X: VarietySpec, m: int, bounds, budget=None,
                        name="variety") -> HeightCountTable:
     """Exact N(B) for each bound, from one enumeration at the largest."""
     bounds = sorted(bounds)
-    hs = point_heights(X, m, bounds[-1], budget)
+    return _count_table(point_heights(X, m, bounds[-1], budget), m, bounds, name)
+
+
+def _count_table(hs, m, bounds, name):
     exact = hs.astype(object) if len(hs) and int(hs[-1]) ** m >= 1 << 62 else hs
     hm = exact**m  # exact integer heights
     counts = tuple(int(np.sum(hm <= b)) for b in bounds)
@@ -290,8 +316,7 @@ def accumulation_test(V: VarietySpec, U: VarietySpec, m: int, bounds,
     the top half above `weak` means weak; else none.
     """
     bounds = sorted(bounds)
-    _check_subvariety(V, U, m, bounds[-1], budget)
-    tv = height_count_table(V, m, bounds, budget, name="V")
+    tv = _count_table(_check_subvariety(V, U, m, bounds[-1], budget), m, bounds, "V")
     tu = height_count_table(U, m, bounds, budget, name="U")
     ratios = [nv / nu if nu else 0.0 for nv, nu in zip(tv.counts, tu.counts)]
     top = ratios[len(ratios) // 2:]
@@ -307,36 +332,14 @@ def accumulation_test(V: VarietySpec, U: VarietySpec, m: int, bounds,
 
 
 def _check_subvariety(V, U, m, B, budget):
-    """Every enumerated point of V must satisfy U's defining conditions."""
+    """Every counted point of V must satisfy U's defining conditions.
+
+    Returns V's sorted heights from the same scan, so V's box is scanned
+    once when its counts are needed too.
+    """
     if V.nvars != U.nvars:
         raise NotASubvariety("ambient dimension mismatch")
-    H = _height_root(B, m)
-    side = 2 * H + 1
-    total = side**V.nvars
-    budget = budget if budget is not None else default_budget()
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        cols = []
-        for _ in range(V.nvars):
-            idx, digit = np.divmod(idx, side)
-            cols.append(digit - H)
-        cols = cols[::-1]
-        arr = np.stack(cols, axis=1)
-        mask = np.gcd.reduce(np.abs(arr), axis=1) == 1
-        for e in V.equations:
-            mask &= _eval_rows(e, cols) == 0
-        for h in V.inequations:
-            mask &= _eval_rows(h, cols) != 0
-        for e in U.equations:
-            bad = mask & (_eval_rows(e, cols) != 0)
-            if bad.any():
-                raise NotASubvariety(f"point {arr[bad][0].tolist()} violates {e!r}")
-        for h in U.inequations:
-            bad = mask & (_eval_rows(h, cols) == 0)
-            if bad.any():
-                raise NotASubvariety(f"point {arr[bad][0].tolist()} violates {h!r} != 0")
+    return _box_heights(V, m, B, budget, within=U)
 
 
 # ---------------------------------------------------------------------------

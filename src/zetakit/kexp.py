@@ -6,10 +6,16 @@ S = A^d through a polynomial map u.  Realization over (F_q, chi) sends
 [X, f] to the character sum over X(F_q), or fiberwise to a function on
 the base; the symbolic Fourier transform and its realized counterpart
 are checked against each other exactly.
+
+Fiberwise realization is one pass of the chunked engine of `varieties`
+per generator.  The realized transform and finite Poisson summation stay
+scalar sums over the base table: a route independent of the symbolic
+transform they are checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import varieties
@@ -205,25 +211,21 @@ class MotFunction:
 
 
 def _base_points(F, d):
-    import itertools
-
     return itertools.product(range(F.q), repeat=d)
 
 
 def realize_relative(c: KExpClass, chi: AdditiveCharacter,
                      budget=None) -> MotFunction:
-    """Fiberwise realization: Psi(s) = sum over the fiber of chi(f(x))."""
+    """Fiberwise realization: Psi(s) = sum over the fiber of chi(f(x)),
+    from one (base point x exponent) histogram per generator."""
     d = c.base_dim()
     if d is None:
         raise MissingBaseMap("class is absolute; no base to realize over")
     F = chi.field
-    zero = Cyclotomic.integer(chi.p, 0)
-    table = {s: zero for s in _base_points(F, d)}
-    for coef, spec in c.generators():
-        for x in varieties.enumerate_points(_drop_base(spec), F, 1, budget):
-            s = tuple(u.eval_ff(x).index() for u in spec.base_map)
-            val = Cyclotomic.zeta_power(chi.p, chi.exponent(spec.f.eval_ff(x)))
-            table[s] = table[s] + coef * val
+    counts = sum(coef * varieties.fiber_histograms(spec, chi, budget).astype(object)
+                 for coef, spec in c.generators())
+    table = {s: Cyclotomic.from_exponent_counts(chi.p, list(row))
+             for s, row in zip(_base_points(F, d), counts)}
     return MotFunction(F, chi, d, table)
 
 

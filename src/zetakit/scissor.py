@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import heights, varieties
 from .cyclotomic import Cyclotomic
 from .errors import (
@@ -109,9 +111,9 @@ def verify_disjoint_cover(d: Decomposition, realizations, budget=None,
                           strict=True):
     """Check that the pieces cover the target once each, per realization.
 
-    Finite-field realizations walk every target point and demand exactly
-    one containing piece; height realizations demand exact count
-    additivity at every bound.  With strict=True the first failure raises
+    Finite-field realizations walk every target point (vectorized) and
+    demand exactly one containing piece; height realizations demand exact
+    count additivity at every bound.  With strict=True the first failure raises
     Uncovered / DoubleCovered / TotalMismatch.
     """
     reports = []
@@ -128,26 +130,24 @@ def verify_disjoint_cover(d: Decomposition, realizations, budget=None,
     return reports
 
 
-def _point_json(point):
-    return [x.index() for x in point]
-
-
 def _cover_pointwise(d, real, budget):
+    """A point's hit count is the sum of the piece masks; the witness is
+    the first target point, in enumeration order, not hit exactly once."""
     F = real.field_spec if isinstance(real, PointCountRealization) else real.chi.field
     total = 0
-    for point in varieties.enumerate_points(d.target, F, real.m, budget):
-        hits = [i for i, piece in enumerate(d.pieces)
-                if varieties._satisfies(piece, point)]
-        if not hits:
-            err = Uncovered(_point_json(point))
-            return RealizationReport(real.tag, "fail", _point_json(point),
-                                     {"error": err, "kind": "uncovered"})
-        if len(hits) > 1:
-            err = DoubleCovered(_point_json(point))
-            return RealizationReport(real.tag, "fail", _point_json(point),
-                                     {"error": err, "kind": "double-covered",
-                                      "pieces": hits})
-        total += 1
+    for inside, masks, point in varieties.membership_walk(
+            d.target, d.pieces, F, real.m, budget):
+        bad = inside & (sum(masks, np.zeros(len(inside), dtype=np.int64)) != 1)
+        if bad.any():
+            row = int(np.argmax(bad))
+            witness, hits = point(row), [i for i, mk in enumerate(masks) if mk[row]]
+            if not hits:
+                return RealizationReport(real.tag, "fail", witness,
+                                         {"error": Uncovered(witness), "kind": "uncovered"})
+            return RealizationReport(real.tag, "fail", witness,
+                                     {"error": DoubleCovered(witness),
+                                      "kind": "double-covered", "pieces": hits})
+        total += int(inside.sum())
     piece_total = sum(varieties.count_points_ff(piece, F, real.m, budget)
                       for piece in d.pieces)
     if piece_total != total:

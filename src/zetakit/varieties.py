@@ -4,20 +4,27 @@ A VarietySpec is an affine or projective ambient space with integer
 polynomial equations (= 0), inequations (!= 0), an optional morphism f
 to the affine line (affine ambient only) and an optional base map.
 
-Counting strategies, in order of preference:
-  * no constraints: the count is a power of the field size, no enumeration;
-  * univariate pieces with f = 0: root counting via gcd with x^Q - x;
-  * otherwise exhaustive (vectorized) enumeration under a candidate budget.
-Constraint-disjoint variable blocks are enumerated independently: counts
+Constraint-disjoint variable blocks are handled independently: counts
 multiply and character-exponent histograms convolve mod p, which keeps
-product varieties inside the budget.
+product varieties inside the budget.  Per block, in order of preference:
+  * no constraints: a power of the field size; for linearized or (odd p)
+    quadratic f, an exact histogram without enumeration;
+  * one variable: roots via gcd with x^Q - x, walked over the base field
+    when f is nonzero and they all lie there;
+  * two variables with separable equations: key matching, never Q^2;
+  * otherwise the chunked engine, under a candidate budget.
+
+Every point walk over a finite field goes through one chunk loop
+(`_chunks`) and one evaluator (`_Chunk`): block tallies, the pair scan,
+fiber histograms over a base map and the membership walks behind cover
+checks.  `PointEnumeration` is the scalar reference that the tests
+compare them against; no production path uses it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -200,7 +207,7 @@ def _check_budget(estimate, budget):
         raise BudgetExceeded(estimate, budget)
 
 
-def _extension_spec(F: FieldSpec, m: int, budget=None) -> FieldSpec:
+def _extension_spec(F: FieldSpec, m: int) -> FieldSpec:
     # building the field is cheap (irreducibility scan, no tables);
     # enumeration cost is gated separately wherever elements are streamed
     return build_field(F.p, F.k * m, max_bits=64)
@@ -300,37 +307,38 @@ def count_points_ff(X: VarietySpec, F: FieldSpec, m: int = 1, budget=None) -> in
 
 
 def _count_projective(X, F, m, budget):
-    for e in X.equations + X.inequations:
-        if not e.is_homogeneous():
-            raise NonHomogeneous(f"{e!r} is not homogeneous")
     total = 0
-    n = X.dim
-    for j in range(n + 1):
-        assignment = {i: 0 for i in range(j)}
-        assignment[j] = 1
-        cell_eqs = [e.substitute(assignment) for e in X.equations]
-        cell_ineqs = [h.substitute(assignment) for h in X.inequations]
-        total += _count_cell(cell_eqs, cell_ineqs, j, n, F, m, budget)
+    for j, chart in _projective_charts(X):
+        cell = VarietySpec("affine", max(X.dim - j, 1),
+                           tuple(map(chart, X.equations)),
+                           tuple(map(chart, X.inequations)), None, None)
+        if j < X.dim:
+            total += _count_affine(cell, F, m, budget)
+        elif not _reduce_polys(cell, F.p)[3]:
+            total += 1  # the point (0:...:0:1); its constraints are constants
     return total
 
 
-def _count_cell(cell_eqs, cell_ineqs, j, n, F, m, budget):
-    """Count an affine chart of projective space: x_j = 1, x_i = 0 for i < j."""
-    free_vars = list(range(j + 1, n + 1))
-    mapping = {v: i for i, v in enumerate(free_vars)}
-    nv = max(len(free_vars), 1)
-    eqs = []
-    for e in cell_eqs:
-        r = e.rename({**{i: 0 for i in range(j + 1)}, **mapping}, nv)
-        eqs.append(r)
-    ineqs = [h.rename({**{i: 0 for i in range(j + 1)}, **mapping}, nv) for h in cell_ineqs]
-    if not free_vars:
-        # single candidate point (0:...:0:1); all constraints are constants
-        cell = VarietySpec("affine", 1, tuple(eqs), tuple(ineqs), None, None)
-        _red_eqs, _red_ineqs, _, empty = _reduce_polys(cell, F.p)
-        return 0 if empty else 1
-    cell = VarietySpec("affine", len(free_vars), tuple(eqs), tuple(ineqs), None, None)
-    return _count_affine(cell, F, m, budget)
+def _projective_charts(X):
+    """The affine charts of P^n, in the order PointEnumeration walks them.
+
+    Chart j is x_i = 0 for i < j and x_j = 1.  Yields (j, chart), where
+    chart(poly) restricts a polynomial to the free coordinates
+    x_{j+1}, ..., x_n renumbered from 0 (one dummy variable when none is
+    free).
+    """
+    for e in X.equations + X.inequations:
+        if not e.is_homogeneous():
+            raise NonHomogeneous(f"{e!r} is not homogeneous")
+    n = X.dim
+    for j in range(n + 1):
+        fixed = {**dict.fromkeys(range(j), 0), j: 1}
+        mapping = {i: max(i - j - 1, 0) for i in range(n + 1)}
+
+        def chart(poly, fixed=fixed, mapping=mapping, nv=max(n - j, 1)):
+            return poly.substitute(fixed).rename(mapping, nv)
+
+        yield j, chart
 
 
 def _count_affine(X, F, m, budget):
@@ -362,41 +370,46 @@ def _count_component(vs, eqs, ineqs, F, m, Q, budget):
         match, _, _ = _pair_match(vs, eqs, ineqs, E, budget)
         if match is not None:
             return match.count
-    # exhaustive enumeration of the block
-    _check_budget(Q**r, budget)
-    E = _extension_spec(F, m, budget)
-    return _enumerate_block(vs, eqs, ineqs, None, None, E, budget)
+    E = _extension_spec(F, m)
+    return int(_enumerate_block(vs, eqs, ineqs, None, None, E, budget).sum())
 
 
 def _count_univariate(var, eqs, ineqs, p, n_ext, Q):
     """Roots in GF(p^n_ext) of the equation system minus inequation loci."""
-    if eqs:
-        g = None
-        for e in eqs:
-            u = e.to_univariate(var, p)
-            g = u if g is None else gfpoly.gcd(g, u, p)
-        if not g:  # all equations vanished identically
-            eqs = []
-        elif gfpoly.deg(g) == 0:
+    bad = _univariate_product(ineqs, var, p)
+    if bad is None:
+        return 0
+    g = _univariate_gcd(eqs, var, p)
+    if g:
+        if gfpoly.deg(g) == 0:
             return 0
-        else:
-            roots = _distinct_root_poly(g, p, n_ext)
-            for h in ineqs:
-                hu = h.to_univariate(var, p)
-                if not hu:
-                    return 0
-                roots, _ = _remove_common_roots(roots, hu, p)
-            return gfpoly.deg(roots)
-    # no equations: Q minus the union of inequation root sets
-    bad = (1,)
-    for h in ineqs:
-        hu = h.to_univariate(var, p)
-        if not hu:
-            return 0
-        bad = gfpoly.mul(bad, hu, p)
+        roots = _distinct_root_poly(g, p, n_ext)
+        return gfpoly.deg(roots) - gfpoly.deg(gfpoly.gcd(roots, bad, p))
+    # no equations (or all vanished identically): Q minus the inequation roots
     if bad == (1,):
         return Q
     return Q - gfpoly.root_count(bad, p, n_ext)
+
+
+def _univariate_gcd(eqs, var, p):
+    """gcd of the equations as polynomials in var over GF(p); None if none."""
+    g = None
+    for e in eqs:
+        u = e.to_univariate(var, p)
+        g = u if g is None else gfpoly.gcd(g, u, p)
+    return g
+
+
+def _univariate_product(ineqs, var, p):
+    """Product of the inequations in var over GF(p); None when one of them
+    vanishes identically."""
+    prod = (1,)
+    for h in ineqs:
+        hu = h.to_univariate(var, p)
+        if not hu:
+            return None
+        prod = gfpoly.mul(prod, hu, p)
+    return prod
 
 
 def _distinct_root_poly(g, p, n_ext):
@@ -406,80 +419,144 @@ def _distinct_root_poly(g, p, n_ext):
     return gfpoly.gcd(gfpoly.sub(xq, x, p), g, p)
 
 
-def _remove_common_roots(roots, h, p):
-    common = gfpoly.gcd(roots, h, p)
-    if gfpoly.deg(common) <= 0:
-        return roots, 0
-    quotient, rem = gfpoly.divmod_(roots, common, p)
-    assert not rem
-    return quotient, gfpoly.deg(common)
-
-
 # ---------------------------------------------------------------------------
-# Vectorized block enumeration with optional character exponents
+# The chunked enumeration engine
 
 
-def _enumerate_block(vs, eqs, ineqs, f, trace_w, E: FieldSpec, budget):
-    """Enumerate one variable block over E, fully vectorized over the flat
-    index space Q^r in chunks; returns a scalar count (f is None) or a
-    length-p exponent histogram.
-    """
-    p = E.p
-    B = BulkField(E)
-    Q = E.q
-    r = len(vs)
-    _check_budget(Q**r, budget)
-    want_hist = f is not None
-    hist = np.zeros(p, dtype=np.int64) if want_hist else 0
-    count = 0
-    total = Q**r
-    chunk = max(1 << 12, _CHUNK // max(B.n, 1))
+class _Chunk:
+    """One chunk of a block walk: digit rows per variable, with a power
+    cache per variable, and the evaluator of polynomials over them."""
 
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        rem = np.arange(start, stop, dtype=np.int64)
-        digits = {}
-        for v in vs:
-            rem, cur = np.divmod(rem, Q)
-            digits[v] = B.digits_of(cur)
-        powers = {v: {1: digits[v]} for v in vs}
+    def __init__(self, B, start, rows, digits):
+        self.bulk = B
+        self.start = start
+        self.rows = rows
+        self.digits = digits
+        self.powers = {v: {1: d} for v, d in digits.items()}
 
-        def eval_poly(poly):
-            tot = None
-            for exps, c in poly.terms.items():
-                c %= p
-                if c == 0:
-                    continue
-                val = None
-                for v in vs:
-                    e = exps[v]
-                    if e:
-                        pw = powers[v]
-                        if e not in pw:
-                            pw[e] = B.pow(digits[v], e)
-                        val = pw[e] if val is None else B.mul(val, pw[e])
-                if val is None:
-                    val = np.broadcast_to(B.const(c), (stop - start, B.n))
-                elif c != 1:
-                    val = B.scale(c, val)
-                tot = val if tot is None else B.add(tot, val)
-            if tot is None:
-                tot = np.zeros((stop - start, B.n), dtype=np.int64)
-            return tot
+    def eval(self, poly):
+        """Value digit rows of an integer polynomial at every row."""
+        B = self.bulk
+        tot = None
+        for exps, c in poly.terms.items():
+            c %= B.p
+            if c == 0:
+                continue
+            val = None
+            for v, d in self.digits.items():
+                e = exps[v]
+                if e:
+                    pw = self.powers[v]
+                    if e not in pw:
+                        pw[e] = B.pow(d, e)
+                    val = pw[e] if val is None else B.mul(val, pw[e])
+            if val is None:
+                val = np.broadcast_to(B.const(c), (self.rows, B.n))
+            elif c != 1:
+                val = B.scale(c, val)
+            tot = val if tot is None else B.add(tot, val)
+        if tot is None:
+            tot = np.zeros((self.rows, B.n), dtype=B.dtype)
+        return tot
 
-        mask = np.ones(stop - start, dtype=bool)
+    def mask(self, eqs, ineqs):
+        """Rows where every equation vanishes and no inequation does."""
+        B = self.bulk
+        mask = np.ones(self.rows, dtype=bool)
         for e in eqs:
-            mask &= B.is_zero(eval_poly(e))
+            mask &= B.is_zero(self.eval(e))
         for h in ineqs:
-            mask &= B.nonzero(eval_poly(h))
+            mask &= B.nonzero(self.eval(h))
+        return mask
+
+    def point(self, row):
+        """Element indices of one row, in variable order."""
+        return [int(self.bulk.index_of(d[row])) for d in self.digits.values()]
+
+
+def _chunks(B, vs, budget):
+    """The chunk loop: walk the flat index space Q^r of the variables vs,
+    vs[0] most significant (PointEnumeration's order), after charging
+    Q^r against the budget.  Yields one _Chunk per slice."""
+    Q = B.Q
+    total = Q ** len(vs)
+    _check_budget(total, budget)
+    step = max(1 << 12, _CHUNK // max(B.n, 1))
+    for start in range(0, total, step):
+        rem = np.arange(start, min(start + step, total), dtype=np.int64)
+        rows = len(rem)
+        place = []
+        for _ in vs:
+            rem, cur = np.divmod(rem, Q)
+            place.append(cur)
+        digits = {v: B.digits_of(cur) for v, cur in zip(vs, reversed(place))}
+        yield _Chunk(B, start, rows, digits)
+
+
+def _enumerate_block(vs, eqs, ineqs, f, trace_w, E: FieldSpec, budget,
+                     keys=()):
+    """Tally the points of one variable block over E, in chunks.
+
+    Returns a flat int64 bincount indexed by key * p + e: e is the trace
+    exponent of f under the weights trace_w (0 when f is None), and key is
+    the flat element index of the key polynomials' values, first key most
+    significant (a single slot when there are no keys).
+    """
+    B = BulkField(E)
+    p, Q = E.p, E.q
+    tally = np.zeros(Q ** len(keys) * p, dtype=np.int64)
+    for chunk in _chunks(B, vs, budget):
+        mask = chunk.mask(eqs, ineqs)
         if not mask.any():
             continue
-        if want_hist:
-            exps_arr = B.linear_form(eval_poly(f), trace_w)
-            hist += np.bincount(exps_arr[mask], minlength=p)
+        if f is None:
+            code = np.zeros(int(mask.sum()), dtype=np.int64)
         else:
-            count += int(mask.sum())
-    return hist if want_hist else count
+            code = B.linear_form(chunk.eval(f), trace_w)[mask]
+        key = 0
+        for u in keys:
+            key = key * Q + B.index_of(chunk.eval(u)[mask])
+        tally += np.bincount(key * p + code, minlength=len(tally))
+    return tally
+
+
+def fiber_histograms(X: VarietySpec, chi: AdditiveCharacter, budget=None):
+    """Counts h[s, e] of points x in X(F_q) with base_map(x) = s and
+    chi(Tr f(x)) = zeta_p^e.
+
+    Rows follow the base points s in itertools.product order over element
+    indices (first coordinate most significant).
+    """
+    budget = budget if budget is not None else default_budget()
+    E = _extension_spec(chi.field, 1)
+    raw = _enumerate_block(list(range(X.nvars)), X.equations, X.inequations,
+                           X.f, BulkField(E).trace_weights(chi.c), E, budget,
+                           keys=X.base_map or ())
+    return raw.reshape(-1, chi.p)
+
+
+def membership_walk(X: VarietySpec, others, F: FieldSpec, m: int = 1,
+                    budget=None):
+    """Walk the ambient space of X over F_{q^m} in chunks, in the order
+    PointEnumeration visits points.
+
+    Yields (inside, masks, point) per chunk: inside marks the rows that lie
+    on X, masks[i] the rows on others[i] (specs on the same ambient), and
+    point(row) is that row's coordinates as element indices.
+    """
+    budget = budget if budget is not None else default_budget()
+    B = BulkField(_extension_spec(F, m))
+    if X.ambient == "affine":
+        cells = [((), X.nvars, lambda poly: poly)]
+    else:
+        cells = [([0] * j + [1], X.dim - j, chart)
+                 for j, chart in _projective_charts(X)]
+    for lead, r, chart in cells:
+        conds = [([chart(e) for e in S.equations],
+                  [chart(h) for h in S.inequations]) for S in (X, *others)]
+        for chunk in _chunks(B, list(range(r)), budget):
+            inside, *masks = [chunk.mask(eqs, ineqs) for eqs, ineqs in conds]
+            yield inside, masks, lambda row, c=chunk, lead=lead: [*lead, *c.point(row)]
 
 
 # ---------------------------------------------------------------------------
@@ -495,29 +572,16 @@ def exponent_histogram(X: VarietySpec, chi: AdditiveCharacter, m: int,
     if X.ambient == "projective":
         if X.f is not None and not X.f.is_zero():
             raise ProjectiveWithNonzeroF("exponential sums need an affine spec")
-        hist = [0] * p
-        hist[0] = _count_projective(X, F, m, budget)
-        return hist
+        return [_count_projective(X, F, m, budget)] + [0] * (p - 1)
     eqs, ineqs, f, empty = _reduce_polys(X, p)
     if empty:
         return [0] * p
     if f.is_zero():
-        hist = [0] * p
-        hist[0] = _count_affine(X, F, m, budget)
-        return hist
+        return [_count_affine(X, F, m, budget)] + [0] * (p - 1)
 
     E = _extension_spec(F, m)
     twist_big = embedding(F, E)(chi.c)
-    Q = E.q
-
-    bulk_cache = []
-
-    def bulk():
-        if not bulk_cache:
-            B = BulkField(E)
-            bulk_cache.append((B, B.trace_weights(twist_big)))
-        return bulk_cache[0]
-
+    trace_w = BulkField(E).trace_weights(twist_big)
     comps, f_const = _components(X.nvars, eqs, ineqs, f)
     const_exp = (f_const * trace_to_prime_int(twist_big)) % p if f_const else 0
 
@@ -525,33 +589,29 @@ def exponent_histogram(X: VarietySpec, chi: AdditiveCharacter, m: int,
     hist[const_exp] = 1
     for vs, c_eqs, c_ineqs, c_f in comps:
         part = _component_hist(vs, c_eqs, c_ineqs, c_f, chi, m, E, twist_big,
-                               budget, bulk)
+                               trace_w, budget)
         hist = _convolve_mod_p(hist, part, p)
     return hist
 
 
-def _component_hist(vs, eqs, ineqs, f, chi, m, E, twist, budget, bulk):
+def _component_hist(vs, eqs, ineqs, f, chi, m, E, twist, trace_w, budget):
     """Exponent histogram of one constraint-disjoint block, fast path first."""
     p, Q = E.p, E.q
     F = chi.field
     if f.is_zero():
-        part = [0] * p
-        part[0] = _count_component(vs, eqs, ineqs, F, m, Q, budget)
-        return part
+        return [_count_component(vs, eqs, ineqs, F, m, Q, budget)] + [0] * (p - 1)
     if not eqs and not ineqs:
         part = _full_space_hist(vs, f, E, twist)
         if part is not None:
             return part
     if len(vs) == 1:
-        part = _univariate_hist(vs[0], eqs, ineqs, f, chi, m, E, twist)
+        part = _univariate_hist(vs[0], eqs, ineqs, f, chi, m, E, twist, budget)
         if part is not None:
             return part
     if len(vs) == 2 and eqs:
-        B, trace_w = bulk()
         part = _pair_hist(vs, eqs, ineqs, f, E, twist, trace_w, budget)
         if part is not None:
             return part
-    B, trace_w = bulk()
     raw = _enumerate_block(vs, eqs, ineqs, f, trace_w, E, budget)
     return [int(v) for v in raw]
 
@@ -568,13 +628,9 @@ def _full_space_hist(vs, f, E, twist):
     r = len(vs)
     lin = _linearized_twists(f, E, twist)
     if lin is not None:
-        part = [0] * p
         if all(d.is_zero() for d in lin):
-            part[0] = Q**r
-        else:
-            for e in range(p):
-                part[e] = Q**r // p
-        return part
+            return [Q**r] + [0] * (p - 1)
+        return [Q**r // p] * p
     if p != 2 and f.total_degree() <= 2:
         return _quadratic_digit_hist(vs, f, E, twist)
     return None
@@ -612,12 +668,9 @@ def _quadratic_digit_hist(vs, f, E, twist):
     diagonalization makes it separable, so single-digit histograms convolve.
     """
     p, n = E.p, E.k
-    r = len(vs)
-    N = r * n
-    basis = [E.element([0] * t + [1] + [0] * (n - t - 1)) for t in range(n)]
+    N = len(vs) * n
     pos = {v: idx for idx, v in enumerate(vs)}
-    gram = [[trace_to_prime_int(twist * basis[s] * basis[t]) for t in range(n)]
-            for s in range(n)]  # reused per-monomial after coefficient scaling
+    gram = _trace_gram(E, twist)  # reused per-monomial after coefficient scaling
     A = [[0] * N for _ in range(N)]
     L = [0] * N
     inv2 = pow(2, -1, p)
@@ -631,8 +684,7 @@ def _quadratic_digit_hist(vs, f, E, twist):
             (i, _), = used
             base = pos[i] * n
             for s in range(n):
-                L[base + s] = (L[base + s]
-                               + a * trace_to_prime_int(twist * basis[s])) % p
+                L[base + s] = (L[base + s] + a * gram[s][0]) % p  # b_0 = 1
         elif deg == 2 and len(used) == 1:
             (i, _), = used
             base = pos[i] * n
@@ -660,6 +712,13 @@ def _quadratic_digit_hist(vs, f, E, twist):
             part[(d * y * y + b * y) % p] += 1
         hist = _convolve_mod_p(hist, part, p)
     return hist
+
+
+def _trace_gram(E, twist):
+    """M[s][t] = Tr(twist * b_s * b_t) over the power basis b of E."""
+    n = E.k
+    basis = [E.element([0] * t + [1] + [0] * (n - t - 1)) for t in range(n)]
+    return [[trace_to_prime_int(twist * bs * bt) for bt in basis] for bs in basis]
 
 
 def _diagonalize_symmetric(A, p):
@@ -707,129 +766,53 @@ def _diagonalize_symmetric(A, p):
     return A, P
 
 
-def _univariate_hist(var, eqs, ineqs, f, chi, m, E, twist):
+def _univariate_hist(var, eqs, ineqs, f, chi, m, E, twist, budget):
     """Exact histogram for a one-variable block whose constraint roots all
     lie in the base field; None when that cannot be certified cheaply.
 
     For rho in the base field F_q inside F_Q = F_{q^m},
-    Tr_{F_Q/F_p}(c f(rho)) = Tr_{F_q/F_p}(m * c * f(rho)).
+    Tr_{F_Q/F_p}(c f(rho)) = Tr_{F_q/F_p}(m * c * f(rho)), so the roots are
+    walked by the engine over F_q with the trace weights of m * c.
     """
     F = chi.field
-    p, n, Q = E.p, E.k, E.q
-    q = F.q
-    if q > 4096:
+    p, n = E.p, E.k
+    if F.q > 4096:
         return None
-    x = (0, 1)
+    weights = BulkField(F).trace_weights(F.element(m) * chi.c)
 
-    def distinct_roots(g):
-        return gfpoly.gcd(gfpoly.sub(gfpoly.powmod(x, p**n, g, p), x, p), g, p)
+    def base_hist(eqs, ineqs):
+        return _enumerate_block([var], eqs, ineqs, f, weights, F, budget)
 
-    def all_roots_in_base(R):
-        Rq = gfpoly.gcd(gfpoly.sub(gfpoly.powmod(x, q, R, p), x, p), R, p)
-        return gfpoly.deg(Rq) == gfpoly.deg(R)
-
-    def exponent_at(rho):
-        point = tuple(rho if i == var else F.zero() for i in range(f.nvars))
-        val = F.element(m) * chi.c * f.eval_ff(point)
-        return trace_to_prime_int(val)
+    def in_base(R):
+        return gfpoly.deg(_distinct_root_poly(R, p, F.k)) == gfpoly.deg(R)
 
     if eqs:
-        g = None
-        for e in eqs:
-            u = e.to_univariate(var, p)
-            g = u if g is None else gfpoly.gcd(g, u, p)
+        g = _univariate_gcd(eqs, var, p)
         if gfpoly.deg(g) <= 0:
             return [0] * p
-        R = distinct_roots(g)
+        R = _distinct_root_poly(g, p, n)
         if gfpoly.deg(R) <= 0:
             return [0] * p
-        if not all_roots_in_base(R):
+        if not in_base(R):
             return None
-        part = [0] * p
-        found = 0
-        for idx in range(q):
-            rho = F.from_index(idx)
-            point = tuple(rho if i == var else F.zero() for i in range(f.nvars))
-            if not all(e.eval_ff(point).is_zero() for e in eqs):
-                continue
-            found += 1
-            if any(h.eval_ff(point).is_zero() for h in ineqs):
-                continue
-            part[exponent_at(rho)] += 1
-        assert found == gfpoly.deg(R)
-        return part
+        assert int(base_hist(eqs, []).sum()) == gfpoly.deg(R)
+        return [int(v) for v in base_hist(eqs, ineqs)]
 
     # no equations: full line minus the inequation root loci
     full = _full_space_hist([var], f, E, twist)
     if full is None:
         return None
-    H = (1,)
-    for h in ineqs:
-        hu = h.to_univariate(var, p)
-        if not hu:
-            return [0] * p  # an inequation is identically zero mod p
-        H = gfpoly.mul(H, hu, p)
-    R = distinct_roots(H)
+    H = _univariate_product(ineqs, var, p)
+    if H is None:
+        return [0] * p  # an inequation is identically zero mod p
+    R = _distinct_root_poly(H, p, n)
     if gfpoly.deg(R) <= 0:
         return full
-    if not all_roots_in_base(R):
+    if not in_base(R):
         return None
-    part = list(full)
-    found = 0
-    for idx in range(q):
-        rho = F.from_index(idx)
-        point = tuple(rho if i == var else F.zero() for i in range(f.nvars))
-        if any(h.eval_ff(point).is_zero() for h in ineqs):
-            found += 1
-            part[exponent_at(rho)] -= 1
-    assert found == gfpoly.deg(R)
-    return part
-
-
-def _eval_terms(poly, var, B, digits, powers):
-    """Value digits of a polynomial of the single variable `var` at all rows.
-
-    `powers` caches powers of the digit array across calls on the same chunk.
-    """
-    p = B.p
-    tot = None
-    for exps, c in poly.terms.items():
-        c %= p
-        if c == 0:
-            continue
-        e = exps[var]
-        if e:
-            if e not in powers:
-                powers[e] = B.pow(digits, e)
-            val = B.scale(c, powers[e]) if c != 1 else powers[e]
-        else:
-            val = np.broadcast_to(B.const(c), digits.shape)
-        tot = val if tot is None else B.add(tot, val)
-    if tot is None:
-        tot = np.zeros(digits.shape, dtype=B.dtype)
-    return tot
-
-
-def _pair_scan(B, Q, jobs, store_digits=False):
-    """One pass over all Q element indices evaluating several univariate
-    polynomials; digit rows and their powers are computed once per chunk
-    and shared by every job.
-
-    jobs: list of (poly, var, reduce_chunk).  Returns (per-job concatenated
-    arrays, full digit matrix as int8 if requested else None).
-    """
-    outs = [[] for _ in jobs]
-    D = np.empty((Q, B.n), dtype=np.int8) if store_digits else None
-    step = max(1 << 12, _CHUNK // max(B.n, 1))
-    for start in range(0, Q, step):
-        stop = min(start + step, Q)
-        digits = B.digits_range(start, stop)
-        if D is not None:
-            D[start:stop] = digits
-        powers = {1: digits}
-        for k, (poly, var, reduce_chunk) in enumerate(jobs):
-            outs[k].append(reduce_chunk(_eval_terms(poly, var, B, digits, powers)))
-    return [np.concatenate(o) for o in outs], D
+    bad = base_hist([], []) - base_hist([], ineqs)
+    assert int(bad.sum()) == gfpoly.deg(R)
+    return [a - int(b) for a, b in zip(full, bad)]
 
 
 class _PairMatch:
@@ -884,7 +867,8 @@ def _pair_match(vs, eqs, ineqs, E, budget, extra_jobs=(), store_digits=False):
 
     Returns (match, extra outputs, digit matrix or None); the first slot is
     None when the block does not fit the separable shape.  extra_jobs are
-    evaluated in the same scan as the keys (see _pair_scan).
+    (univariate poly, reduce_chunk) pairs evaluated in the same scan as
+    the keys; store_digits keeps the scanned digit rows as an int8 matrix.
     """
     v1, v2 = vs
     splits = []
@@ -902,22 +886,28 @@ def _pair_match(vs, eqs, ineqs, E, budget, extra_jobs=(), store_digits=False):
     key_range = Q ** len(splits)
     if key_range >= 1 << 62:
         return None, None, None  # combined match keys would overflow int64
-    if Q > max(budget, 1):
-        raise BudgetExceeded(Q, budget)
     B = BulkField(E)
-    p, n = E.p, E.k
-    pvec = np.power(np.int64(p), np.arange(n, dtype=np.int64))
 
     jobs = []
     for u, w in splits:
-        jobs.append((u, v1, lambda vals: vals @ pvec))
-        jobs.append((w, v2, lambda vals: B.neg(vals) @ pvec))
+        jobs.append((u, B.index_of))
+        jobs.append((w, lambda vals: B.index_of(B.neg(vals))))
     ineq_sides = []
     for h in ineqs:
-        hv = next(iter(h.variables()))
-        ineq_sides.append(hv)
-        jobs.append((h, hv, B.nonzero))
-    outs, D = _pair_scan(B, Q, list(jobs) + list(extra_jobs), store_digits)
+        ineq_sides.append(next(iter(h.variables())))
+        jobs.append((h, B.nonzero))
+    # x and y run over the same Q elements: one scan of v1 evaluates every
+    # job, with the y-side written in v1, so both sides share a power cache
+    jobs = [(poly.rename({**{i: i for i in range(poly.nvars)}, v2: v1}, poly.nvars),
+             reduce_chunk) for poly, reduce_chunk in jobs + list(extra_jobs)]
+    outs = [[] for _ in jobs]
+    D = np.empty((Q, B.n), dtype=np.int8) if store_digits else None
+    for chunk in _chunks(B, [v1], budget):
+        if D is not None:
+            D[chunk.start:chunk.start + chunk.rows] = chunk.digits[v1]
+        for out, (poly, reduce_chunk) in zip(outs, jobs):
+            out.append(reduce_chunk(chunk.eval(poly)))
+    outs = [np.concatenate(o) for o in outs]
 
     key_dtype = np.int32 if key_range < (1 << 31) else np.int64
     xkey = np.zeros(Q, dtype=key_dtype)
@@ -982,23 +972,19 @@ def _pair_hist(vs, eqs, ineqs, f, E, twist, trace_w, budget):
             uni1[exps] = c
     w = np.asarray(trace_w, dtype=np.int64)
     extra = [
-        (Poly(f.nvars, uni1), v1, lambda vals: ((vals @ w) % p).astype(np.int8)),
-        (Poly(f.nvars, uni2), v2, lambda vals: ((vals @ w) % p).astype(np.int8)),
+        (Poly(f.nvars, uni1), lambda vals: ((vals @ w) % p).astype(np.int8)),
+        (Poly(f.nvars, uni2), lambda vals: ((vals @ w) % p).astype(np.int8)),
     ]
     store = bool(cross) and E.q * n <= (1 << 30)
     match, extras, D = _pair_match(vs, eqs, ineqs, E, budget,
                                    extra_jobs=extra, store_digits=store)
     if match is None:
         return None
+    _check_budget(match.count, budget)  # the pairs are expanded below
     B = match.bulk
     eU, eV = extras
-    Mf = None
-    if cross:
-        # bilinear matrix M[s][t] = Tr(twist * b_s * b_t) for cross terms
-        basis = [E.element([0] * t + [1] + [0] * (n - t - 1)) for t in range(n)]
-        M = np.array([[trace_to_prime_int(twist * basis[s] * basis[t])
-                       for t in range(n)] for s in range(n)], dtype=np.int64)
-        Mf = M.astype(np.float64)
+    # bilinear matrix of the cross terms
+    Mf = np.array(_trace_gram(E, twist), dtype=np.float64) if cross else None
     hist = np.zeros(p, dtype=np.int64)
     for I, J in match.pairs(1 << 20):
         e = eU[I].astype(np.float64) + eV[J]
@@ -1179,7 +1165,7 @@ class PointEnumeration:
                     raise NonHomogeneous(f"{e!r} is not homogeneous")
         est = (F.q**m) ** X.nvars
         _check_budget(est, self.budget)
-        self.field = _extension_spec(F, m, self.budget)
+        self.field = _extension_spec(F, m)
 
     @property
     def count(self):

@@ -48,6 +48,15 @@ def test_product_formula():
         assert report["product"] == "1"
 
 
+def test_high_degree_equation_is_evaluated_exactly():
+    # x0*x1^64 leaves int64 inside the box at B=10, where a wrapped
+    # evaluation finds 46 points; only (1:0) and (0:1) lie on it
+    X = projective(1, ["x0*x1^64"])
+    assert heights.count_points(X, 1, 10) == 2
+    with pytest.raises(NotASubvariety):
+        heights.accumulation_test(projective_space(1), X, 1, (10,))
+
+
 def test_p1_count_small_bound():
     # P^1(Q), height <= 2: (0:1),(1:0),(1:1),(1:-1),(1:2),(2:1),(1:-2),(2:-1)
     assert heights.count_points(projective_space(1), 1, 2) == 8

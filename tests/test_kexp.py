@@ -1,6 +1,10 @@
 """Exponential classes: the group algebra, Fourier transform, Poisson."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetakit import kexp
 from zetakit.cyclofield import build_field, character
@@ -25,7 +29,7 @@ from zetakit.kexp import (
     realize_relative,
 )
 from zetakit.polynomials import Poly
-from zetakit.varieties import affine, affine_line, gm, point_spec
+from zetakit.varieties import affine, affine_line, enumerate_points, gm, point_spec
 
 
 def gen(spec):
@@ -162,3 +166,49 @@ def test_poisson_rejects_non_subgroup(F3):
         poisson_finite_check(psi, ["x0^2"])
     with pytest.raises(NotASubgroup):
         poisson_finite_check(psi, ["x0 - 1"])
+
+
+# -- fiberwise realization against a scalar fiber walk ------------------------
+
+
+def scalar_fibers(c, chi):
+    """Psi by walking every point through the scalar oracle."""
+    F, d = chi.field, c.base_dim()
+    table = {s: Cyclotomic.integer(chi.p, 0)
+             for s in itertools.product(range(F.q), repeat=d)}
+    for coef, spec in c.generators():
+        for x in enumerate_points(kexp._drop_base(spec), F):
+            s = tuple(u.eval_ff(x).index() for u in spec.base_map)
+            table[s] = table[s] + coef * chi(spec.f.eval_ff(x))
+    return table
+
+
+@st.composite
+def relative_classes(draw):
+    pk = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]))
+    nv, d = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 3)] * nv)
+
+    def poly(max_terms):
+        return Poly(nv, draw(st.dictionaries(exps, st.integers(-2, 2),
+                                             max_size=max_terms)))
+
+    def spec():
+        eqs = [poly(2) for _ in range(draw(st.integers(0, 1)))]
+        return affine(nv, eqs, f=poly(3), base_map=[poly(2) for _ in range(d)])
+
+    c = KExpClass.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        c = c + draw(st.integers(-2, 3).filter(bool)) * gen(spec())
+    return c, pk, draw(st.integers(1, pk[0] ** pk[1] - 1))
+
+
+@settings(max_examples=40)
+@given(relative_classes())
+def test_realize_relative_matches_scalar_fiber_walk(case):
+    c, (p, k), t = case
+    if c.is_zero():
+        return  # two generators cancelled: nothing to realize
+    F = build_field(p, k)
+    chi = character(F, F.from_index(t))
+    assert realize_relative(c, chi).table == scalar_fibers(c, chi)

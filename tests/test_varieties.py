@@ -6,8 +6,10 @@ scalar enumeration, which is its own independent implementation.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from zetakit import varieties
+from zetakit import kexp, scissor, varieties
 from zetakit.cyclofield import build_field, character
 from zetakit.cyclotomic import Cyclotomic
 from zetakit.errors import BudgetExceeded, NonHomogeneous
@@ -176,3 +178,128 @@ def test_projective_spec_roundtrip():
     X = projective(2, equations=["x0*x2 - x1^2"])
     Y = spec_from_json(X.to_json())
     assert Y.canonical_key() == X.canonical_key()
+
+
+# -- the engine against the scalar oracle on generated specs -------------------
+
+
+@st.composite
+def small_specs(draw):
+    """Affine specs with at most 20,000 candidate points over F_{q^m}."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    Q = p ** (k * m)
+    nv = draw(st.integers(1, max(n for n in (1, 2, 3) if Q**n <= 20000)))
+    exps = st.tuples(*[st.sampled_from([0, 1, 2, 3, p, p * p])] * nv)
+
+    def poly(max_terms):
+        return Poly(nv, draw(st.dictionaries(exps, st.integers(-3, 3),
+                                             max_size=max_terms)))
+
+    eqs = [poly(3) for _ in range(draw(st.integers(0, 2)))]
+    ineqs = [poly(2) for _ in range(draw(st.integers(0, 1)))]
+    return affine(nv, eqs, ineqs, f=poly(3)), p, k, m
+
+
+@settings(max_examples=15)
+# a separable equation with a cross term in f: pair matching over F_9
+@example((affine(2, ["x0^3 - x0 + x1^2 - 1"], f="x0*x1 + x1^2"), 3, 1, 2))
+@given(small_specs())
+def test_fast_paths_match_scalar_oracle_on_generated_specs(case):
+    X, p, k, m = case
+    F = build_field(p, k)
+    chi = character(F, F.from_index(F.q - 1))
+    brute = brute_histogram(X, chi, m)  # one scalar walk serves both checks
+    assert list(exponent_histogram(X, chi, m)) == brute
+    assert count_points_ff(X, F, m) == sum(brute)
+
+
+def test_pair_expansion_is_charged_to_the_budget(F3):
+    # x^Q - x vanishes on all of F_Q, so every one of Q^2 pairs matches
+    X = affine(2, ["x0^2187 - x0 + x1^2187 - x1"], f="x0*x1")
+    with pytest.raises(BudgetExceeded):
+        exponent_histogram(X, character(F3), 7, budget=10**5)
+
+
+def _scalar_cover_witness(d, F, m):
+    """First target point, in enumeration order, not hit exactly once."""
+    for point in enumerate_points(d.target, F, m):
+        hits = [i for i, piece in enumerate(d.pieces)
+                if varieties._satisfies(piece, point)]
+        if len(hits) != 1:
+            return [x.index() for x in point], hits
+    return None, None
+
+
+BROKEN_COVERS = [
+    # off the conic, only x2 != 0 is covered: misses (1:1:0) first
+    (projective(2), [projective(2, ["x0*x2 - x1^2"]),
+                     projective(2, inequations=["x0*x2 - x1^2", "x2"])]),
+    # the line x0 + x1 + x2 = 0 meets the cell x0 = 0 twice over
+    (projective(2), [projective(2, inequations=["x0"]),
+                     projective(2, ["x0"]),
+                     projective(2, ["x0 + x1 + x2", "x1 - x2"])]),
+    (projective(3, ["x0*x3 - x1*x2"]),
+     [projective(3, ["x0*x3 - x1*x2", "x1"]),
+      projective(3, ["x0*x3 - x1*x2"], ["x1 + x3"])]),
+    (affine(3, ["x0*x1 - x2"]),
+     [affine(3, ["x0*x1 - x2", "x0 - x1"]),
+      affine(3, ["x0*x1 - x2"], ["x0 - x1", "x2 - 1"])]),
+]
+
+
+@pytest.mark.parametrize("target,pieces", BROKEN_COVERS)
+@pytest.mark.parametrize("p,k,m", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 1, 2)])
+def test_cover_witness_is_the_scalar_walks_first_failure(target, pieces, p, k, m):
+    F = build_field(p, k)
+    d = scissor.Decomposition(target, pieces)
+    report, = scissor.verify_disjoint_cover(
+        d, [scissor.PointCountRealization(F, m)], strict=False)
+    witness, hits = _scalar_cover_witness(d, F, m)
+    if witness is None:
+        assert report.details.get("kind") != "uncovered"
+        return
+    assert report.witness == witness
+    assert report.details["kind"] == ("uncovered" if not hits else "double-covered")
+    if hits:
+        assert report.details["pieces"] == hits
+
+
+# -- no production path walks points one FFElem at a time ------------------------
+
+
+def test_production_paths_do_not_use_the_scalar_oracle(monkeypatch, F3, F4):
+    def refuse(self):
+        raise AssertionError("scalar point walk in a production path")
+        yield  # pragma: no cover
+
+    monkeypatch.setattr(varieties.PointEnumeration, "points", refuse)
+    taken = []
+    univariate = varieties._univariate_hist
+
+    def spy(*args):
+        part = univariate(*args)
+        taken.append(part is not None)
+        return part
+
+    monkeypatch.setattr(varieties, "_univariate_hist", spy)
+
+    cls = kexp.KExpClass.generator(affine(2, f="x0*x1", base_map=["x0", "x1"]))
+    psi = kexp.realize_relative(cls, character(F3))
+    assert psi.total() == 3  # sum of chi(xy) over F_3^2
+    assert kexp.inversion_check(cls, character(F3))["verdict"] == "pass"
+    cells = [
+        scissor.Decomposition(affine(2), [affine(2, ["x0"]),
+                                          affine(2, inequations=["x0"])]),
+        scissor.Decomposition(projective(2), [projective(2, inequations=["x0"]),
+                                              projective(2, ["x0"], ["x1"]),
+                                              projective(2, ["x0", "x1"])]),
+    ]
+    for d in cells:
+        for F in (F3, F4):
+            report, = scissor.verify_disjoint_cover(
+                d, [scissor.PointCountRealization(F, 2)])
+            assert report.verdict == "pass"
+    X = affine(1, ["x0^3 - x0"], ["x0 - 1"], f="x0^2")
+    assert list(exponent_histogram(X, character(F3), 2)) == [1, 0, 1]  # Tr(x^2) at x = 0, 2
+    assert taken == [True]
