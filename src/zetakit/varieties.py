@@ -367,7 +367,7 @@ def _count_component(vs, eqs, ineqs, F, m, Q, budget):
         return _count_univariate(vs[0], eqs, ineqs, p, n_ext, Q)
     if r == 2 and eqs:
         E = _extension_spec(F, m)
-        match, _, _ = _pair_match(vs, eqs, ineqs, E, budget)
+        match, _ = _pair_match(vs, eqs, ineqs, BulkField(E), budget)
         if match is not None:
             return match.count
     E = _extension_spec(F, m)
@@ -424,18 +424,17 @@ def _distinct_root_poly(g, p, n_ext):
 
 
 class _Chunk:
-    """One chunk of a block walk: digit rows per variable, with a power
+    """One chunk of a block walk: BulkField rows per variable, with a power
     cache per variable, and the evaluator of polynomials over them."""
 
-    def __init__(self, B, start, rows, digits):
+    def __init__(self, B, rows, elems):
         self.bulk = B
-        self.start = start
         self.rows = rows
-        self.digits = digits
-        self.powers = {v: {1: d} for v, d in digits.items()}
+        self.elems = elems
+        self.powers = {v: {1: d} for v, d in elems.items()}
 
     def eval(self, poly):
-        """Value digit rows of an integer polynomial at every row."""
+        """BulkField rows of an integer polynomial's values at every row."""
         B = self.bulk
         tot = None
         for exps, c in poly.terms.items():
@@ -443,7 +442,7 @@ class _Chunk:
             if c == 0:
                 continue
             val = None
-            for v, d in self.digits.items():
+            for v, d in self.elems.items():
                 e = exps[v]
                 if e:
                     pw = self.powers[v]
@@ -451,12 +450,12 @@ class _Chunk:
                         pw[e] = B.pow(d, e)
                     val = pw[e] if val is None else B.mul(val, pw[e])
             if val is None:
-                val = np.broadcast_to(B.const(c), (self.rows, B.n))
+                val = B.const(c, self.rows)
             elif c != 1:
                 val = B.scale(c, val)
             tot = val if tot is None else B.add(tot, val)
         if tot is None:
-            tot = np.zeros((self.rows, B.n), dtype=B.dtype)
+            tot = B.const(0, self.rows)
         return tot
 
     def mask(self, eqs, ineqs):
@@ -471,7 +470,7 @@ class _Chunk:
 
     def point(self, row):
         """Element indices of one row, in variable order."""
-        return [int(self.bulk.index_of(d[row])) for d in self.digits.values()]
+        return [int(self.bulk.index_of(d[row])) for d in self.elems.values()]
 
 
 def _chunks(B, vs, budget):
@@ -481,7 +480,7 @@ def _chunks(B, vs, budget):
     Q = B.Q
     total = Q ** len(vs)
     _check_budget(total, budget)
-    step = max(1 << 12, _CHUNK // max(B.n, 1))
+    step = max(1 << 12, _CHUNK // B.n)
     for start in range(0, total, step):
         rem = np.arange(start, min(start + step, total), dtype=np.int64)
         rows = len(rem)
@@ -489,8 +488,8 @@ def _chunks(B, vs, budget):
         for _ in vs:
             rem, cur = np.divmod(rem, Q)
             place.append(cur)
-        digits = {v: B.digits_of(cur) for v, cur in zip(vs, reversed(place))}
-        yield _Chunk(B, start, rows, digits)
+        elems = {v: B.digits_of(cur) for v, cur in zip(vs, reversed(place))}
+        yield _Chunk(B, rows, elems)
 
 
 def _enumerate_block(vs, eqs, ineqs, f, trace_w, E: FieldSpec, budget,
@@ -609,7 +608,7 @@ def _component_hist(vs, eqs, ineqs, f, chi, m, E, twist, trace_w, budget):
         if part is not None:
             return part
     if len(vs) == 2 and eqs:
-        part = _pair_hist(vs, eqs, ineqs, f, E, twist, trace_w, budget)
+        part = _pair_hist(vs, eqs, ineqs, f, E, trace_w, budget)
         if part is not None:
             return part
     raw = _enumerate_block(vs, eqs, ineqs, f, trace_w, E, budget)
@@ -670,7 +669,8 @@ def _quadratic_digit_hist(vs, f, E, twist):
     p, n = E.p, E.k
     N = len(vs) * n
     pos = {v: idx for idx, v in enumerate(vs)}
-    gram = _trace_gram(E, twist)  # reused per-monomial after coefficient scaling
+    B = BulkField(E)
+    gram = B.trace_gram(B.trace_weights(twist))  # scaled per monomial below
     A = [[0] * N for _ in range(N)]
     L = [0] * N
     inv2 = pow(2, -1, p)
@@ -712,13 +712,6 @@ def _quadratic_digit_hist(vs, f, E, twist):
             part[(d * y * y + b * y) % p] += 1
         hist = _convolve_mod_p(hist, part, p)
     return hist
-
-
-def _trace_gram(E, twist):
-    """M[s][t] = Tr(twist * b_s * b_t) over the power basis b of E."""
-    n = E.k
-    basis = [E.element([0] * t + [1] + [0] * (n - t - 1)) for t in range(n)]
-    return [[trace_to_prime_int(twist * bs * bt) for bt in basis] for bs in basis]
 
 
 def _diagonalize_symmetric(A, p):
@@ -824,8 +817,7 @@ class _PairMatch:
     key range when it fits in memory, else by sort-and-search.  Never Q^2.
     """
 
-    def __init__(self, B, ix, lo, hi, iy_sorted):
-        self.bulk = B
+    def __init__(self, ix, lo, hi, iy_sorted):
         self.ix = ix  # surviving x indices
         self.lo = lo  # per-x match range into iy_sorted
         self.hi = hi
@@ -862,13 +854,12 @@ class _PairMatch:
 _BUCKET_LIMIT = 1 << 28
 
 
-def _pair_match(vs, eqs, ineqs, E, budget, extra_jobs=(), store_digits=False):
-    """Match a separable 2-variable block.
+def _pair_match(vs, eqs, ineqs, B: BulkField, budget, extra_jobs=()):
+    """Match a separable 2-variable block over the field of B.
 
-    Returns (match, extra outputs, digit matrix or None); the first slot is
-    None when the block does not fit the separable shape.  extra_jobs are
-    (univariate poly, reduce_chunk) pairs evaluated in the same scan as
-    the keys; store_digits keeps the scanned digit rows as an int8 matrix.
+    Returns (match, extra outputs); match is None when the block does not
+    fit the separable shape.  extra_jobs are (univariate poly,
+    reduce_chunk) pairs evaluated in the same scan as the keys.
     """
     v1, v2 = vs
     splits = []
@@ -876,17 +867,16 @@ def _pair_match(vs, eqs, ineqs, E, budget, extra_jobs=(), store_digits=False):
         u_terms, w_terms = {}, {}
         for exps, c in e.terms.items():
             if exps[v1] and exps[v2]:
-                return None, None, None
+                return None, None
             (w_terms if exps[v2] else u_terms)[exps] = c
         splits.append((Poly(e.nvars, u_terms), Poly(e.nvars, w_terms)))
     for h in ineqs:
         if len(h.variables()) > 1:
-            return None, None, None
-    Q = E.q
+            return None, None
+    Q = B.Q
     key_range = Q ** len(splits)
     if key_range >= 1 << 62:
-        return None, None, None  # combined match keys would overflow int64
-    B = BulkField(E)
+        return None, None  # combined match keys would overflow int64
 
     jobs = []
     for u, w in splits:
@@ -901,10 +891,7 @@ def _pair_match(vs, eqs, ineqs, E, budget, extra_jobs=(), store_digits=False):
     jobs = [(poly.rename({**{i: i for i in range(poly.nvars)}, v2: v1}, poly.nvars),
              reduce_chunk) for poly, reduce_chunk in jobs + list(extra_jobs)]
     outs = [[] for _ in jobs]
-    D = np.empty((Q, B.n), dtype=np.int8) if store_digits else None
     for chunk in _chunks(B, [v1], budget):
-        if D is not None:
-            D[chunk.start:chunk.start + chunk.rows] = chunk.digits[v1]
         for out, (poly, reduce_chunk) in zip(outs, jobs):
             out.append(reduce_chunk(chunk.eval(poly)))
     outs = [np.concatenate(o) for o in outs]
@@ -947,18 +934,18 @@ def _pair_match(vs, eqs, ineqs, E, budget, extra_jobs=(), store_digits=False):
         del yk, order
         lo = np.searchsorted(yk_sorted, xkey[ix], side="left")
         hi = np.searchsorted(yk_sorted, xkey[ix], side="right")
-    return _PairMatch(B, ix, lo, hi, iy_sorted), extras, D
+    return _PairMatch(ix, lo, hi, iy_sorted), extras
 
 
-def _pair_hist(vs, eqs, ineqs, f, E, twist, trace_w, budget):
+def _pair_hist(vs, eqs, ineqs, f, E, trace_w, budget):
     """Exponent histogram over a separable-equation pair block.
 
-    Univariate f-terms contribute per-variable exponents; cross monomials
-    a*x^c*y^d contribute through the bilinear form Tr(c_twist a z w) on
-    digit vectors, evaluated groupwise without field multiplications.
+    Univariate f-terms contribute per-variable trace exponents from the
+    matching scan; each cross monomial a*x^c*y^d contributes
+    Tr(twist * a x^c * y^d) per pair through BulkField.pair_trace.
     """
     v1, v2 = vs
-    p, n = E.p, E.k
+    p = E.p
     uni1, uni2, cross = {}, {}, []
     for exps, c in f.terms.items():
         if exps[v1] and exps[v2]:
@@ -970,34 +957,25 @@ def _pair_hist(vs, eqs, ineqs, f, E, twist, trace_w, budget):
             uni2[exps] = c
         else:
             uni1[exps] = c
-    w = np.asarray(trace_w, dtype=np.int64)
-    extra = [
-        (Poly(f.nvars, uni1), lambda vals: ((vals @ w) % p).astype(np.int8)),
-        (Poly(f.nvars, uni2), lambda vals: ((vals @ w) % p).astype(np.int8)),
-    ]
-    store = bool(cross) and E.q * n <= (1 << 30)
-    match, extras, D = _pair_match(vs, eqs, ineqs, E, budget,
-                                   extra_jobs=extra, store_digits=store)
+    B = BulkField(E)
+    extra = [(Poly(f.nvars, uni), lambda vals: B.linear_form(vals, trace_w))
+             for uni in (uni1, uni2)]
+    match, extras = _pair_match(vs, eqs, ineqs, B, budget, extra_jobs=extra)
     if match is None:
         return None
     _check_budget(match.count, budget)  # the pairs are expanded below
-    B = match.bulk
     eU, eV = extras
-    # bilinear matrix of the cross terms
-    Mf = np.array(_trace_gram(E, twist), dtype=np.float64) if cross else None
     hist = np.zeros(p, dtype=np.int64)
     for I, J in match.pairs(1 << 20):
-        e = eU[I].astype(np.float64) + eV[J]
+        e = eU[I].astype(np.int64) + eV[J]
         if cross:
-            dI = D[I].astype(B.dtype) if D is not None else B.digits_of(I)
-            dJ = D[J].astype(B.dtype) if D is not None else B.digits_of(J)
+            x, y = B.digits_of(I), B.digits_of(J)
             for exps, c in cross:
-                zc = B.pow(dI, exps[v1]) if exps[v1] != 1 else dI
-                wd = B.pow(dJ, exps[v2]) if exps[v2] != 1 else dJ
-                # exact in float64: |values| stay far below 2^53
-                left = zc.astype(np.float64) @ ((c % p) * Mf)
-                e = e + np.einsum("in,in->i", left, wd.astype(np.float64))
-        hist += np.bincount(np.mod(e, p).astype(np.int64), minlength=p)
+                left = B.pow(x, exps[v1])
+                if c != 1:
+                    left = B.scale(c, left)
+                e += B.pair_trace(left, B.pow(y, exps[v2]), trace_w)
+        hist += np.bincount(e % p, minlength=p)
     return [int(v) for v in hist]
 
 

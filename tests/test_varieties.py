@@ -303,3 +303,12 @@ def test_production_paths_do_not_use_the_scalar_oracle(monkeypatch, F3, F4):
     X = affine(1, ["x0^3 - x0"], ["x0 - 1"], f="x0^2")
     assert list(exponent_histogram(X, character(F3), 2)) == [1, 0, 1]  # Tr(x^2) at x = 0, 2
     assert taken == [True]
+
+
+@pytest.mark.parametrize("p", [131, 257])
+def test_pair_cross_terms_with_digits_above_127(p):
+    # digits >= 128 must not wrap in the pair path's cross terms
+    F = build_field(p, 1)
+    X = affine(2, ["x0^3 + x1^3 - 1"], f="x0*x1")
+    chi = character(F, F.from_index(1))
+    assert list(exponent_histogram(X, chi, 1)) == brute_histogram(X, chi, 1)
