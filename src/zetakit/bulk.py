@@ -42,6 +42,24 @@ _CACHE_BYTES = 1 << 28
 _BUILD_ROWS = 1 << 12
 # trace tables kept per field
 _TRACE_TABLES = 4
+# _mod_p is exact on float64 integers below this
+_FLOAT_EXACT = 1 << 51
+
+
+def _mod_p(x, p, bound, out):
+    """x mod p for float64 x holding integers in [0, bound], as
+    x - p * floor((x + 0.5) / p), written to out.
+
+    The computed quotient is off by at most (x + 0.5) / p * 2^-52, which
+    stays below its distance 0.5 / p to the nearest integer while
+    bound < 2^51; np.mod on float64 is about ten times slower.
+    """
+    assert bound < _FLOAT_EXACT, f"{bound} too large for an exact float64 reduction"
+    quot = np.add(x, 0.5)
+    quot *= 1 / p
+    np.floor(quot, out=quot)
+    quot *= p
+    return np.subtract(x, quot, out=out)
 
 
 class BulkField:
@@ -144,7 +162,7 @@ class _ConvKernel:
         self.p, self.n = p, n
         self.gram = F.trace_gram
         # narrowest dtype that can hold the worst-case pre-reduction value
-        bound = n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
+        self.bound = bound = n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
         if bound < (1 << 15) - 1:
             self.dtype = np.int16
         elif bound < (1 << 31) - 1:
@@ -152,8 +170,9 @@ class _ConvKernel:
         else:
             self.dtype = np.int64
         self.red = F.red.astype(self.dtype)
-        # float mirror: integer matmul has no BLAS path; values stay far
-        # below 2^53 so float64 products are exact
+        # from n = 8 on, the reduction runs as a float64 matmul (integer
+        # matmul has no BLAS path), exact while the values stay below 2^51
+        self.float_reduce = n >= 8 and bound < _FLOAT_EXACT
         self.red_f = self.red.astype(np.float64)
         self.place_values = np.power(np.int64(p), np.arange(n, dtype=np.int64))
         # digits_of peels `span` digits per divmod, through a table of the
@@ -202,10 +221,10 @@ class _ConvKernel:
         for i in range(n):
             ai = a[:, i : i + 1]
             conv[:, i : i + n] += ai * b
-        if n >= 8:
+        if self.float_reduce:
             out = conv[:, :n].astype(np.float64)
             out += conv[:, n:].astype(np.float64) @ self.red_f
-            return np.mod(out, self.p).astype(self.dtype)
+            return _mod_p(out, self.p, self.bound, out).astype(self.dtype)
         out = conv[:, :n] + conv[:, n:] @ self.red
         return out % self.p
 
@@ -330,12 +349,7 @@ class _LogTables:
             return np.array([(c * spec.from_index(p**j)).coeffs for j in range(n)],
                             dtype=np.float64)
 
-        def mod_p(x, out):  # exact: x is integral and below n * p^2 < 2^50
-            quot = np.add(x, 0.5)
-            quot *= 1 / p
-            np.floor(quot, out=quot)
-            quot *= p
-            return np.subtract(x, quot, out=out)
+        bound = n * (p - 1) ** 2  # digit rows times a digit matrix
 
         # digits of g^0, ..., g^(S-1) by doubling; then each block of S
         # powers is the previous one times g^S
@@ -344,7 +358,7 @@ class _LogTables:
         block[0, 0] = 1
         while len(block) < S:
             prod = block @ times(g ** len(block))
-            block = np.vstack([block, mod_p(prod, prod)])[:S]
+            block = np.vstack([block, _mod_p(prod, p, bound, prod)])[:S]
         step = times(g**S)
         place = np.power(float(p), np.arange(n))
         prod = np.empty_like(block)
@@ -353,7 +367,7 @@ class _LogTables:
         for start in range(0, M, S):
             rows = min(S, M - start)
             self.antilog[start:start + rows] = block[:rows] @ place
-            mod_p(np.matmul(block, step, out=prod), block)
+            _mod_p(np.matmul(block, step, out=prod), p, bound, block)
         self.log = np.empty(Q, dtype=np.int32)
         self.log[self.antilog[:M]] = np.arange(M, dtype=np.int32)
         self.log[0] = M

@@ -2,11 +2,16 @@
 
 Points of P^n(Q) are gcd-and-sign normalized integer vectors; the Weil
 height of a normalized point is max|x_i|, raised to the bundle degree m
-for O(m).  Counting is exhaustive enumeration inside the height box by
-one vectorized, chunked scan (`_box_heights`) that evaluates polynomials
-exactly: in int64 under a proven bound, over Python ints above it.
-Everything downstream (abscissa estimates, asymptotic fits, accumulation
-classification) works off exact count tables.
+for O(m).  Counting is exhaustive enumeration of the height box by one
+vectorized, chunked scan (`_box_heights`).  It walks only the half box
+(first nonzero coordinate positive), evaluates polynomials exactly (in
+int64 under a proven bound, over Python ints above it), and bins every
+point of X by max|x_i| with no gcd test.  Each such point is g times a
+unique normalized point and the conditions of X must be homogeneous, so
+the histogram is 1 * P for the normalized counts P, which Moebius
+inversion recovers: P = mu * histogram.  Everything downstream (abscissa
+estimates, asymptotic fits, accumulation classification) works off exact
+count tables.
 """
 
 from __future__ import annotations
@@ -26,9 +31,12 @@ from .errors import (
     ZeroInput,
     ZeroVector,
 )
-from .varieties import VarietySpec, default_budget
+from .varieties import VarietySpec, default_budget, require_homogeneous
 
 _CHUNK = 1 << 20
+# trailing coordinates of a block span at most this many values, or one
+# coordinate when a single one spans more
+_TRAIL = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -101,90 +109,210 @@ def _factorize(n):
 
 
 def _height_root(B, m):
-    """Largest integer H with H^m <= B."""
-    H = int(round(B ** (1.0 / m)))
-    while H**m > B:
-        H -= 1
-    while (H + 1) ** m <= B:
-        H += 1
-    return H
+    """Largest integer H >= 0 with H^m <= B (0 when B < 1), in exact
+    integer arithmetic: Newton steps down from a power of two above it."""
+    if m < 1:
+        raise ValueError(f"bundle degree must be at least 1, got {m}")
+    B = int(B)  # H^m is an integer, so a fractional part never matters
+    if B < 1:
+        return 0
+    if m == 1:
+        return B
+    x = 1 << -(-B.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + B // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
 
 
 def _row_evaluator(poly, H):
     """Evaluator of an integer polynomial on coordinate columns with
     |x_i| <= H.  It works in int64 when sum |c| * H^deg < 2^63, which
     bounds every partial product and sum, and over Python ints otherwise.
+
+    Columns are arrays that broadcast against each other (None for a
+    coordinate the polynomial does not use).  Factors of equal shape are
+    multiplied first, so only the last product of a term has the shape
+    of the whole block.
     """
     big = sum(abs(c) * H ** sum(exps) for exps, c in poly.terms.items()) >= 1 << 63
     dtype = object if big else np.int64
+    terms = [(c, [(i, e) for i, e in enumerate(exps) if e])
+             for exps, c in poly.terms.items()]
 
     def evaluate(cols):
-        total = np.zeros(cols[0].shape, dtype=dtype)
-        for exps, c in poly.terms.items():
-            v = np.full(cols[0].shape, c, dtype=dtype)
-            for col, e in zip(cols, exps):
-                if e:
-                    v *= col.astype(dtype, copy=False) ** e
-            total += v
+        total = np.zeros((), dtype=dtype)
+        for c, factors in terms:
+            groups = {}
+            for i, e in factors:
+                f = cols[i].astype(dtype, copy=False) ** e
+                groups[f.shape] = groups[f.shape] * f if f.shape in groups else f
+            v = np.array(c, dtype=dtype)
+            for g in sorted(groups.values(), key=np.size):
+                v = v * g
+            total = total + v
         return total
 
     return evaluate
 
 
-def _conditions(X, H):
-    """(poly, evaluator, must vanish) for each equation and inequation."""
-    return ([(e, _row_evaluator(e, H), True) for e in X.equations]
-            + [(h, _row_evaluator(h, H), False) for h in X.inequations])
+def _conditions(X, H, zeros):
+    """(poly, evaluator, must vanish) for each equation and inequation,
+    the evaluator taking the coordinates in `zeros` to be 0."""
+    return [(e, _row_evaluator(e.substitute(zeros), H), vanish)
+            for polys, vanish in ((X.equations, True), (X.inequations, False))
+            for e in polys]
+
+
+def _holds(conditions, cols):
+    """Mask of the points of the block where every condition holds (True
+    when there are none); it may broadcast to the block's shape."""
+    mask = True
+    for _, ev, vanish in conditions:
+        value = ev(cols)
+        mask = mask & ((value == 0) if vanish else (value != 0))
+    return mask
 
 
 def _box_heights(X: VarietySpec, m: int, B, budget, within=None):
     """The box scan: sorted max|x_i| over the normalized points of X with
     h_{O(m)} <= B.  With within=U, each of those points must also satisfy
     U's conditions, and NotASubvariety names the first one that does not.
+
+    Only the half box is walked (first nonzero coordinate positive), and
+    without gcds: A[h] counts every such point of X with max|x_i| = h.
+    Each is g times a unique normalized point, and X's conditions are
+    homogeneous, so A = 1 * P for the normalized counts P, and P = mu * A.
     """
     budget = budget if budget is not None else default_budget()
+    for Y in (X, within):
+        if Y is not None:
+            if Y.ambient != "projective":
+                raise ValueError("height counting is defined on projective specs")
+            require_homogeneous(Y)
     H = _height_root(B, m)
-    side = 2 * H + 1
     nv = X.nvars
-    total = side**nv
+    total = (2 * H + 1) ** nv
     if total > budget:
         raise BudgetExceeded(total, budget)
-    own = _conditions(X, H)
-    outer = _conditions(within, H) if within is not None else []
-    heights = []
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        cols = []
-        for _ in range(nv):
+    hist = np.zeros(H + 1, dtype=np.int32 if total < 1 << 31 else np.int64)
+    for lead in reversed(range(nv)):
+        _scan_slab(X, within, H, lead, hist)
+    prim = _mobius_inversion(hist)
+    assert prim.min() >= 0, "negative primitive count"
+    heights = np.flatnonzero(prim)
+    return np.repeat(heights, prim[heights])
+
+
+def _scan_slab(X, within, H, lead, hist):
+    """Add into hist the heights of the points of X in the slab where
+    x_0 .. x_{lead-1} = 0 and x_lead is in [1, H], walked in lex order.
+
+    A block is a run of prefixes (x_lead and the free coordinates before
+    the trailing ones, one (rows, 1) column each) times every value of
+    the trailing coordinates (one (1, T) column each).
+    """
+    nv, side = X.nvars, 2 * H + 1
+    zeros = dict.fromkeys(range(lead), 0)
+    own = _conditions(X, H, zeros)
+    outer = _conditions(within, H, zeros) if within is not None else []
+    free = nv - 1 - lead
+    t = 0
+    while t < free and side <= _CHUNK and side ** (t + 1) <= max(side, _TRAIL):
+        t += 1
+    T = side**t
+    idx = np.arange(T, dtype=np.int64)
+    tail = []
+    for _ in range(t):
+        idx, digit = np.divmod(idx, side)
+        tail.insert(0, (digit - H).reshape(1, T))
+    tail_max = np.abs(tail).max(axis=0) if tail else None
+    prefixes = H * side ** (free - t)
+    rows = max(1, _CHUNK // T)
+    for start in range(0, prefixes, rows):
+        idx = np.arange(start, min(start + rows, prefixes), dtype=np.int64)[:, None]
+        head = []
+        for _ in range(free - t):
             idx, digit = np.divmod(idx, side)
-            cols.append(digit - H)
-        cols = cols[::-1]  # x0 most significant, for determinism only
-        mask = np.ones(len(idx), dtype=bool)
-        for _, ev, vanish in own:
-            mask &= (ev(cols) == 0) == vanish
-        if not mask.all():
-            cols = [col[mask] for col in cols]
-        arr = np.stack(cols, axis=1)
-        # gcd 1, leading nonzero coordinate positive
-        keep = np.gcd.reduce(np.abs(arr), axis=1) == 1
-        keep &= arr[np.arange(len(arr)), np.argmax(arr != 0, axis=1)] > 0
-        pts = arr[keep]
-        for poly, ev, vanish in outer:
-            bad = (ev(list(pts.T)) == 0) != vanish
-            if bad.any():
-                raise NotASubvariety(f"point {pts[bad][0].tolist()} violates "
-                                     f"{poly!r}{'' if vanish else ' != 0'}")
-        heights.append(np.abs(pts).max(axis=1))
-    out = np.concatenate(heights)
-    out.sort()
-    return out
+            head.insert(0, digit - H)
+        head.insert(0, idx + 1)
+        cols = [None] * lead + head + tail
+        shape = (len(idx), T)
+        mask = _holds(own, cols)
+        head_max = head[0]  # x_lead > 0
+        for col in head[1:]:
+            head_max = np.maximum(head_max, np.abs(col))
+        lo = int(head_max.min())  # heights in this block start here
+        h = head_max - lo if tail_max is None else np.maximum(head_max - lo, tail_max - lo)
+        if mask is not True:
+            h = np.broadcast_to(h, shape)[np.broadcast_to(mask, shape)]
+        counts = np.bincount(h.ravel())
+        hist[lo:lo + len(counts)] += counts
+        if outer:
+            _check_within(outer, cols, shape, mask, lead)
+
+
+def _check_within(outer, cols, shape, mask, lead):
+    """Raise NotASubvariety at the first point of the block, in walk order,
+    that satisfies X (mask) but violates one of U's conditions.
+
+    That point is normalized: had it a common factor g > 1, its quotient
+    by g would violate the same homogeneous condition earlier in the slab.
+    """
+    full = [None if c is None else np.broadcast_to(c, shape) for c in cols]
+    if mask is True:
+        bad = ~np.broadcast_to(_holds(outer, cols), shape).ravel()
+    else:  # evaluate U only where X holds
+        sel = np.flatnonzero(np.broadcast_to(mask, shape))
+        i, j = np.divmod(sel, shape[1])
+        kept = [None if c is None else c[i, j] for c in full]
+        bad = ~np.broadcast_to(_holds(outer, kept), sel.shape)
+    if not bad.any():
+        return
+    first = int(np.argmax(bad))
+    flat = first if mask is True else int(sel[first])
+    i, j = divmod(flat, shape[1])
+    point = [0] * lead + [int(c[i, j]) for c in full[lead:]]
+    assert math.gcd(*point) == 1, f"first violating point {point} is not normalized"
+    for poly, _, vanish in outer:
+        if (poly.eval_int(point) == 0) != vanish:
+            raise NotASubvariety(f"point {point} violates "
+                                 f"{poly!r}{'' if vanish else ' != 0'}")
+    raise AssertionError(f"point {point} flagged but satisfies every condition")
+
+
+def _mobius_inversion(A):
+    """P = mu * A (Dirichlet convolution on indices 1..H), in place.
+
+    mu is the Euler product of (1 - T_p), where T_p moves the value at h
+    to p*h.  A prime p <= sqrt(H) is one slice update.  The primes above
+    sqrt(H) touch disjoint index sets and read only indices below sqrt(H),
+    which none of them writes, so they go together: one gather per
+    multiplier j < sqrt(H).
+    """
+    H = len(A) - 1
+    if H < 2:
+        return A
+    root = math.isqrt(H)
+    sieve = np.ones(H + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, root + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    primes = np.flatnonzero(sieve)
+    del sieve
+    for p in primes[primes <= root].tolist():
+        A[p::p] -= A[1:H // p + 1].copy()  # the read overlaps the write
+    large = primes[primes > root]
+    for j in range(1, H // (root + 1) + 1):
+        np.subtract.at(A, j * large[:np.searchsorted(large, H // j, side="right")], A[j])
+    return A
 
 
 def point_heights(X: VarietySpec, m: int, B, budget=None):
     """Sorted max|x_i| values over the normalized points of X with height
     h_{O(m)} <= B; the basis for every count below."""
-    if X.ambient != "projective":
-        raise ValueError("height counting is defined on projective specs")
     return _box_heights(X, m, B, budget)
 
 
@@ -225,9 +353,9 @@ def height_count_table(X: VarietySpec, m: int, bounds, budget=None,
 
 
 def _count_table(hs, m, bounds, name):
-    exact = hs.astype(object) if len(hs) and int(hs[-1]) ** m >= 1 << 62 else hs
-    hm = exact**m  # exact integer heights
-    counts = tuple(int(np.sum(hm <= b)) for b in bounds)
+    """Counts from sorted max|x_i| values: h^m <= b iff h <= root(b, m)."""
+    roots = np.array([_height_root(b, m) for b in bounds], dtype=np.int64)
+    counts = tuple(int(c) for c in np.searchsorted(hs, roots, side="right"))
     return HeightCountTable(name, m, tuple(bounds), counts)
 
 

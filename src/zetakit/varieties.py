@@ -319,6 +319,14 @@ def _count_projective(X, F, m, budget):
     return total
 
 
+def require_homogeneous(X):
+    """Raise NonHomogeneous unless every condition of X is homogeneous, so
+    that it defines a subset of projective space."""
+    for e in X.equations + X.inequations:
+        if not e.is_homogeneous():
+            raise NonHomogeneous(f"{e!r} is not homogeneous")
+
+
 def _projective_charts(X):
     """The affine charts of P^n, in the order PointEnumeration walks them.
 
@@ -327,9 +335,7 @@ def _projective_charts(X):
     x_{j+1}, ..., x_n renumbered from 0 (one dummy variable when none is
     free).
     """
-    for e in X.equations + X.inequations:
-        if not e.is_homogeneous():
-            raise NonHomogeneous(f"{e!r} is not homogeneous")
+    require_homogeneous(X)
     n = X.dim
     for j in range(n + 1):
         fixed = {**dict.fromkeys(range(j), 0), j: 1}
@@ -1138,9 +1144,7 @@ class PointEnumeration:
         self.m = m
         self.budget = budget if budget is not None else default_budget()
         if X.ambient == "projective":
-            for e in X.equations + X.inequations:
-                if not e.is_homogeneous():
-                    raise NonHomogeneous(f"{e!r} is not homogeneous")
+            require_homogeneous(X)
         est = (F.q**m) ** X.nvars
         _check_budget(est, self.budget)
         self.field = _extension_spec(F, m)

@@ -101,3 +101,19 @@ def test_tables_are_built_only_by_walks():
     assert not bulk._cache
     count_points_ff(affine(2, ["x0^2 + x1^2 - 1"]), F, 4)
     assert list(bulk._cache) == [build_field(3, 4)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 131, 65521, (1 << 24) - 3])
+def test_float_reduction_is_exact_up_to_its_bound(p):
+    rng = np.random.default_rng(p)
+    top = bulk._FLOAT_EXACT - 1
+    multiples = rng.integers(0, top // p, 5000, dtype=np.int64) * p
+    ints = np.concatenate([rng.integers(0, top, 20000, dtype=np.int64),
+                           multiples, multiples + 1, multiples + p - 1,
+                           np.arange(top - 1000, top + 1, dtype=np.int64),
+                           np.arange(0, 1000, dtype=np.int64)])
+    x = ints.astype(np.float64)
+    got = bulk._mod_p(x, p, top, np.empty_like(x))
+    assert np.array_equal(got.astype(np.int64), ints % p)
+    with pytest.raises(AssertionError):
+        bulk._mod_p(x, p, bulk._FLOAT_EXACT, np.empty_like(x))

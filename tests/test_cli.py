@@ -5,7 +5,7 @@ import json
 import pytest
 
 from zetakit.cli import main
-from zetakit.varieties import affine, gm, point_spec, projective_space
+from zetakit.varieties import affine, gm, point_spec, projective, projective_space
 
 
 @pytest.fixture()
@@ -159,3 +159,11 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_heights_nonhomogeneous_spec_exits_1(tmp_path, capsys):
+    path = tmp_path / "affine_line.json"
+    path.write_text(json.dumps(projective(1, ["x0 - 1"]).to_json()))
+    code, out = run(["heights", "--spec", str(path), "--bound", "10"], capsys)
+    assert code == 1
+    assert out == ""
