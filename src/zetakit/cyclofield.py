@@ -170,9 +170,6 @@ class FFElem:
             i = i * self.field.p + c
         return i
 
-    def in_prime_subfield(self):
-        return all(c == 0 for c in self.coeffs[1:])
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self == self.field.element(other)
@@ -206,6 +203,9 @@ class Embedding:
         self.big = big
         if small.k == 1:
             root = big.one()
+        elif small == big:
+            # x is a root of the modulus, and index p is the smallest outside F_p
+            root = big.element([0, 1] + [0] * (big.k - 2))
         else:
             root = self._find_root()
         # matrix of the embedding: columns are digits of root^i

@@ -193,9 +193,6 @@ class MotFunction:
     def __call__(self, s):
         return self.table[tuple(s)]
 
-    def support(self):
-        return [s for s, v in sorted(self.table.items()) if not v.is_zero()]
-
     def total(self):
         out = Cyclotomic.integer(self.chi.p, 0)
         for v in self.table.values():

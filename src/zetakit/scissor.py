@@ -275,17 +275,16 @@ def stratify(U: VarietySpec, candidates, m, bounds, margin=0.25, budget=None,
         best = None
         for nm, cand in list(remaining.items()):
             try:
-                heights._check_subvariety(cand, current, m, bounds[-1], budget)
+                hs = heights._check_subvariety(cand, current, m, bounds[-1], budget)
             except NotASubvariety:
                 continue
             if nm not in sigma:
                 sigma[nm] = heights.abscissa_estimate(
-                    heights.height_count_table(cand, m, bounds, budget, name=nm))
+                    heights._count_table(hs, m, bounds, nm))
             drop = sigma[current_name] - sigma[nm]
             if drop < margin:
                 continue
-            size = heights.count_points(cand, m, bounds[-1], budget)
-            key = (-drop, size)
+            key = (-drop, len(hs))
             if best is None or key < best[0]:
                 best = (key, nm, cand)
         if best is None:

@@ -119,9 +119,6 @@ class SeriesTrunc:
     def __hash__(self):
         return hash((self.order, self.coeffs))
 
-    def is_one(self):
-        return self.coeffs[0] == 1 and all(_is_zero(c) for c in self.coeffs[1:])
-
     def truncate(self, order):
         return SeriesTrunc(order, self.coeffs[: order + 1])
 

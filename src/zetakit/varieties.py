@@ -4,15 +4,18 @@ A VarietySpec is an affine or projective ambient space with integer
 polynomial equations (= 0), inequations (!= 0), an optional morphism f
 to the affine line (affine ambient only) and an optional base map.
 
-Constraint-disjoint variable blocks are handled independently: counts
-multiply and character-exponent histograms convolve mod p, which keeps
-product varieties inside the budget.  Per block, in order of preference:
-  * no constraints: a power of the field size; for linearized or (odd p)
-    quadratic f, an exact histogram without enumeration;
-  * one variable: roots via gcd with x^Q - x, walked over the base field
-    when f is nonzero and they all lie there;
-  * two variables with separable equations: key matching, never Q^2;
-  * otherwise the chunked engine, under a candidate budget.
+A point count is the f = 0 case of a character-exponent histogram, and
+both run one pipeline (`_histogram`): projective charts, reduction mod p,
+then constraint-disjoint variable blocks, whose histograms convolve mod p,
+which keeps product varieties inside the budget.  Each block goes to the
+first strategy of one ordered tuple that takes it:
+  1. no constraints: a power of the field size; for linearized or (odd p)
+     quadratic f, an exact histogram without enumeration;
+  2. one variable, f = 0: roots via gcd with x^Q - x;
+  3. one variable, f != 0: those roots walked over the base field when
+     they all lie there;
+  4. two variables with separable equations: key matching, never Q^2;
+  5. the chunked engine, under a candidate budget.
 
 Every point walk over a finite field goes through one chunk loop
 (`_chunks`) and one evaluator (`_Chunk`): block tallies, the pair scan,
@@ -26,7 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +47,7 @@ from .errors import (
     BudgetExceeded,
     NonHomogeneous,
     ProjectiveWithNonzeroF,
+    RouteMismatch,
     TallyTooShallow,
 )
 from .polynomials import Poly
@@ -257,7 +261,8 @@ def _components(nvars, eqs, ineqs, f):
 
     Blocks are joined by shared equations/inequations and by monomials of f
     that straddle blocks (so exponent histograms convolve exactly).  The
-    constant term of f is returned separately.
+    constant term of f is returned separately.  Blocks come smallest
+    first, so an empty one ends a walk before a larger one is enumerated.
     """
     parent = list(range(nvars))
 
@@ -284,7 +289,7 @@ def _components(nvars, eqs, ineqs, f):
     for v in range(nvars):
         comps.setdefault(find(v), []).append(v)
     out = []
-    for vs in sorted(comps.values()):
+    for vs in sorted(comps.values(), key=lambda vs: (len(vs), vs)):
         comp_eqs = [e for e in eqs if e.variables() and e.variables() <= set(vs)]
         comp_ineqs = [h for h in ineqs if h.variables() <= set(vs) and h.variables()]
         comp_f = Poly(nvars, {k: c for k, c in f.terms.items()
@@ -295,28 +300,97 @@ def _components(nvars, eqs, ineqs, f):
 
 
 # ---------------------------------------------------------------------------
-# Counting
+# Counts and character-exponent histograms: one pipeline
 
 
 def count_points_ff(X: VarietySpec, F: FieldSpec, m: int = 1, budget=None) -> int:
     """#X(F_{q^m}), exact."""
-    budget = budget if budget is not None else default_budget()
-    if X.ambient == "projective":
-        return _count_projective(X, F, m, budget)
-    return _count_affine(X, F, m, budget)
+    return _histogram(X, F, m, None, budget)[0]
 
 
-def _count_projective(X, F, m, budget):
-    total = 0
-    for j, chart in _projective_charts(X):
-        cell = VarietySpec("affine", max(X.dim - j, 1),
-                           tuple(map(chart, X.equations)),
-                           tuple(map(chart, X.inequations)), None, None)
-        if j < X.dim:
-            total += _count_affine(cell, F, m, budget)
-        elif not _reduce_polys(cell, F.p)[3]:
-            total += 1  # the point (0:...:0:1); its constraints are constants
-    return total
+def exponent_histogram(X: VarietySpec, chi: AdditiveCharacter, m: int,
+                       budget=None) -> list:
+    """Counts h[e] of points x in X(F_{q^m}) with chi(Tr f(x)) = zeta_p^e."""
+    if X.ambient == "projective" and X.f is not None and not X.f.is_zero():
+        raise ProjectiveWithNonzeroF("exponential sums need an affine spec")
+    return _histogram(X, chi.field, m, None if chi.is_trivial() else chi.c, budget)
+
+
+def _histogram(X, F, m, twist, budget):
+    """Counts h[e] of points x in X(F_{q^m}) with Tr(twist * f(x)) = e mod p.
+
+    twist None is a count: f is dropped, since Tr(0 * f) = 0, and h is
+    [#X, 0, ..., 0].  A projective X is the disjoint union of its affine
+    charts.  Each cell is reduced mod p and split into constraint-disjoint
+    blocks, whose histograms (from _block_histogram) convolve mod p; a
+    cell stops at the first block that leaves its histogram all zero.
+    """
+    p, budget = F.p, default_budget() if budget is None else budget
+    if X.ambient == "affine":
+        cells = [(X, X.nvars)]
+    else:  # chart j has n - j free coordinates; the last chart is one point
+        cells = [(VarietySpec("affine", max(X.dim - j, 1),
+                              tuple(map(chart, X.equations)),
+                              tuple(map(chart, X.inequations)), None, None),
+                  X.dim - j) for j, chart in _projective_charts(X)]
+    hist = [0] * p
+    for cell, r in cells:
+        eqs, ineqs, f, empty = _reduce_polys(cell, p)
+        if empty:
+            continue
+        job = _Block((), (), (), Poly(cell.nvars), F, m, budget)
+        if twist is not None and not f.is_zero():
+            E = job.E
+            big = embedding(F, E)(twist)
+            job = replace(job, f=f, c=twist, twist=big,
+                          trace_w=BulkField(E).trace_weights(big))
+        comps, f_const = _components(r, eqs, ineqs, job.f)
+        part = [0] * p
+        part[(f_const * trace_to_prime_int(job.twist)) % p if f_const else 0] = 1
+        for vs, c_eqs, c_ineqs, c_f in comps:
+            block = replace(job, vs=vs, eqs=c_eqs, ineqs=c_ineqs, f=c_f)
+            part = _convolve_mod_p(part, _block_histogram(block), p)
+            if not any(part):
+                break
+        hist = [a + b for a, b in zip(hist, part)]
+    return hist
+
+
+@dataclass(frozen=True)
+class _Block:
+    """A constraint-disjoint variable block of a histogram over F_{q^m}.
+
+    c is the character twist in F, twist its image in F_{q^m} and trace_w
+    the trace weights of twist; all three are None for a count.
+    """
+    vs: list
+    eqs: list
+    ineqs: list
+    f: Poly
+    F: FieldSpec
+    m: int
+    budget: int
+    c: object = None
+    twist: object = None
+    trace_w: object = None
+
+    @property
+    def E(self):  # on demand: a count over a field too large to build needs none
+        return _extension_spec(self.F, self.m)
+
+
+def _block_histogram(b: _Block):
+    """The histogram from the first strategy that takes the block.
+
+    Each strategy returns None for a block it does not handle; the
+    chunked engine takes every block.
+    """
+    # names looked up per call, so a test can stand in for one strategy
+    for strategy in (_full_space_hist, _count_univariate, _univariate_hist,
+                     _pair_hist, _engine_hist):
+        part = strategy(b)
+        if part is not None:
+            return part
 
 
 def require_homogeneous(X):
@@ -345,84 +419,6 @@ def _projective_charts(X):
             return poly.substitute(fixed).rename(mapping, nv)
 
         yield j, chart
-
-
-def _count_affine(X, F, m, budget):
-    p = F.p
-    eqs, ineqs, f, empty = _reduce_polys(X, p)
-    if empty:
-        return 0
-    n_ext = F.k * m
-    Q = p**n_ext
-    comps, _ = _components(X.nvars, eqs, ineqs, Poly(X.nvars))
-    total = 1
-    for vs, c_eqs, c_ineqs, _f in comps:
-        total *= _count_component(vs, c_eqs, c_ineqs, F, m, Q, budget)
-        if total == 0:
-            return 0
-    return total
-
-
-def _count_component(vs, eqs, ineqs, F, m, Q, budget):
-    p = F.p
-    n_ext = F.k * m
-    r = len(vs)
-    if not eqs and not ineqs:
-        return Q**r
-    if r == 1:
-        return _count_univariate(vs[0], eqs, ineqs, p, n_ext, Q)
-    if r == 2 and eqs:
-        E = _extension_spec(F, m)
-        match, _ = _pair_match(vs, eqs, ineqs, BulkField(E), budget)
-        if match is not None:
-            return match.count
-    E = _extension_spec(F, m)
-    return int(_enumerate_block(vs, eqs, ineqs, None, None, E, budget).sum())
-
-
-def _count_univariate(var, eqs, ineqs, p, n_ext, Q):
-    """Roots in GF(p^n_ext) of the equation system minus inequation loci."""
-    bad = _univariate_product(ineqs, var, p)
-    if bad is None:
-        return 0
-    g = _univariate_gcd(eqs, var, p)
-    if g:
-        if gfpoly.deg(g) == 0:
-            return 0
-        roots = _distinct_root_poly(g, p, n_ext)
-        return gfpoly.deg(roots) - gfpoly.deg(gfpoly.gcd(roots, bad, p))
-    # no equations (or all vanished identically): Q minus the inequation roots
-    if bad == (1,):
-        return Q
-    return Q - gfpoly.root_count(bad, p, n_ext)
-
-
-def _univariate_gcd(eqs, var, p):
-    """gcd of the equations as polynomials in var over GF(p); None if none."""
-    g = None
-    for e in eqs:
-        u = e.to_univariate(var, p)
-        g = u if g is None else gfpoly.gcd(g, u, p)
-    return g
-
-
-def _univariate_product(ineqs, var, p):
-    """Product of the inequations in var over GF(p); None when one of them
-    vanishes identically."""
-    prod = (1,)
-    for h in ineqs:
-        hu = h.to_univariate(var, p)
-        if not hu:
-            return None
-        prod = gfpoly.mul(prod, hu, p)
-    return prod
-
-
-def _distinct_root_poly(g, p, n_ext):
-    """gcd(x^Q - x, g): squarefree product of the linear factors over GF(p^n)."""
-    x = (0, 1)
-    xq = gfpoly.powmod(x, p**n_ext, g, p)
-    return gfpoly.gcd(gfpoly.sub(xq, x, p), g, p)
 
 
 # ---------------------------------------------------------------------------
@@ -565,79 +561,28 @@ def membership_walk(X: VarietySpec, others, F: FieldSpec, m: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# Character-exponent histograms
+# Block strategies, in dispatch order
 
 
-def exponent_histogram(X: VarietySpec, chi: AdditiveCharacter, m: int,
-                       budget=None) -> list:
-    """Counts h[e] of points x in X(F_{q^m}) with chi(Tr f(x)) = zeta_p^e."""
-    budget = budget if budget is not None else default_budget()
-    F = chi.field
-    p = F.p
-    if X.ambient == "projective":
-        if X.f is not None and not X.f.is_zero():
-            raise ProjectiveWithNonzeroF("exponential sums need an affine spec")
-        return [_count_projective(X, F, m, budget)] + [0] * (p - 1)
-    eqs, ineqs, f, empty = _reduce_polys(X, p)
-    if empty:
-        return [0] * p
-    if f.is_zero():
-        return [_count_affine(X, F, m, budget)] + [0] * (p - 1)
+def _full_space_hist(b: _Block):
+    """Exact histogram over a block without constraints, no enumeration.
 
-    E = _extension_spec(F, m)
-    twist_big = embedding(F, E)(chi.c)
-    trace_w = BulkField(E).trace_weights(twist_big)
-    comps, f_const = _components(X.nvars, eqs, ineqs, f)
-    const_exp = (f_const * trace_to_prime_int(twist_big)) % p if f_const else 0
-
-    hist = [0] * p
-    hist[const_exp] = 1
-    for vs, c_eqs, c_ineqs, c_f in comps:
-        part = _component_hist(vs, c_eqs, c_ineqs, c_f, chi, m, E, twist_big,
-                               trace_w, budget)
-        hist = _convolve_mod_p(hist, part, p)
-    return hist
-
-
-def _component_hist(vs, eqs, ineqs, f, chi, m, E, twist, trace_w, budget):
-    """Exponent histogram of one constraint-disjoint block, fast path first."""
-    p, Q = E.p, E.q
-    F = chi.field
-    if f.is_zero():
-        return [_count_component(vs, eqs, ineqs, F, m, Q, budget)] + [0] * (p - 1)
-    if not eqs and not ineqs:
-        part = _full_space_hist(vs, f, E, twist)
-        if part is not None:
-            return part
-    if len(vs) == 1:
-        part = _univariate_hist(vs[0], eqs, ineqs, f, chi, m, E, twist, budget)
-        if part is not None:
-            return part
-    if len(vs) == 2 and eqs:
-        part = _pair_hist(vs, eqs, ineqs, f, E, trace_w, budget)
-        if part is not None:
-            return part
-    raw = _enumerate_block(vs, eqs, ineqs, f, trace_w, E, budget)
-    return [int(v) for v in raw]
-
-
-def _full_space_hist(vs, f, E, twist):
-    """Exact histogram over a full affine block, no enumeration.
-
-    Handles f built from Frobenius-linearized monomials a*x^(p^j) (any p;
-    the trace form is F_p-linear in the point) and, for odd p, arbitrary
-    f of total degree <= 2 via a quadratic form on the digit space.
-    Returns None when neither shape applies.
+    [Q^r, 0, ..., 0] for f = 0.  Otherwise handles f built from
+    Frobenius-linearized monomials a*x^(p^j) (any p; the trace form is
+    F_p-linear in the point) and, for odd p, arbitrary f of total degree
+    <= 2 via a quadratic form on the digit space.  Returns None when the
+    block has constraints or neither shape applies.
     """
-    p, Q = E.p, E.q
-    r = len(vs)
-    lin = _linearized_twists(f, E, twist)
+    if b.eqs or b.ineqs:
+        return None
+    p, size = b.F.p, b.F.q ** (b.m * len(b.vs))
+    lin = [] if b.f.is_zero() else _linearized_twists(b.f, b.E, b.twist)
     if lin is not None:
         if all(d.is_zero() for d in lin):
-            return [Q**r] + [0] * (p - 1)
-        return [Q**r // p] * p
-    if p != 2 and f.total_degree() <= 2:
-        return _quadratic_digit_hist(vs, f, E, twist)
+            return [size] + [0] * (p - 1)
+        return [size // p] * p
+    if p != 2 and b.f.total_degree() <= 2:
+        return _quadratic_digit_hist(b.vs, b.f, b.E, b.twist)
     return None
 
 
@@ -691,15 +636,8 @@ def _quadratic_digit_hist(vs, f, E, twist):
             base = pos[i] * n
             for s in range(n):
                 L[base + s] = (L[base + s] + a * gram[s][0]) % p  # b_0 = 1
-        elif deg == 2 and len(used) == 1:
-            (i, _), = used
-            base = pos[i] * n
-            for s in range(n):
-                for t in range(n):
-                    A[base + s][base + t] = (A[base + s][base + t]
-                                             + a * gram[s][t]) % p
-        elif deg == 2 and len(used) == 2:
-            (i, _), (j, _) = used
+        elif deg == 2:  # a*x_i*x_j, i = j allowed: the Gram matrix is symmetric
+            i, j = [i for i, e in used for _ in range(e)]
             bi, bj = pos[i] * n, pos[j] * n
             for s in range(n):
                 for t in range(n):
@@ -765,53 +703,102 @@ def _diagonalize_symmetric(A, p):
     return A, P
 
 
-def _univariate_hist(var, eqs, ineqs, f, chi, m, E, twist, budget):
-    """Exact histogram for a one-variable block whose constraint roots all
-    lie in the base field; None when that cannot be certified cheaply.
+def _count_univariate(b: _Block):
+    """Roots in F_Q of a one-variable block's equations minus the inequation
+    loci, by gcds with x^Q - x; counts only."""
+    if len(b.vs) != 1 or not b.f.is_zero():
+        return None
+    var, p, n = b.vs[0], b.F.p, b.F.k * b.m
+    bad = _univariate_product(b.ineqs, var, p)
+    if bad is None:
+        return [0] * p
+    g = _univariate_gcd(b.eqs, var, p)
+    if g:
+        roots = _distinct_root_poly(g, p, n)
+        count = gfpoly.deg(roots) - gfpoly.deg(gfpoly.gcd(roots, bad, p))
+    else:  # no equations: F_Q minus the inequation roots
+        count = p**n - gfpoly.root_count(bad, p, n)
+    return [count] + [0] * (p - 1)
+
+
+def _univariate_gcd(eqs, var, p):
+    """gcd of the equations as polynomials in var over GF(p); None if none."""
+    g = None
+    for e in eqs:
+        u = e.to_univariate(var, p)
+        g = u if g is None else gfpoly.gcd(g, u, p)
+    return g
+
+
+def _univariate_product(ineqs, var, p):
+    """Product of the inequations in var over GF(p); None when one of them
+    vanishes identically."""
+    prod = (1,)
+    for h in ineqs:
+        hu = h.to_univariate(var, p)
+        if not hu:
+            return None
+        prod = gfpoly.mul(prod, hu, p)
+    return prod
+
+
+def _distinct_root_poly(g, p, n_ext):
+    """gcd(x^Q - x, g): squarefree product of the linear factors over GF(p^n)."""
+    x = (0, 1)
+    xq = gfpoly.powmod(x, p**n_ext, g, p)
+    return gfpoly.gcd(gfpoly.sub(xq, x, p), g, p)
+
+
+def _univariate_hist(b: _Block):
+    """Exact histogram for a one-variable block with f != 0 whose constraint
+    roots all lie in the base field; None when that cannot be certified
+    cheaply.
 
     For rho in the base field F_q inside F_Q = F_{q^m},
     Tr_{F_Q/F_p}(c f(rho)) = Tr_{F_q/F_p}(m * c * f(rho)), so the roots are
-    walked by the engine over F_q with the trace weights of m * c.
+    walked by the engine over F_q with the trace weights of m * c.  A walk
+    whose root count differs from the gcd's raises RouteMismatch.
     """
-    F = chi.field
-    p, n = E.p, E.k
-    if F.q > 4096:
+    F, p = b.F, b.F.p
+    if len(b.vs) != 1 or b.f.is_zero() or F.q > 4096:
         return None
-    weights = BulkField(F).trace_weights(F.element(m) * chi.c)
+    var = b.vs[0]
+    weights = BulkField(F).trace_weights(F.element(b.m) * b.c)
 
     def base_hist(eqs, ineqs):
-        return _enumerate_block([var], eqs, ineqs, f, weights, F, budget)
+        return _enumerate_block([var], eqs, ineqs, b.f, weights, F, b.budget)
 
     def in_base(R):
         return gfpoly.deg(_distinct_root_poly(R, p, F.k)) == gfpoly.deg(R)
 
-    if eqs:
-        g = _univariate_gcd(eqs, var, p)
-        if gfpoly.deg(g) <= 0:
-            return [0] * p
-        R = _distinct_root_poly(g, p, n)
+    def check_roots(walked, R):
+        if walked != gfpoly.deg(R):
+            raise RouteMismatch(f"walk over F_{F.q}: {walked} roots, gcd: {gfpoly.deg(R)}")
+
+    if b.eqs:
+        R = _distinct_root_poly(_univariate_gcd(b.eqs, var, p), p, F.k * b.m)
         if gfpoly.deg(R) <= 0:
             return [0] * p
         if not in_base(R):
             return None
-        assert int(base_hist(eqs, []).sum()) == gfpoly.deg(R)
-        return [int(v) for v in base_hist(eqs, ineqs)]
+        check_roots(int(base_hist(b.eqs, []).sum()), R)
+        return [int(v) for v in base_hist(b.eqs, b.ineqs)]
 
     # no equations: full line minus the inequation root loci
-    full = _full_space_hist([var], f, E, twist)
+    full = _full_space_hist(replace(b, ineqs=[]))
     if full is None:
         return None
-    H = _univariate_product(ineqs, var, p)
+    H = _univariate_product(b.ineqs, var, p)
     if H is None:
         return [0] * p  # an inequation is identically zero mod p
-    R = _distinct_root_poly(H, p, n)
+    R = _distinct_root_poly(H, p, F.k * b.m)
     if gfpoly.deg(R) <= 0:
         return full
     if not in_base(R):
         return None
-    bad = base_hist([], []) - base_hist([], ineqs)
-    assert int(bad.sum()) == gfpoly.deg(R)
-    return [a - int(b) for a, b in zip(full, bad)]
+    bad = base_hist([], []) - base_hist([], b.ineqs)
+    check_roots(int(bad.sum()), R)
+    return [a - int(c) for a, c in zip(full, bad)]
 
 
 class _PairMatch:
@@ -943,33 +930,37 @@ def _pair_match(vs, eqs, ineqs, B: BulkField, budget, extra_jobs=()):
     return _PairMatch(ix, lo, hi, iy_sorted), extras
 
 
-def _pair_hist(vs, eqs, ineqs, f, E, trace_w, budget):
+def _pair_hist(b: _Block):
     """Exponent histogram over a separable-equation pair block.
 
-    Univariate f-terms contribute per-variable trace exponents from the
-    matching scan; each cross monomial a*x^c*y^d contributes
-    Tr(twist * a x^c * y^d) per pair through BulkField.pair_trace.
+    For f = 0 it is the match count, with no pair expanded or charged.
+    Else the pair count is charged against the budget; univariate f-terms
+    contribute per-variable trace exponents from the matching scan, and
+    each cross monomial a*x^c*y^d contributes Tr(twist * a x^c * y^d) per
+    pair through BulkField.pair_trace.
     """
-    v1, v2 = vs
-    p = E.p
+    if len(b.vs) != 2 or not b.eqs:
+        return None
+    v1, v2 = b.vs
+    p, f = b.F.p, b.f
     uni1, uni2, cross = {}, {}, []
     for exps, c in f.terms.items():
         if exps[v1] and exps[v2]:
-            used = [i for i, e in enumerate(exps) if e]
-            if len(used) != 2:
-                return None
             cross.append((exps, c))
         elif exps[v2]:
             uni2[exps] = c
         else:
             uni1[exps] = c
-    B = BulkField(E)
-    extra = [(Poly(f.nvars, uni), lambda vals: B.linear_form(vals, trace_w))
-             for uni in (uni1, uni2)]
-    match, extras = _pair_match(vs, eqs, ineqs, B, budget, extra_jobs=extra)
+    B = BulkField(b.E)
+    extra = [] if f.is_zero() else [
+        (Poly(f.nvars, uni), lambda vals: B.linear_form(vals, b.trace_w))
+        for uni in (uni1, uni2)]
+    match, extras = _pair_match(b.vs, b.eqs, b.ineqs, B, b.budget, extra_jobs=extra)
     if match is None:
         return None
-    _check_budget(match.count, budget)  # the pairs are expanded below
+    if not extra:
+        return [match.count] + [0] * (p - 1)
+    _check_budget(match.count, b.budget)  # the pairs are expanded below
     eU, eV = extras
     hist = np.zeros(p, dtype=np.int64)
     for I, J in match.pairs(1 << 20):
@@ -980,9 +971,16 @@ def _pair_hist(vs, eqs, ineqs, f, E, trace_w, budget):
                 left = B.pow(x, exps[v1])
                 if c != 1:
                     left = B.scale(c, left)
-                e += B.pair_trace(left, B.pow(y, exps[v2]), trace_w)
+                e += B.pair_trace(left, B.pow(y, exps[v2]), b.trace_w)
         hist += np.bincount(e % p, minlength=p)
     return [int(v) for v in hist]
+
+
+def _engine_hist(b: _Block):
+    """The chunked engine over the whole block, under the budget."""
+    f = None if b.f.is_zero() else b.f
+    raw = _enumerate_block(b.vs, b.eqs, b.ineqs, f, b.trace_w, b.E, b.budget)
+    return [int(v) for v in raw]
 
 
 def _convolve_mod_p(h1, h2, p):
@@ -999,8 +997,7 @@ def _convolve_mod_p(h1, h2, p):
 
 def exp_sum(X: VarietySpec, chi: AdditiveCharacter, m: int = 1, budget=None) -> Cyclotomic:
     """N_{chi,m}(X,f) = sum over X(F_{q^m}) of chi at the trace of f."""
-    hist = exponent_histogram(X, chi, m, budget)
-    return Cyclotomic.from_exponent_counts(chi.p, list(hist) + [0] * (chi.p - len(hist)))
+    return Cyclotomic.from_exponent_counts(chi.p, exponent_histogram(X, chi, m, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -1060,8 +1057,6 @@ def closed_point_tally(X: VarietySpec, chi: AdditiveCharacter, r_max: int,
     (d | r), each at exponent (r/d) * e mod p.  Exact divisibility by r is
     asserted at every step.
     """
-    if X.ambient == "projective" and X.f is not None and not X.f.is_zero():
-        raise ProjectiveWithNonzeroF("tallies need f = 0 on projective specs")
     p = chi.p
     a = {}
     for r in range(1, r_max + 1):

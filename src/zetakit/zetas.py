@@ -38,7 +38,9 @@ def hw_zeta(X: VarietySpec, F: FieldSpec, T: int, budget=None) -> SeriesTrunc:
     a = {}
     for r in range(1, T + 1):
         s = counts[r - 1] - sum(d * a[d] for d in a if r % d == 0)
-        assert s % r == 0 and s >= 0, (r, counts)
+        if s % r != 0 or s < 0:
+            raise AssertionError(
+                f"orbit inversion failed at degree {r}: counts {counts}")
         if s:
             a[r] = s // r
     route_b = SeriesTrunc.one(T)

@@ -104,6 +104,24 @@ def test_embedding_is_a_ring_map(F3, F9):
             assert emb.pullback(emb(x)) == x
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 5), (7, 3)])
+def test_self_embedding_root_is_the_generator(p, k):
+    # the root search over all of GF(p^k) finds x, the smallest root there
+    F = build_field(p, k)
+    emb = embedding(F, F)
+    assert emb.root == emb._find_root()
+    assert emb.root.index() == p
+
+
+def test_self_embedding_of_a_large_field_is_the_identity():
+    F = build_field(3, 10)
+    emb = embedding(F, F)
+    for i in (0, 1, 2, 3, 4, 1234, 59048):
+        x = F.from_index(i)
+        assert emb(x) == x
+        assert emb.pullback(x) == x
+
+
 def test_trace_surjects_and_is_additive(F9, F3):
     emb = embedding(F3, F9)
     values = set()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from zetakit import scissor
+from zetakit import heights, scissor
 from zetakit.cyclofield import build_field, character
 from zetakit.errors import DoubleCovered, NoStrictDrop, Uncovered
 from zetakit.scissor import (
@@ -124,6 +124,26 @@ def test_stratify_peels_off_the_sparse_conic():
     assert result["chain"] == ["C", "conic"]
     assert set(result["pieces"]) == {"C\\conic", "conic"}
     assert result["sigma"]["C"] - result["sigma"]["conic"] >= 0.25
+
+
+def test_stratify_scans_each_candidate_once_per_round(monkeypatch):
+    union = projective(2, equations=["x2*(x0*x2 - x1^2)"])
+    conic = projective(2, equations=["x2*(x0*x2 - x1^2)", "x0*x2 - x1^2"])
+    scans = []
+    box_heights = heights._box_heights
+
+    def spy(X, *args, **kwargs):
+        scans.append(X)
+        return box_heights(X, *args, **kwargs)
+
+    monkeypatch.setattr(heights, "_box_heights", spy)
+    result = stratify(union, {"conic": conic}, 1, BOUNDS, name="C")
+    assert scans == [union, conic]  # U's table, then one checked scan of the conic
+    monkeypatch.undo()
+    sigma = {nm: heights.abscissa_estimate(heights.height_count_table(X, 1, BOUNDS))
+             for nm, X in (("C", union), ("conic", conic))}
+    assert result["sigma"] == sigma
+    assert result["chain"] == ["C", "conic"]
 
 
 def test_stratify_without_drop_raises():

@@ -5,14 +5,22 @@ separable two-variable matching) are cross-checked here against a direct
 scalar enumeration, which is its own independent implementation.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetakit import kexp, scissor, varieties
-from zetakit.cyclofield import build_field, character
+from zetakit.bulk import BulkField
+from zetakit.cyclofield import build_field, character, embedding
 from zetakit.cyclotomic import Cyclotomic
-from zetakit.errors import BudgetExceeded, NonHomogeneous
+from zetakit.errors import (
+    BudgetExceeded,
+    NonHomogeneous,
+    ProjectiveWithNonzeroF,
+    RouteMismatch,
+)
 from zetakit.polynomials import Poly
 from zetakit.varieties import (
     affine,
@@ -31,6 +39,7 @@ from zetakit.varieties import (
     spec_from_json,
     sym_divisors,
     torus2,
+    VarietySpec,
 )
 
 
@@ -312,3 +321,100 @@ def test_pair_cross_terms_with_digits_above_127(p):
     X = affine(2, ["x0^3 + x1^3 - 1"], f="x0*x1")
     chi = character(F, F.from_index(1))
     assert list(exponent_histogram(X, chi, 1)) == brute_histogram(X, chi, 1)
+
+
+# -- one dispatcher: each block strategy against the engine ---------------------
+
+
+def _block(nv, p, k, m, eqs=(), ineqs=(), f=None):
+    """A block over all nv variables of affine(nv, ...), reduced mod p, with
+    a nonzero twist when f is given (as _histogram builds it)."""
+    F = build_field(p, k)
+    eqs, ineqs, fp, _ = varieties._reduce_polys(affine(nv, eqs, ineqs, f=f), p)
+    b = varieties._Block(list(range(nv)), eqs, ineqs, fp, F, m, 10**7)
+    if f is None:
+        return b
+    c = F.from_index(F.q - 1)
+    twist = embedding(F, b.E)(c)
+    return replace(b, c=c, twist=twist,
+                   trace_w=BulkField(b.E).trace_weights(twist))
+
+
+# blocks of up to about 10^6 candidate points, beyond the scalar oracle
+STRATEGY_CASES = [
+    ("_full_space_hist", _block(2, 2, 10, 1)),
+    ("_full_space_hist", _block(2, 2, 5, 2, f="x0^2 + x1^8 + x1")),
+    ("_full_space_hist", _block(2, 5, 4, 1, f="x0^2 + 3*x0*x1 + 2*x1")),
+    ("_full_space_hist", _block(1, 3, 1, 12, f="x0^3 + x0^9")),
+    ("_full_space_hist", _block(1, 7, 7, 1, f="3*x0^2 + x0")),
+    ("_count_univariate", _block(1, 7, 1, 7, ["x0^49 - x0"], ["x0 - 1"])),
+    ("_count_univariate", _block(1, 3, 12, 1, ineqs=["x0^2 + 1"])),
+    ("_count_univariate", _block(1, 2, 20, 1, ["x0^3 - 1"])),
+    ("_count_univariate", _block(1, 5, 8, 1, ["x0^25 - x0", "x0^5 - x0^2"])),
+    ("_count_univariate", _block(1, 3, 4, 3, ["x0^2 + 1", "x0^2 + x0 + 2"])),
+    ("_univariate_hist", _block(1, 3, 2, 6, ["x0^9 - x0"], ["x0 - 1"], f="x0^2 + x0^5")),
+    ("_univariate_hist", _block(1, 2, 4, 5, ineqs=["x0^4 - x0"], f="x0 + x0^4")),
+    ("_univariate_hist", _block(1, 5, 1, 8, ineqs=["x0^5 - x0"], f="x0^2")),
+    ("_univariate_hist", _block(1, 7, 1, 7, ["x0^7 - x0"], f="x0^3")),
+    ("_univariate_hist", _block(1, 3, 1, 12, ["x0^2 + 1", "x0^2 + x0 + 2"], f="x0")),
+    ("_pair_hist", _block(2, 2, 10, 1, ["x0^3 + x1^5 + 1"])),
+    ("_pair_hist", _block(2, 3, 6, 1, ["x0^2 + x1^2 - 1"], ["x0"], f="x0*x1 + x1^2")),
+    ("_pair_hist", _block(2, 5, 2, 2, ["x0^3 - x1^2 - 1"], f="x0^2*x1")),
+    ("_pair_hist", _block(2, 7, 3, 1, ["x0^2 + 3*x1^3 - 2", "x0^3 - x1"])),
+    ("_pair_hist", _block(2, 7, 1, 3, ["x0^2 + 3*x1^3 - 2"], f="x0*x1^2 + x0")),
+]
+
+
+@pytest.mark.parametrize("name,block", STRATEGY_CASES)
+def test_strategy_matches_the_engine_on_the_same_block(name, block):
+    part = getattr(varieties, name)(block)
+    assert part is not None
+    assert part == varieties._engine_hist(block)
+    if block.f.is_zero():
+        assert part[1:] == [0] * (block.F.p - 1)
+
+
+@pytest.mark.parametrize("X", [
+    affine(3, ["x0^2 + 1"], f="x1^2*x2 + x1*x2^2"),
+    affine(3, ["x2^2 + 1"], f="x0^2*x1 + x0*x1^2"),
+])
+def test_count_and_histogram_stop_at_the_same_empty_block(X):
+    # x^2 + 1 has no root in F_243, so the f-block (3^10 points) is never walked
+    F = build_field(3, 5)
+    assert count_points_ff(X, F, 1, budget=10**4) == 0
+    assert exponent_histogram(X, character(F), 1, budget=10**4) == [0, 0, 0]
+
+
+def test_counts_never_expand_pairs(monkeypatch, F3):
+    monkeypatch.setattr(varieties._PairMatch, "pairs", None)
+    X = affine(2, ["x0^2187 - x0 + x1^2187 - x1"], f="x0*x1")
+    assert count_points_ff(X, F3, 7, budget=10**5) == 2187**2
+    # a trivial character is a count as well: f is never evaluated
+    assert exponent_histogram(X, character(F3, F3.zero()), 7,
+                              budget=10**5) == [2187**2, 0, 0]
+
+
+def test_projective_spec_with_f_is_refused(F3):
+    X = VarietySpec("projective", 1, (), (), Poly.parse("x0*x1", 2), None)
+    for chi in (character(F3), character(F3, F3.zero())):
+        with pytest.raises(ProjectiveWithNonzeroF):
+            exponent_histogram(X, chi, 1)
+        with pytest.raises(ProjectiveWithNonzeroF):
+            closed_point_tally(X, chi, 2)
+
+
+@pytest.mark.parametrize("ineqs", [[], ["x0 - 1"]])
+def test_univariate_walk_that_misses_a_root_is_a_route_mismatch(monkeypatch, ineqs):
+    engine = varieties._enumerate_block
+
+    def drop_one_point(*args, **kwargs):
+        tally = engine(*args, **kwargs)
+        tally[tally.nonzero()[0][:1]] -= 1
+        return tally
+
+    monkeypatch.setattr(varieties, "_enumerate_block", drop_one_point)
+    # with equations: x^3 - x; without: the inequation locus of x^3 - x
+    eqs, ineqs = (["x0^3 - x0"], ineqs) if ineqs else ([], ["x0^3 - x0"])
+    block = _block(1, 3, 1, 2, eqs, ineqs, f="x0^2")
+    with pytest.raises(RouteMismatch):
+        varieties._univariate_hist(block)

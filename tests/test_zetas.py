@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from zetakit import varieties
 from zetakit.cyclofield import build_field, character
 from zetakit.errors import InsufficientOrder, NoCandidate
 from zetakit.polynomials import Poly
@@ -113,3 +114,12 @@ def test_reconstruct_rejects_non_rational_series():
     coeffs = [Fraction(1, math.factorial(n)) for n in range(11)]
     with pytest.raises(NoCandidate):
         rational_reconstruct(SeriesTrunc(10, coeffs), 2)
+
+
+def test_hw_zeta_rejects_counts_that_no_closed_points_give(monkeypatch, F3):
+    # N_1 = 2, N_2 = 0 has an integral zeta but -1 closed points of degree 2
+    fake = {1: 2, 2: 0}
+    monkeypatch.setattr(varieties, "count_points_ff",
+                        lambda X, F, m, budget=None: fake[m])
+    with pytest.raises(AssertionError, match="orbit inversion failed at degree 2"):
+        hw_zeta(affine_line(), F3, 2)
