@@ -1,7 +1,8 @@
 """Exact zeta functions, character sums, Witt vectors, and height counts.
 
 Everything downstream of a variety spec is computed by at least two
-independent routes and compared exactly; floating point appears only in
+routes and compared exactly (the zeta routes share the point counts;
+see zetas); floating point appears only in
 statistical estimators (abscissas, asymptotic fits) and in carefully
 bounded integer linear algebra.
 """

@@ -3,17 +3,19 @@
 A BulkField holds field elements as row arrays in one of two
 representations, chosen once from the field size Q = p^n:
 
-* Q <= 2^24, the table kernel.  A row is the discrete logarithm of the
+* Q <= 2^26, the table kernel (except prime fields above about 2^25.5,
+  whose table build would not be exact).  A row is the discrete logarithm of the
   element to the primitive root g of smallest index (int32; zero is the
   sentinel Q - 1).  Multiplication, negation, scaling and powers are
   index arithmetic mod Q - 1; addition goes through Zech's logarithm
   zech[k] = log(1 + g^k) (Huber, "Some comments on Zech's logarithms",
   IEEE Trans. IT 1990); a trace is one gather from a Q-entry table.  The
-  antilog, log and Zech tables take 12 bytes per field element, and each
-  trace table 1 byte per element for p < 256.  They are built on first
-  use, one small matmul mod p per fixed-size block of powers of g, and
-  kept per field in a cache bounded in bytes.
-* Q > 2^24, the convolution kernel.  A row is the digit vector over
+  antilog, log and Zech tables take 12 bytes per field element (about
+  805 MB at the limit), and each trace table 1 byte per element for
+  p < 256.  They are built on first use, one small matmul mod p per
+  fixed-size block of powers of g, and kept per field in a cache bounded
+  in bytes.
+* Otherwise the convolution kernel.  A row is the digit vector over
   GF(p) in the basis 1, x, ..., x^(n-1), the scalar layer's basis.
   Multiplication is a convolution followed by a linear reduction whose
   rows are the digits of x^j mod the modulus.  Memory stays at
@@ -21,8 +23,8 @@ representations, chosen once from the field size Q = p^n:
   budget, not by table construction.
 
 Callers never branch on the representation: rows come from element
-indices (digits_of) and go back to them (index_of); everything else is
-arithmetic, predicates and traces on rows.
+indices (digits_of) and go back to them (index_of) or to matching keys
+(key_of); everything else is arithmetic, predicates and traces on rows.
 """
 
 from __future__ import annotations
@@ -35,26 +37,30 @@ from . import gfpoly
 from .cyclofield import FieldSpec, trace_to_prime_int
 
 # fields up to this size use the table kernel
-_TABLE_LIMIT = 1 << 24
+_TABLE_LIMIT = 1 << 26
 # least-recently-used table sets are dropped past this many bytes
 _CACHE_BYTES = 1 << 28
 # rows per block when building the antilog table
 _BUILD_ROWS = 1 << 12
 # trace tables kept per field
 _TRACE_TABLES = 4
-# _mod_p is exact on float64 integers below this
+# _mod_p is exact on float64 integers below _FLOAT_EXACT, float32 below
+# _FLOAT32_EXACT
 _FLOAT_EXACT = 1 << 51
+_FLOAT32_EXACT = 1 << 22
 
 
 def _mod_p(x, p, bound, out):
-    """x mod p for float64 x holding integers in [0, bound], as
+    """x mod p for float64 or float32 x holding integers in [0, bound], as
     x - p * floor((x + 0.5) / p), written to out.
 
-    The computed quotient is off by at most (x + 0.5) / p * 2^-52, which
+    1 / p and the product each round once, so the computed quotient is off
+    by at most (x + 0.5) / p * 2^-52 in float64 (2^-23 in float32), which
     stays below its distance 0.5 / p to the nearest integer while
-    bound < 2^51; np.mod on float64 is about ten times slower.
+    bound < 2^51 (2^22); np.mod on float64 is about ten times slower.
     """
-    assert bound < _FLOAT_EXACT, f"{bound} too large for an exact float64 reduction"
+    limit = _FLOAT32_EXACT if x.dtype == np.float32 else _FLOAT_EXACT
+    assert bound < limit, f"{bound} too large for an exact {x.dtype} reduction"
     quot = np.add(x, 0.5)
     quot *= 1 / p
     np.floor(quot, out=quot)
@@ -75,7 +81,10 @@ class BulkField:
             rows.append(list(xj) + [0] * (self.n - len(xj)))
             xj = gfpoly.mod(tuple([0] + list(xj)), spec.modulus, self.p)
         self.red = np.array(rows, dtype=np.int64).reshape(max(self.n - 1, 0), self.n)
-        kernel = _TableKernel if self.Q <= _TABLE_LIMIT else _ConvKernel
+        # the table build reduces float64 values up to n (p-1)^2 with _mod_p,
+        # which rules out only prime fields above about 2^25.5
+        tables = self.Q <= _TABLE_LIMIT and self.n * (self.p - 1) ** 2 < _FLOAT_EXACT
+        kernel = _TableKernel if tables else _ConvKernel
         self._kernel = kernel(self)
 
     # -- element construction ---------------------------------------------
@@ -87,6 +96,12 @@ class BulkField:
     def index_of(self, a):
         """Element indices (int64) of rows: the inverse of digits_of."""
         return self._kernel.index_of(a)
+
+    def key_of(self, a):
+        """An int64 injection of rows into [0, Q): equal keys mean equal
+        elements.  On the table kernel it is the row itself, with no
+        gather, so it suits matching but not element order."""
+        return self._kernel.key_of(a)
 
     def const(self, value, rows=1):
         """A scalar, an int (prime subfield) or an FFElem, repeated over
@@ -153,7 +168,7 @@ class BulkField:
 
 
 # ---------------------------------------------------------------------------
-# Q > 2^24: digit rows
+# Q > 2^26 and large primes: digit rows
 
 
 class _ConvKernel:
@@ -202,6 +217,8 @@ class _ConvKernel:
 
     def index_of(self, a):
         return a @ self.place_values
+
+    key_of = index_of
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -259,7 +276,7 @@ class _ConvKernel:
 
 
 # ---------------------------------------------------------------------------
-# Q <= 2^24: discrete-log rows
+# Q <= 2^26: discrete-log rows
 
 
 class _TableKernel:
@@ -282,6 +299,9 @@ class _TableKernel:
 
     def index_of(self, a):
         return self.t.antilog[a].astype(np.int64)
+
+    def key_of(self, a):
+        return a.astype(np.int64)
 
     def _reduce(self, s):
         """s mod M in place, for int32 s in [0, 2M].  As uint32, s - M wraps
@@ -345,22 +365,24 @@ class _LogTables:
         self.p = p
         g = _primitive_root(spec)
 
+        bound = n * (p - 1) ** 2  # digit rows times a digit matrix
+        # float32 halves the cost of the block products where it is exact
+        dtype = np.float32 if bound < _FLOAT32_EXACT else np.float64
+
         def times(c):  # digit rows times this matrix = digit rows times c
             return np.array([(c * spec.from_index(p**j)).coeffs for j in range(n)],
-                            dtype=np.float64)
-
-        bound = n * (p - 1) ** 2  # digit rows times a digit matrix
+                            dtype=dtype)
 
         # digits of g^0, ..., g^(S-1) by doubling; then each block of S
         # powers is the previous one times g^S
         S = min(_BUILD_ROWS, M)
-        block = np.zeros((1, n))
+        block = np.zeros((1, n), dtype=dtype)
         block[0, 0] = 1
         while len(block) < S:
             prod = block @ times(g ** len(block))
             block = np.vstack([block, _mod_p(prod, p, bound, prod)])[:S]
         step = times(g**S)
-        place = np.power(float(p), np.arange(n))
+        place = np.power(float(p), np.arange(n))  # float64: indices pass 2^24
         prod = np.empty_like(block)
         self.antilog = np.empty(Q, dtype=np.int32)
         self.antilog[M] = 0

@@ -806,8 +806,9 @@ class _PairMatch:
 
     Each equation must split as u(x) + w(y) = 0; inequations must be
     univariate.  Solutions are pairs with key(x) = (u_k(x))_k equal to
-    key(y) = (-w_k(y))_k, matched through a bucket-offset table over the
-    key range when it fits in memory, else by sort-and-search.  Never Q^2.
+    key(y) = (-w_k(y))_k.  The surviving y indices are held sorted by key
+    (one packed int64 sort of key << 32 | index, see _pair_match), and x
+    row i matches the run iy_sorted[lo[i]:hi[i]].  Never Q^2.
     """
 
     def __init__(self, ix, lo, hi, iy_sorted):
@@ -818,7 +819,7 @@ class _PairMatch:
 
     @property
     def count(self):
-        return int((self.hi - self.lo).sum(dtype=np.int64))
+        return int(self.hi.sum(dtype=np.int64) - self.lo.sum(dtype=np.int64))
 
     def pairs(self, chunk):
         """Yield (I, J) element-index arrays covering all solution pairs.
@@ -826,20 +827,21 @@ class _PairMatch:
         Blocks are whole x-rows expanded by np.repeat, roughly `chunk`
         pairs each (one oversized row can exceed it).
         """
-        counts = (self.hi - self.lo).astype(np.int64)
-        starts = np.concatenate(([0], np.cumsum(counts)))
-        nrows = len(counts)
+        nrows = len(self.lo)
+        starts = np.zeros(nrows + 1, dtype=np.int64)
+        starts[1:] = self.hi
+        starts[1:] -= self.lo
+        np.cumsum(starts, out=starts)
         row = 0
         while row < nrows:
             end = int(np.searchsorted(starts, starts[row] + chunk, side="left"))
             end = min(max(end, row + 1), nrows)
-            c = counts[row:end]
-            seg = np.repeat(np.arange(row, end, dtype=np.int64), c)
-            if len(seg):
-                base = starts[row]
-                within = np.arange(starts[end] - base, dtype=np.int64)
-                within -= starts[seg] - base
-                yield self.ix[seg], self.iy_sorted[self.lo[seg] + within]
+            if starts[end] > starts[row]:
+                counts = np.diff(starts[row:end + 1])
+                # pair t of row r sits at iy_sorted[lo[r] + t - starts[r]]
+                at = np.repeat(self.lo[row:end] - starts[row:end], counts)
+                at += np.arange(starts[row], starts[end])
+                yield np.repeat(self.ix[row:end], counts), self.iy_sorted[at]
             row = end
 
 
@@ -853,6 +855,27 @@ def _pair_match(vs, eqs, ineqs, B: BulkField, budget, extra_jobs=()):
     Returns (match, extra outputs); match is None when the block does not
     fit the separable shape.  extra_jobs are (univariate poly,
     reduce_chunk) pairs evaluated in the same scan as the keys.
+
+    One scan of v1 writes both sides' keys, and the y side is sorted by
+    key.  While key_range < 2^31 the keys are int32 and the sort is a plain
+    np.sort of one int64 array key << 32 | index: its values are distinct,
+    so the order is the stable order by key, and the low and high words
+    are the sorted indices and keys.  Wider keys take a stable argsort.  A
+    key range up to _BUCKET_LIMIT is matched through a table of bucket
+    offsets into the sorted keys; a wider one by binary search, with the
+    x side sorted too so that the searches run in key order.  Indices are
+    int32 while Q < 2^31.
+
+    Memory per field element on the bucket path, with int32 keys and
+    indices: the scan writes 8 bytes of keys (both sides); sorting and
+    matching peak at 20 (keys, indices and the packed sort, then lo and
+    hi) plus 4 per key of the key range for the offsets; the match keeps
+    16 (x indices, lo, hi, sorted y indices), and expanding pairs adds 8
+    of row starts and up to 2 of univariate trace exponents.  The table
+    kernel's tables add 12.  A one-equation block (key range Q) thus
+    peaks near 24 bytes per element for a count and 26 for a histogram,
+    plus the tables, one chunk of pairs and, with inequations, a mask
+    byte and a transient 12 per element on each masked side.
     """
     v1, v2 = vs
     splits = []
@@ -870,63 +893,82 @@ def _pair_match(vs, eqs, ineqs, B: BulkField, budget, extra_jobs=()):
     key_range = Q ** len(splits)
     if key_range >= 1 << 62:
         return None, None  # combined match keys would overflow int64
+    # with at least one equation key_range >= Q, so int32 keys imply int32
+    # indices, which the packed sort needs
+    key_dtype = np.int32 if key_range < 1 << 31 else np.int64
+    idx_dtype = np.int32 if Q < 1 << 31 else np.int64
 
-    jobs = []
-    for u, w in splits:
-        jobs.append((u, B.index_of))
-        jobs.append((w, lambda vals: B.index_of(B.neg(vals))))
-    ineq_sides = []
-    for h in ineqs:
-        ineq_sides.append(next(iter(h.variables())))
-        jobs.append((h, B.nonzero))
     # x and y run over the same Q elements: one scan of v1 evaluates every
-    # job, with the y-side written in v1, so both sides share a power cache
-    jobs = [(poly.rename({**{i: i for i in range(poly.nvars)}, v2: v1}, poly.nvars),
-             reduce_chunk) for poly, reduce_chunk in jobs + list(extra_jobs)]
-    outs = [[] for _ in jobs]
-    for chunk in _chunks(B, [v1], budget):
-        for out, (poly, reduce_chunk) in zip(outs, jobs):
-            out.append(reduce_chunk(chunk.eval(poly)))
-    outs = [np.concatenate(o) for o in outs]
+    # polynomial, with the y-side written in v1, so both sides share a
+    # power cache
+    def in_v1(poly):
+        return poly.rename({**{i: i for i in range(poly.nvars)}, v2: v1}, poly.nvars)
 
-    key_dtype = np.int32 if key_range < (1 << 31) else np.int64
-    xkey = np.zeros(Q, dtype=key_dtype)
-    ykey = np.zeros(Q, dtype=key_dtype)
-    pos = 0
-    for _ in splits:
-        xkey *= key_dtype(Q)
-        xkey += outs[pos].astype(key_dtype)
-        ykey *= key_dtype(Q)
-        ykey += outs[pos + 1].astype(key_dtype)
-        pos += 2
-    maskx = np.ones(Q, dtype=bool)
-    masky = np.ones(Q, dtype=bool)
-    for hv in ineq_sides:
-        if hv == v1:
-            maskx &= outs[pos]
+    splits = [(in_v1(u), in_v1(w)) for u, w in splits]
+    masked = [(in_v1(h), next(iter(h.variables()))) for h in ineqs]
+    extra_jobs = [(in_v1(poly), reduce_chunk) for poly, reduce_chunk in extra_jobs]
+    keys = {v1: np.empty(Q, dtype=key_dtype), v2: np.empty(Q, dtype=key_dtype)}
+    masks = {side: np.ones(Q, dtype=bool) for _h, side in masked}
+    extras = [[] for _ in extra_jobs]
+    start = 0
+    for chunk in _chunks(B, [v1], budget):
+        rows = slice(start, start + chunk.rows)
+        start += chunk.rows
+        xkey = ykey = 0
+        for u, w in splits:
+            xkey = xkey * Q + B.key_of(chunk.eval(u))
+            ykey = ykey * Q + B.key_of(B.neg(chunk.eval(w)))
+        keys[v1][rows], keys[v2][rows] = xkey, ykey
+        for h, side in masked:
+            masks[side][rows] &= B.nonzero(chunk.eval(h))
+        for out, (poly, reduce_chunk) in zip(extras, extra_jobs):
+            out.append(reduce_chunk(chunk.eval(poly)))
+    extras = [np.concatenate(o) for o in extras]
+
+    def side(v, by_key):
+        """Indices of v's elements that pass its inequations, with their
+        keys; sorted by key when by_key.  Takes v's keys and mask."""
+        key = keys.pop(v)
+        if v in masks:
+            idx = np.flatnonzero(masks.pop(v)).astype(idx_dtype)
+            key = key[idx]
         else:
-            masky &= outs[pos]
-        pos += 1
-    extras = outs[pos:]
-    ix = np.nonzero(maskx)[0]
-    iy = np.nonzero(masky)[0]
-    del maskx, masky
-    yk = ykey[iy]
-    del ykey
-    order = np.argsort(yk, kind="stable")  # radix sort on integer keys
-    iy_sorted = iy[order]
-    if key_range <= _BUCKET_LIMIT:
-        offsets = np.zeros(key_range + 1, dtype=np.int64)
-        np.cumsum(np.bincount(yk, minlength=key_range), out=offsets[1:])
-        del yk, order
-        xk = xkey[ix]
-        lo = offsets[xk]
-        hi = offsets[xk + 1]
+            idx = np.arange(Q, dtype=idx_dtype)
+        if not by_key:
+            return idx, key
+        if key_dtype is np.int64:
+            order = np.argsort(key, kind="stable")
+            return idx[order], key[order]
+        packed = key.astype(np.int64)
+        del key
+        packed <<= 32
+        packed |= idx
+        del idx
+        packed.sort()
+        idx = np.empty(len(packed), dtype=idx_dtype)
+        np.bitwise_and(packed, 0xFFFFFFFF, out=idx, casting="unsafe")
+        key = np.empty(len(packed), dtype=key_dtype)
+        np.right_shift(packed, 32, out=key, casting="unsafe")
+        return idx, key
+
+    bucket = key_range <= _BUCKET_LIMIT
+    iy_sorted, yk = side(v2, True)
+    ix, xk = side(v1, not bucket)
+    if bucket:
+        # per-key counts of the sorted keys, one slice at a time, summed in
+        # place into offsets: no key-range-sized int64 temporaries
+        offsets = np.zeros(key_range + 1, dtype=idx_dtype)
+        for i in range(0, len(yk), _CHUNK):
+            seg = yk[i:i + _CHUNK]
+            first = int(seg[0])
+            counts = np.bincount(seg - first)
+            offsets[first + 1:first + 1 + len(counts)] += counts
+        del yk
+        np.cumsum(offsets, dtype=idx_dtype, out=offsets)
+        lo, hi = offsets[xk], offsets[1:][xk]
     else:
-        yk_sorted = yk[order]
-        del yk, order
-        lo = np.searchsorted(yk_sorted, xkey[ix], side="left")
-        hi = np.searchsorted(yk_sorted, xkey[ix], side="right")
+        lo = np.searchsorted(yk, xk, side="left").astype(idx_dtype)
+        hi = np.searchsorted(yk, xk, side="right").astype(idx_dtype)
     return _PairMatch(ix, lo, hi, iy_sorted), extras
 
 
@@ -943,28 +985,28 @@ def _pair_hist(b: _Block):
         return None
     v1, v2 = b.vs
     p, f = b.F.p, b.f
-    uni1, uni2, cross = {}, {}, []
+    uni, cross = {v1: {}, v2: {}}, []
     for exps, c in f.terms.items():
         if exps[v1] and exps[v2]:
             cross.append((exps, c))
-        elif exps[v2]:
-            uni2[exps] = c
         else:
-            uni1[exps] = c
+            uni[v2 if exps[v2] else v1][exps] = c
+    uni = {v: Poly(f.nvars, terms) for v, terms in uni.items() if terms}
     B = BulkField(b.E)
-    extra = [] if f.is_zero() else [
-        (Poly(f.nvars, uni), lambda vals: B.linear_form(vals, b.trace_w))
-        for uni in (uni1, uni2)]
+    extra = [(poly, lambda vals: B.linear_form(vals, b.trace_w)) for poly in uni.values()]
     match, extras = _pair_match(b.vs, b.eqs, b.ineqs, B, b.budget, extra_jobs=extra)
     if match is None:
         return None
-    if not extra:
+    if f.is_zero():
         return [match.count] + [0] * (p - 1)
     _check_budget(match.count, b.budget)  # the pairs are expanded below
-    eU, eV = extras
+    side_exponents = dict(zip(uni, extras))
     hist = np.zeros(p, dtype=np.int64)
     for I, J in match.pairs(1 << 20):
-        e = eU[I].astype(np.int64) + eV[J]
+        e = np.zeros(len(I), dtype=np.int64)
+        for v, idx in ((v1, I), (v2, J)):
+            if v in side_exponents:
+                e += side_exponents[v][idx]
         if cross:
             x, y = B.digits_of(I), B.digits_of(J)
             for exps, c in cross:

@@ -1,9 +1,15 @@
 """Zeta functions of varieties over finite fields, as truncated series.
 
-Every zeta is computed by two independent routes — exp of power sums and
-the Euler product over closed points — and the routes are compared
-exactly before anything is returned.  Also houses reconstruction of a
-truncated series as a rational function P/Q by exact linear algebra.
+Every zeta is computed by two routes — exp of power sums and the Euler
+product over closed points — and the routes are compared exactly before
+anything is returned.  Both rest on the same per-degree counts (or
+exponent histograms), which the orbit inversion turns into closed points,
+so their agreement is an identity of formal series once that inversion
+is integral and nonnegative.  That inversion's divisibility and sign checks
+constrain the enumerated histograms only below the top degree T: an error
+of T*k points in the degree-T histogram yields a wrong series with no
+error raised.  Also houses reconstruction of a truncated series as a
+rational function P/Q by exact linear algebra.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Differential tests of the bulk kernels against scalar FFElem arithmetic.
 
-Fields up to 2^24 elements run on the discrete-log table kernel; GF(3^16)
+Fields up to 2^26 elements run on the discrete-log table kernel; GF(3^17)
 runs on the digit-convolution kernel.  Each test draws random rows plus the
 edge elements 0, 1 and -1.
 """
@@ -37,6 +37,11 @@ def _check_against_scalar(F, count, slow_count, seed=0):
         assert B.index_of(rows).tolist() == [e.index() for e in elems]
 
     same(x, X)
+    # key_of: int64 keys in [0, Q), one per element
+    keys = B.key_of(x)
+    assert keys.dtype == np.int64 and 0 <= keys.min() and keys.max() < F.q
+    pairs = set(zip(keys.tolist(), I.tolist()))
+    assert len(pairs) == len(set(keys.tolist())) == len(set(I.tolist()))
     same(B.add(x, y), [a + b for a, b in zip(X, Y)])
     same(B.add(x, B.neg(x)), [F.zero()] * count)  # Zech-undefined sum a + (-a)
     same(B.neg(x), [-a for a in X])
@@ -67,9 +72,23 @@ def test_table_kernel_matches_scalar_arithmetic(p, k):
 
 
 def test_convolution_kernel_matches_scalar_arithmetic():
-    F = build_field(3, 16, max_bits=64)  # 3^16 > 2^24
+    F = build_field(3, 17, max_bits=64)  # 3^17 > 2^26
     assert isinstance(BulkField(F)._kernel, bulk._ConvKernel)
     _check_against_scalar(F, 2000, 100)
+
+
+def test_kernel_is_chosen_at_the_table_limit_without_building_tables():
+    bulk._cache.clear()
+    below, above = build_field(3, 16, max_bits=64), build_field(3, 17, max_bits=64)
+    assert below.q <= bulk._TABLE_LIMIT < above.q
+    kernel = BulkField(below)._kernel
+    assert isinstance(kernel, bulk._TableKernel) and kernel._tables is None
+    assert isinstance(BulkField(above)._kernel, bulk._ConvKernel)
+    # a prime below the limit whose square passes 2^51, the bound of the
+    # table build's exact float64 reduction
+    prime = build_field((1 << 26) - 5, 1, max_bits=64)
+    assert isinstance(BulkField(prime)._kernel, bulk._ConvKernel)
+    assert not bulk._cache
 
 
 @pytest.mark.parametrize("p,k", TABLE_FIELDS)
@@ -117,3 +136,13 @@ def test_float_reduction_is_exact_up_to_its_bound(p):
     assert np.array_equal(got.astype(np.int64), ints % p)
     with pytest.raises(AssertionError):
         bulk._mod_p(x, p, bulk._FLOAT_EXACT, np.empty_like(x))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 131, 65521])
+def test_float32_reduction_is_exact_below_its_bound(p):
+    ints = np.arange(bulk._FLOAT32_EXACT, dtype=np.int64)  # every value
+    x = ints.astype(np.float32)
+    got = bulk._mod_p(x, p, bulk._FLOAT32_EXACT - 1, np.empty_like(x))
+    assert np.array_equal(got.astype(np.int64), ints % p)
+    with pytest.raises(AssertionError):
+        bulk._mod_p(x, p, bulk._FLOAT32_EXACT, np.empty_like(x))

@@ -5,13 +5,14 @@ separable two-variable matching) are cross-checked here against a direct
 scalar enumeration, which is its own independent implementation.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetakit import kexp, scissor, varieties
+from zetakit import bulk, kexp, scissor, varieties
 from zetakit.bulk import BulkField
 from zetakit.cyclofield import build_field, character, embedding
 from zetakit.cyclotomic import Cyclotomic
@@ -372,6 +373,48 @@ def test_strategy_matches_the_engine_on_the_same_block(name, block):
     assert part == varieties._engine_hist(block)
     if block.f.is_zero():
         assert part[1:] == [0] * (block.F.p - 1)
+
+
+# three separable equations over F_{3^7}; x1 = x0 and x1 = -x0 solve all
+SEPARABLE = ["x0^3 - x0 - x1^3 + x1", "x0^2 - x1^2", "x0^4 - x1^4"]
+
+
+@pytest.mark.parametrize("f", [None, "x0*x1 + x1^2 + x0"])
+@pytest.mark.parametrize("neqs,bucket_limit", [
+    (2, None),  # key range 3^14: int32 keys, packed sort, bucket offsets
+    (2, 3**14 - 1),  # the same keys matched by binary search
+    (3, None),  # key range 3^21 >= 2^31: int64 keys, stable argsort
+], ids=["bucket", "search", "argsort"])
+def test_every_pair_match_path_matches_the_engine(monkeypatch, neqs, bucket_limit, f):
+    if bucket_limit is not None:
+        monkeypatch.setattr(varieties, "_BUCKET_LIMIT", bucket_limit)
+    block = _block(2, 3, 7, 1, SEPARABLE[:neqs], ["x0", "x1 - 1"], f=f)
+    part = varieties._pair_hist(block)
+    assert part is not None
+    assert part == varieties._engine_hist(block)
+
+
+@pytest.mark.parametrize("f", [None, "x0*x1"])
+def test_pair_strategy_memory_grows_by_a_bounded_amount_per_element(f):
+    # the circle over F_9 is one pair block over F_{3^(2m)}; its traced
+    # peak, the field's tables included, may grow by at most 70 bytes per
+    # extra element from Q = 3^12 (m = 6) to Q = 3^14 (m = 7)
+    F = build_field(3, 2)
+    X = circle(None if f is None else Poly.parse(f, 2))
+
+    def peak(m):
+        bulk._cache.clear()
+        tracemalloc.start()
+        try:
+            if f is None:
+                count_points_ff(X, F, m)
+            else:
+                exponent_histogram(X, character(F), m)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(7) - peak(6)) / (3**14 - 3**12) <= 70
 
 
 @pytest.mark.parametrize("X", [
