@@ -103,15 +103,17 @@ class BulkField:
         gather, so it suits matching but not element order."""
         return self._kernel.key_of(a)
 
-    def const(self, value, rows=1):
-        """A scalar, an int (prime subfield) or an FFElem, repeated over
-        `rows` rows (a read-only broadcast)."""
+    def const(self, value, shape=1):
+        """A scalar, an int (prime subfield) or an FFElem, repeated over a
+        row shape (an int or a tuple; a read-only broadcast)."""
         idx = value % self.p if isinstance(value, int) else value.index()
         one = self._kernel.digits_of(np.array([idx], dtype=np.int64))
-        return np.broadcast_to(one, (rows,) + one.shape[1:])
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        return np.broadcast_to(one, shape + one.shape[1:])
 
     # -- arithmetic --------------------------------------------------------
-    # Row arrays broadcast: either operand may be a single row.
+    # Row arrays may have leading axes, which broadcast: a (R, 1) column of
+    # rows times a (1, T) row of rows is an (R, T) grid of rows.
 
     def add(self, a, b):
         return self._kernel.add(a, b)
@@ -134,6 +136,10 @@ class BulkField:
 
     def is_zero(self, a):
         return self._kernel.is_zero(a)
+
+    def eq(self, a, b):
+        """Where a and b hold the same element (operands broadcast)."""
+        return self._kernel.eq(a, b)
 
     def nonzero(self, a):
         return ~self._kernel.is_zero(a)
@@ -233,17 +239,18 @@ class _ConvKernel:
         n = self.n
         if n == 1:
             return (a * b) % self.p
-        N = max(a.shape[0], b.shape[0])
-        conv = np.zeros((N, 2 * n - 1), dtype=self.dtype)
+        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        conv = np.zeros(shape + (2 * n - 1,), dtype=self.dtype)
         for i in range(n):
-            ai = a[:, i : i + 1]
-            conv[:, i : i + n] += ai * b
+            conv[..., i : i + n] += a[..., i : i + 1] * b
+        conv = conv.reshape(-1, 2 * n - 1)  # one 2-D matmul for the reduction
         if self.float_reduce:
             out = conv[:, :n].astype(np.float64)
             out += conv[:, n:].astype(np.float64) @ self.red_f
-            return _mod_p(out, self.p, self.bound, out).astype(self.dtype)
-        out = conv[:, :n] + conv[:, n:] @ self.red
-        return out % self.p
+            out = _mod_p(out, self.p, self.bound, out).astype(self.dtype)
+        else:
+            out = (conv[:, :n] + conv[:, n:] @ self.red) % self.p
+        return out.reshape(shape + (n,))
 
     def pow(self, a, e):
         if e == 0:
@@ -261,7 +268,10 @@ class _ConvKernel:
         return result
 
     def is_zero(self, a):
-        return ~a.any(axis=1)
+        return ~a.any(axis=-1)
+
+    def eq(self, a, b):
+        return (a == b).all(axis=-1)
 
     def linear_form(self, a, w):
         return (a @ np.asarray(w, dtype=self.dtype)) % self.p
@@ -272,7 +282,7 @@ class _ConvKernel:
         left = x.astype(dt) @ np.array(self.gram(w), dtype=dt)
         if dt is np.int64:
             left %= self.p
-        return np.einsum("in,in->i", left, y.astype(dt)).astype(np.int64) % self.p
+        return np.einsum("...n,...n->...", left, y.astype(dt)).astype(np.int64) % self.p
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +357,9 @@ class _TableKernel:
 
     def is_zero(self, a):
         return a == self.M
+
+    def eq(self, a, b):
+        return a == b
 
     def linear_form(self, a, w):
         return self.t.trace_table(w)[a]

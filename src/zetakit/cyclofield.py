@@ -280,10 +280,10 @@ def trace(x: FFElem, down_to: FieldSpec) -> FFElem:
 
 def trace_to_prime_int(x: FFElem) -> int:
     """Absolute trace down to GF(p), as an integer in [0, p)."""
-    prime = build_field(x.field.p, 1)
     if x.field.k == 1:
         return x.coeffs[0]
-    return trace(x, prime).coeffs[0]
+    # the prime field is far smaller than x's field, which was admitted
+    return trace(x, build_field(x.field.p, 1, max_bits=64)).coeffs[0]
 
 
 # ---------------------------------------------------------------------------

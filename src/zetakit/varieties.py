@@ -20,8 +20,15 @@ first strategy of one ordered tuple that takes it:
 Every point walk over a finite field goes through one chunk loop
 (`_chunks`) and one evaluator (`_Chunk`): block tallies, the pair scan,
 fiber histograms over a base map and the membership walks behind cover
-checks.  `PointEnumeration` is the scalar reference that the tests
-compare them against; no production path uses it.
+checks.  A chunk is a grid of prefixes of the leading variables, as
+(R, 1) columns, times values of the last variable, as a (1, T) row;
+flattened row-major, the grids keep PointEnumeration's order (first
+variable most significant).  Monomials are evaluated at their smallest
+broadcast shape, an equation is tested as "terms with the last variable
+= minus the others", and the trace of f is the sum of its terms' traces,
+so only mixed monomials are computed on the full grid.
+`PointEnumeration` is the scalar reference that the tests compare them
+against; no production path uses it.
 """
 
 from __future__ import annotations
@@ -426,72 +433,147 @@ def _projective_charts(X):
 
 
 class _Chunk:
-    """One chunk of a block walk: BulkField rows per variable, with a power
-    cache per variable, and the evaluator of polynomials over them."""
+    """One chunk of a block walk, laid out as a grid: R prefixes of the
+    block's leading variables as (R, 1) columns of BulkField rows, times
+    T values of its last variable as a (1, T) row.  The chunk's points are
+    the grid flattened row-major: flat row i * T + j is prefix i with the
+    j-th value of the last variable.
 
-    def __init__(self, B, rows, elems):
+    Each monomial is evaluated at its smallest broadcast shape: powers are
+    taken on the columns and the row (cached per variable), a scale on
+    the first factor, and only monomials that mix the last variable with
+    leading ones reach the full grid.
+    """
+
+    def __init__(self, B, cols, last, row, shape):
         self.bulk = B
-        self.rows = rows
-        self.elems = elems
-        self.powers = {v: {1: d} for v, d in elems.items()}
+        self.last = last  # None for a block without variables
+        self.elems = cols if last is None else {**cols, last: row}
+        self.shape = shape
+        self.rows = shape[0] * shape[1]
+        self.powers = {v: {1: d} for v, d in self.elems.items()}
 
-    def eval(self, poly):
-        """BulkField rows of an integer polynomial's values at every row."""
+    def _terms(self, poly):
+        """(has_last, value) per nonzero term: constants, then terms in the
+        leading variables only, then the last variable alone, then mixed
+        terms, so that sums taken in this order grow to the full grid
+        last."""
         B = self.bulk
-        tot = None
+        out = []
         for exps, c in poly.terms.items():
             c %= B.p
             if c == 0:
                 continue
-            val = None
-            for v, d in self.elems.items():
+            factors = []
+            for v, d in self.elems.items():  # the last variable comes last
                 e = exps[v]
                 if e:
                     pw = self.powers[v]
                     if e not in pw:
                         pw[e] = B.pow(d, e)
-                    val = pw[e] if val is None else B.mul(val, pw[e])
-            if val is None:
-                val = B.const(c, self.rows)
-            elif c != 1:
-                val = B.scale(c, val)
-            tot = val if tot is None else B.add(tot, val)
-        if tot is None:
-            tot = B.const(0, self.rows)
-        return tot
+                    factors.append(pw[e])
+            if not factors:
+                val = B.const(c, (1, 1))
+            else:
+                val = factors[0] if c == 1 else B.scale(c, factors[0])
+                for fac in factors[1:]:
+                    val = B.mul(val, fac)
+            has_last = self.last is not None and exps[self.last] > 0
+            out.append(((has_last, len(factors) > has_last), val))
+        out.sort(key=lambda kv: kv[0])
+        return [(key[0], val) for key, val in out]
+
+    def _sums(self, poly):
+        """(inner, outer): the sums of poly's terms with and without the
+        last variable, each None when there is no such term."""
+        B = self.bulk
+        sums = {True: None, False: None}
+        for has_last, val in self._terms(poly):
+            acc = sums[has_last]
+            sums[has_last] = val if acc is None else B.add(acc, val)
+        return sums[True], sums[False]
+
+    def eval(self, poly):
+        """BulkField rows of an integer polynomial's values at every point,
+        flat."""
+        B = self.bulk
+        sums = [v for v in self._sums(poly) if v is not None]
+        val = B.add(*sums) if len(sums) == 2 else sums[0] if sums else B.const(0, (1, 1))
+        tail = val.shape[2:]
+        return np.broadcast_to(val, self.shape + tail).reshape((self.rows,) + tail)
+
+    def _vanishes(self, poly):
+        """Where poly is zero: its terms with the last variable equal the
+        negated sum of the others, so no full-grid addition is made."""
+        B = self.bulk
+        inner, outer = self._sums(poly)
+        if inner is None and outer is None:
+            return np.ones((1, 1), dtype=bool)
+        if inner is None or outer is None:
+            return B.is_zero(outer if inner is None else inner)
+        return B.eq(inner, B.neg(outer))
 
     def mask(self, eqs, ineqs):
-        """Rows where every equation vanishes and no inequation does."""
-        B = self.bulk
-        mask = np.ones(self.rows, dtype=bool)
+        """Flat rows where every equation vanishes and no inequation does."""
+        mask = np.ones(self.shape, dtype=bool)
         for e in eqs:
-            mask &= B.is_zero(self.eval(e))
+            mask &= self._vanishes(e)
         for h in ineqs:
-            mask &= B.nonzero(self.eval(h))
-        return mask
+            mask &= ~self._vanishes(h)
+        return mask.ravel()
+
+    def trace(self, poly, w):
+        """Flat Tr(twist * poly) mod p at every point, for w the trace
+        weights of twist: the sum of each term's linear_form, since the
+        trace is additive."""
+        p = self.bulk.p
+        dtype = np.int32 if (len(poly.terms) + 1) * p < 1 << 31 else np.int64
+        code = np.zeros((1, 1), dtype=dtype)
+        for _has_last, val in self._terms(poly):
+            code = code + self.bulk.linear_form(val, w)
+        return np.broadcast_to(code % p, self.shape).ravel()
 
     def point(self, row):
-        """Element indices of one row, in variable order."""
-        return [int(self.bulk.index_of(d[row])) for d in self.elems.values()]
+        """Element indices of one flat row, in variable order."""
+        i, j = divmod(row, self.shape[1])
+        return [int(self.bulk.index_of(d[(0, j) if v == self.last else (i, 0)]))
+                for v, d in self.elems.items()]
 
 
 def _chunks(B, vs, budget):
-    """The chunk loop: walk the flat index space Q^r of the variables vs,
-    vs[0] most significant (PointEnumeration's order), after charging
-    Q^r against the budget.  Yields one _Chunk per slice."""
+    """The chunk loop: walk the Q^r points of the variables vs, vs[0] most
+    significant (PointEnumeration's order), after charging Q^r against the
+    budget.  Yields one _Chunk per grid of about _CHUNK / n points.
+
+    A grid holds R prefixes of vs[:-1] and T values of vs[-1].  While the
+    Q values of vs[-1] fit in one chunk, T = Q and R prefixes share the
+    one row, built once; otherwise R = 1 and consecutive chunks take
+    consecutive slices of T values.  Either way the grids, flattened
+    row-major, continue the walk order.
+    """
     Q = B.Q
-    total = Q ** len(vs)
-    _check_budget(total, budget)
-    step = max(1 << 12, _CHUNK // B.n)
-    for start in range(0, total, step):
-        rem = np.arange(start, min(start + step, total), dtype=np.int64)
-        rows = len(rem)
+    _check_budget(Q ** len(vs), budget)
+    if not vs:  # the one point of a block without variables
+        yield _Chunk(B, {}, None, None, (1, 1))
+        return
+    *lead, last = vs
+    step = max(1, _CHUNK // B.n)
+    T = min(Q, step)
+    R = step // T
+    prefixes = Q ** len(lead)
+    row = None
+    for start in range(0, prefixes, R):
+        rem = np.arange(start, min(start + R, prefixes), dtype=np.int64)
+        nrows = len(rem)
         place = []
-        for _ in vs:
+        for _ in lead:
             rem, cur = np.divmod(rem, Q)
             place.append(cur)
-        elems = {v: B.digits_of(cur) for v, cur in zip(vs, reversed(place))}
-        yield _Chunk(B, rows, elems)
+        cols = {v: B.digits_of(cur)[:, None] for v, cur in zip(lead, reversed(place))}
+        for t in range(0, Q, T):
+            if row is None or T < Q:
+                row = B.digits_of(np.arange(t, min(t + T, Q), dtype=np.int64))[None]
+            yield _Chunk(B, cols, last, row, (nrows, row.shape[1]))
 
 
 def _enumerate_block(vs, eqs, ineqs, f, trace_w, E: FieldSpec, budget,
@@ -513,7 +595,7 @@ def _enumerate_block(vs, eqs, ineqs, f, trace_w, E: FieldSpec, budget,
         if f is None:
             code = np.zeros(int(mask.sum()), dtype=np.int64)
         else:
-            code = B.linear_form(chunk.eval(f), trace_w)[mask]
+            code = chunk.trace(f, trace_w)[mask]
         key = 0
         for u in keys:
             key = key * Q + B.index_of(chunk.eval(u)[mask])
@@ -845,8 +927,10 @@ class _PairMatch:
             row = end
 
 
-# key ranges up to this many buckets use a direct offset table
+# key ranges up to this many buckets, and up to _BUCKETS_PER_KEY buckets per
+# y key, use a direct offset table
 _BUCKET_LIMIT = 1 << 28
+_BUCKETS_PER_KEY = 4
 
 
 def _pair_match(vs, eqs, ineqs, B: BulkField, budget, extra_jobs=()):
@@ -861,15 +945,17 @@ def _pair_match(vs, eqs, ineqs, B: BulkField, budget, extra_jobs=()):
     np.sort of one int64 array key << 32 | index: its values are distinct,
     so the order is the stable order by key, and the low and high words
     are the sorted indices and keys.  Wider keys take a stable argsort.  A
-    key range up to _BUCKET_LIMIT is matched through a table of bucket
-    offsets into the sorted keys; a wider one by binary search, with the
-    x side sorted too so that the searches run in key order.  Indices are
-    int32 while Q < 2^31.
+    key range up to _BUCKET_LIMIT and up to _BUCKETS_PER_KEY times the
+    number of y keys is matched through a table of bucket offsets into
+    the sorted keys; a wider one by binary search, with the x side sorted
+    too so that the searches run in key order.  Indices are int32 while
+    Q < 2^31.
 
     Memory per field element on the bucket path, with int32 keys and
     indices: the scan writes 8 bytes of keys (both sides); sorting and
     matching peak at 20 (keys, indices and the packed sort, then lo and
-    hi) plus 4 per key of the key range for the offsets; the match keeps
+    hi) plus 4 per key of the key range for the offsets (at most 16 per
+    y key); the match keeps
     16 (x indices, lo, hi, sorted y indices), and expanding pairs adds 8
     of row starts and up to 2 of univariate trace exponents.  The table
     kernel's tables add 12.  A one-equation block (key range Q) thus
@@ -951,8 +1037,8 @@ def _pair_match(vs, eqs, ineqs, B: BulkField, budget, extra_jobs=()):
         np.right_shift(packed, 32, out=key, casting="unsafe")
         return idx, key
 
-    bucket = key_range <= _BUCKET_LIMIT
     iy_sorted, yk = side(v2, True)
+    bucket = key_range <= min(_BUCKET_LIMIT, _BUCKETS_PER_KEY * len(yk))
     ix, xk = side(v1, not bucket)
     if bucket:
         # per-key counts of the sorted keys, one slice at a time, summed in

@@ -62,6 +62,38 @@ def _check_against_scalar(F, count, slow_count, seed=0):
     assert B.linear_form(xs, w).tolist() == [trace_to_prime_int(twist * a) for a in Xs]
     assert B.pair_trace(xs, ys, w).tolist() == [
         trace_to_prime_int(twist * a * b) for a, b in zip(Xs, Ys)]
+    assert B.eq(x, y).tolist() == [a == b for a, b in zip(X, Y)]
+    assert B.eq(x, x).all() and B.eq(B.add(x, B.neg(x)), B.const(0, count)).all()
+    _check_grid(B, x[:slow_count], y[:slow_count], Xs, Ys, w, twist)
+
+
+def _check_grid(B, x, y, X, Y, w, twist, R=7, T=11):
+    """(R, 1) columns against (1, T) rows: every binary operation yields
+    the (R, T) grid of the scalar results, and unary ones keep the shape."""
+    F = B.spec
+    col, row = x[:R][:, None], y[:T][None]
+    assert col.shape[:2] == (R, 1) and row.shape[:2] == (1, T)
+
+    def same(rows, grid):
+        assert rows.shape[:2] == (len(grid), len(grid[0]))
+        assert B.index_of(rows).tolist() == [[e.index() for e in r] for r in grid]
+
+    def grid(op):
+        return [[op(a, b) for b in Y[:T]] for a in X[:R]]
+
+    same(B.add(col, row), grid(lambda a, b: a + b))
+    same(B.mul(col, row), grid(lambda a, b: a * b))
+    same(B.add(B.mul(col, row), B.const(1, (1, 1))), grid(lambda a, b: a * b + 1))
+    assert B.eq(col, row).tolist() == grid(lambda a, b: a == b)
+    assert B.eq(B.add(col, row), B.neg(col)).tolist() == grid(lambda a, b: a + b == -a)
+    assert B.is_zero(B.add(col, row)).tolist() == grid(lambda a, b: (a + b).is_zero())
+    assert B.pair_trace(col, row, w).tolist() == grid(
+        lambda a, b: trace_to_prime_int(twist * a * b))
+    assert B.linear_form(B.mul(col, row), w).tolist() == grid(
+        lambda a, b: trace_to_prime_int(twist * a * b))
+    for e in (0, 2, F.q):
+        same(B.pow(col, e), [[a**e if e else F.one()] for a in X[:R]])
+    same(B.scale(2, B.neg(row)), [[-2 * b for b in Y[:T]]])
 
 
 @pytest.mark.parametrize("p,k", TABLE_FIELDS)
@@ -75,6 +107,18 @@ def test_convolution_kernel_matches_scalar_arithmetic():
     F = build_field(3, 17, max_bits=64)  # 3^17 > 2^26
     assert isinstance(BulkField(F)._kernel, bulk._ConvKernel)
     _check_against_scalar(F, 2000, 100)
+
+
+def test_trace_weights_over_a_prime_field_past_the_default_bits():
+    # GF(2^26 - 5) and its square are admitted with max_bits=64; their
+    # traces must not rebuild the prime field under the default bound
+    p = (1 << 26) - 5
+    F = build_field(p, 1, max_bits=64)
+    assert BulkField(F).trace_weights(F.from_index(12345)) == [12345]
+    F2 = build_field(p, 2, max_bits=64)
+    assert trace_to_prime_int(F2.one()) == 2
+    assert trace_to_prime_int(F2.from_index(p)) == (-F2.modulus[1]) % p  # Tr(x)
+    _check_against_scalar(F, 300, 50)
 
 
 def test_kernel_is_chosen_at_the_table_limit_without_building_tables():

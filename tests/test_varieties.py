@@ -5,9 +5,11 @@ separable two-variable matching) are cross-checked here against a direct
 scalar enumeration, which is its own independent implementation.
 """
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -45,10 +47,42 @@ from zetakit.varieties import (
 
 
 def brute_histogram(X, chi, m):
-    """Scalar-oracle histogram: enumerate and evaluate point by point."""
+    """Scalar-oracle histogram of an affine spec: walk F_{q^m}^n in
+    PointEnumeration's order and evaluate point by point in FFElem
+    arithmetic.  Each power x^e, coefficient and character exponent is
+    computed once per walk."""
+    assert X.ambient == "affine"
+    F = chi.field
+    E = build_field(F.p, F.k * m, max_bits=64)
+    elems = [E.from_index(i) for i in range(E.q)]
+    powers = {}  # (element index, exponent) -> FFElem
+    coeffs = {}  # int -> FFElem
+    exponents = {}  # FFElem -> chi exponent
+
+    def value(poly, idx):
+        total = E.zero()
+        for exps, c in poly.terms.items():
+            if c not in coeffs:
+                coeffs[c] = E.element(c)
+            term = coeffs[c]
+            for i, e in zip(idx, exps):
+                if e:
+                    if (i, e) not in powers:
+                        powers[i, e] = elems[i] ** e
+                    term = term * powers[i, e]
+            total = total + term
+        return total
+
+    def exponent(y):
+        if y not in exponents:
+            exponents[y] = chi.exponent(y)
+        return exponents[y]
+
     h = [0] * chi.p
-    for x in enumerate_points(X, chi.field, m):
-        h[chi.exponent(X.f.eval_ff(x)) if X.f is not None else 0] += 1
+    for idx in itertools.product(range(E.q), repeat=X.nvars):
+        if all(value(e, idx).is_zero() for e in X.equations) and not any(
+                value(u, idx).is_zero() for u in X.inequations):
+            h[exponent(value(X.f, idx)) if X.f is not None else 0] += 1
     return h
 
 
@@ -261,7 +295,10 @@ BROKEN_COVERS = [
 @pytest.mark.parametrize("target,pieces", BROKEN_COVERS)
 @pytest.mark.parametrize("p,k,m", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 1, 2)])
 def test_cover_witness_is_the_scalar_walks_first_failure(target, pieces, p, k, m):
-    F = build_field(p, k)
+    _check_cover_witness(target, pieces, build_field(p, k), m)
+
+
+def _check_cover_witness(target, pieces, F, m):
     d = scissor.Decomposition(target, pieces)
     report, = scissor.verify_disjoint_cover(
         d, [scissor.PointCountRealization(F, m)], strict=False)
@@ -380,18 +417,33 @@ SEPARABLE = ["x0^3 - x0 - x1^3 + x1", "x0^2 - x1^2", "x0^4 - x1^4"]
 
 
 @pytest.mark.parametrize("f", [None, "x0*x1 + x1^2 + x0"])
-@pytest.mark.parametrize("neqs,bucket_limit", [
-    (2, None),  # key range 3^14: int32 keys, packed sort, bucket offsets
-    (2, 3**14 - 1),  # the same keys matched by binary search
-    (3, None),  # key range 3^21 >= 2^31: int64 keys, stable argsort
+@pytest.mark.parametrize("neqs", [
+    1,  # key range 3^7: int32 keys, packed sort, bucket offsets
+    2,  # key range 3^14, over 4 buckets per y key: binary search
+    3,  # key range 3^21 >= 2^31: int64 keys, stable argsort
 ], ids=["bucket", "search", "argsort"])
-def test_every_pair_match_path_matches_the_engine(monkeypatch, neqs, bucket_limit, f):
-    if bucket_limit is not None:
-        monkeypatch.setattr(varieties, "_BUCKET_LIMIT", bucket_limit)
-    block = _block(2, 3, 7, 1, SEPARABLE[:neqs], ["x0", "x1 - 1"], f=f)
+def test_every_pair_match_path_matches_the_engine(neqs, f):
+    # with two or three equations x1 = ±x0, so x1^2 != 1 leaves x0 = ±1
+    # without a partner and every other x0 with one
+    block = _block(2, 3, 7, 1, SEPARABLE[:neqs], ["x0", "x1^2 - 1"], f=f)
     part = varieties._pair_hist(block)
     assert part is not None
     assert part == varieties._engine_hist(block)
+
+
+def test_pair_match_offsets_are_bounded_by_the_y_keys():
+    # two separable equations over GF(2^14): a key range of 2^28 for 2^14
+    # y keys, whose bucket table alone would take 1 GB
+    F = build_field(2, 14)
+    X = affine(2, ["x0^3 + x0 + x1^3 + x1", "x0^2 + x1^2"])  # x1 = x0
+    bulk._cache.clear()
+    tracemalloc.start()
+    try:
+        assert count_points_ff(X, F, 1) == 2**14
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("f", [None, "x0*x1"])
@@ -461,3 +513,84 @@ def test_univariate_walk_that_misses_a_root_is_a_route_mismatch(monkeypatch, ine
     block = _block(1, 3, 1, 2, eqs, ineqs, f="x0^2")
     with pytest.raises(RouteMismatch):
         varieties._univariate_hist(block)
+
+
+# -- the engine's grid layout against the scalar oracle -------------------------
+
+
+def _walk_in_small_chunks(monkeypatch, Q, n, split):
+    """Shrink the engine's chunks for a walk over F_Q (Q = p^n) so that the
+    prefix rows split ("R": T = Q, two prefixes per chunk) or the values
+    of the last variable do ("T": T = Q - 2); returns the list that
+    collects each chunk's (R, T)."""
+    step = 2 * Q + 1 if split == "R" else Q - 2
+    monkeypatch.setattr(varieties, "_CHUNK", step * n)
+    shapes = []
+    chunks = varieties._chunks
+
+    def spy(*args):
+        for chunk in chunks(*args):
+            shapes.append(chunk.shape)
+            yield chunk
+
+    monkeypatch.setattr(varieties, "_chunks", spy)
+    return shapes
+
+
+# blocks of r = 1, 2, 3 variables over F_7, F_9 and F_5, with inequations,
+# and an f with a constant, leading-only, last-only and mixed terms
+GRID_CASES = [
+    (1, 7, 1, 1, ["x0^4 - x0^2 + 1 - x0^3"], ["x0 - 1"], "x0^3 + 2*x0 + 1"),
+    (2, 3, 1, 2, ["x0^2*x1 + x1^3 - x0 + 1"], ["x0*x1 - 2"], "x0*x1^2 + x1 + x0^2 + 1"),
+    (3, 5, 1, 1, ["x0*x1*x2 + x2^2 - x0 - 1"], ["x0 + x1*x2"], "x0^2*x2 + x1*x2 + x0 + 2"),
+]
+
+
+@pytest.mark.parametrize("split", ["R", "T"])
+@pytest.mark.parametrize("twisted", [False, True], ids=["count", "twisted"])
+@pytest.mark.parametrize("nv,p,k,m,eqs,ineqs,f", GRID_CASES,
+                         ids=["r1", "r2", "r3"])
+def test_engine_grid_matches_scalar_oracle(monkeypatch, nv, p, k, m, eqs, ineqs, f,
+                                           twisted, split):
+    F = build_field(p, k)
+    chi = character(F, F.from_index(F.q - 1))
+    X = affine(nv, eqs, ineqs, f=f if twisted else None)
+    want = brute_histogram(X, chi, m)
+    Q = F.q**m
+    shapes = _walk_in_small_chunks(monkeypatch, Q, k * m, split)
+    block = _block(nv, p, k, m, eqs, ineqs, f=f if twisted else None)
+    assert varieties._engine_hist(block) == want
+    if split == "T":
+        assert all(R == 1 and T < Q for R, T in shapes)
+    else:
+        assert {T for _R, T in shapes} == {Q}
+        assert len(shapes) == -(-Q ** (nv - 1) // 2)  # two prefixes per chunk
+
+
+@pytest.mark.parametrize("split", ["R", "T"])
+@pytest.mark.parametrize("X", [
+    affine(2, ["x0^2 - x1^3 - x1"], ["x1 - 1"], f="x0*x1 + x1^2 + 2",
+           base_map=["x0 + x1"]),
+    affine(3, inequations=["x0*x1 + x2"], f="x0*x2 + x1^2",
+           base_map=["x2", "x0*x1"]),
+], ids=["r2", "r3"])
+def test_fiber_histograms_match_scalar_oracle_in_small_chunks(monkeypatch, X, split):
+    F = build_field(5, 1)
+    chi = character(F, F.from_index(2))
+    want = np.zeros((F.q ** len(X.base_map), chi.p), dtype=np.int64)
+    for x in enumerate_points(X, F, 1):
+        s = 0
+        for u in X.base_map:
+            s = s * F.q + u.eval_ff(x).index()
+        want[s, chi.exponent(X.f.eval_ff(x))] += 1
+    _walk_in_small_chunks(monkeypatch, F.q, 1, split)
+    assert np.array_equal(varieties.fiber_histograms(X, chi), want)
+
+
+@pytest.mark.parametrize("split", ["R", "T"])
+@pytest.mark.parametrize("target,pieces", BROKEN_COVERS)
+@pytest.mark.parametrize("p,k,m", [(3, 1, 1), (2, 2, 1), (3, 1, 2)])
+def test_cover_witness_is_the_same_in_small_chunks(monkeypatch, target, pieces,
+                                                   p, k, m, split):
+    _walk_in_small_chunks(monkeypatch, p ** (k * m), k * m, split)
+    _check_cover_witness(target, pieces, build_field(p, k), m)
