@@ -45,10 +45,6 @@ def _add_common(sp, field=True, order=False, bound=False, spec=True):
     sp.add_argument("--budget", type=int, help="enumeration budget override")
 
 
-def _budget(args):
-    return args.budget if args.budget is not None else varieties.default_budget()
-
-
 def _job_echo(args):
     keys = ("command", "spec", "p", "k", "order", "bound", "twist", "degree", "budget")
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
@@ -97,7 +93,7 @@ def build_parser():
 def _cmd_zeta(args):
     X = varieties.load_spec(args.spec)
     F = build_field(args.p, args.k)
-    series = zetas.hw_zeta(X, F, args.order, _budget(args))
+    series = zetas.hw_zeta(X, F, args.order, args.budget)
     report = {"job": _job_echo(args), "verdict": "pass",
               "series": series.to_json(), "q": F.q}
     try:
@@ -113,8 +109,8 @@ def _cmd_expzeta(args):
     X = varieties.load_spec(args.spec)
     F = build_field(args.p, args.k)
     chi = character(F, F.from_index(args.twist))
-    series = zetas.exp_zeta(X, chi, args.order, _budget(args))
-    tally = varieties.closed_point_tally(X, chi, args.order, _budget(args))
+    tally = varieties.closed_point_tally(X, chi, args.order, args.budget)
+    series = zetas.exp_zeta_from_tally(tally, args.order)
     report = {"job": _job_echo(args), "verdict": "pass", "q": F.q,
               "series": series.to_json(), "tally": tally.to_json()}
     _emit(_canonical_json(report), args.out)
@@ -124,7 +120,7 @@ def _cmd_expzeta(args):
 def _cmd_heights(args):
     X = varieties.load_spec(args.spec)
     bounds = heights.dyadic_bounds(args.bound)
-    tbl = heights.height_count_table(X, args.degree, bounds, _budget(args))
+    tbl = heights.height_count_table(X, args.degree, bounds, args.budget)
     if args.out and args.out.endswith(".csv"):
         _emit(tbl.to_csv(), args.out)
         return 0
@@ -141,7 +137,7 @@ def _cmd_heights(args):
 def _cmd_witt(args):
     X = varieties.load_spec(args.spec)
     F = build_field(args.p, args.k)
-    series = zetas.hw_zeta(X, F, args.order, _budget(args))
+    series = zetas.hw_zeta(X, F, args.order, args.budget)
     cls = witt.lift_roundtrip(series, (args.order - 2) // 2)
     report = {"job": _job_echo(args), "verdict": "pass",
               "series": series.to_json(), "endo_class": cls.to_json()}
@@ -158,7 +154,7 @@ def _cmd_fourier(args):
     results = []
     for t in range(1, F.q):
         chi = character(F, F.from_index(t))
-        rep = kexp.inversion_check(cls, chi, _budget(args))
+        rep = kexp.inversion_check(cls, chi, args.budget)
         rep["twist"] = t
         results.append(rep)
     report = {"job": _job_echo(args), "verdict": "pass", "checks": results}
@@ -178,7 +174,7 @@ def _cmd_ledger(args):
         rel = scissor.LedgerRelation(rel_data["left"], tuple(rel_data["right"]),
                                      rel_data.get("provenance", "ledger file"))
         reps = scissor.ledger_check(rel, registry, realizations,
-                                    _budget(args), strict=False)
+                                    args.budget, strict=False)
         for r in reps:
             r.details.pop("error", None)
             if r.verdict != "pass":
@@ -215,7 +211,7 @@ def _cmd_stratify(args):
     result = scissor.stratify(
         target, candidates, job.get("degree", 1),
         tuple(job.get("bounds") or heights.dyadic_bounds(job.get("bound", 60))),
-        margin=job.get("margin", 0.25), budget=_budget(args))
+        margin=job.get("margin", 0.25), budget=args.budget)
     report = {
         "job": _job_echo(args),
         "chain": result["chain"],
@@ -241,16 +237,16 @@ def _cmd_selftest(args):
 
     F2, F3 = build_field(2, 1), build_field(3, 1)
     run("gm zeta dual route", lambda: zetas.exp_zeta(
-        varieties.gm(Poly.parse("x0", 1)), character(F2), 8, _budget(args)))
+        varieties.gm(Poly.parse("x0", 1)), character(F2), 8, args.budget))
     run("p1 hasse-weil closed form", lambda: _assert_series(
-        zetas.hw_zeta(varieties.projective_space(1), F3, 8, _budget(args)),
+        zetas.hw_zeta(varieties.projective_space(1), F3, 8, args.budget),
         [sum(3**j for j in range(m + 1)) for m in range(9)]))
     run("trace identity", lambda: witt.trace_identity_check([[1, 1], [1, 0]], 10))
     run("gauss sum square", lambda: _assert_equal(
         kexp.realize(kexp.kexp_mul(*(2 * [kexp.KExpClass.generator(
             varieties.affine_line(Poly.parse("x0^2", 1)))])), character(F3)), -3))
     run("schanuel p1", lambda: _assert_true(
-        heights.schanuel_check(1, 200, _budget(args), tolerance=0.05)["verdict"] == "pass"))
+        heights.schanuel_check(1, 200, args.budget, tolerance=0.05)["verdict"] == "pass"))
     run("cover a1 = {0} + gm", lambda: scissor.verify_disjoint_cover(
         scissor.Decomposition(varieties.affine_line(None),
                               (varieties.point_spec(), varieties.gm(None))),

@@ -341,35 +341,38 @@ def _eval_poly(coeffs, x: FFElem):
     return acc
 
 
-def _kernel_mod_p(cols, p):
-    """Kernel basis of the matrix with the given columns, over GF(p)."""
-    n_rows = len(cols[0])
-    n_cols = len(cols)
-    # row-reduce the transpose-augmented system A x = 0
-    rows = [[cols[j][i] for j in range(n_cols)] for i in range(n_rows)]
-    pivots = {}
-    r = 0
+def _row_reduce(rows, n_cols, p):
+    """Gauss-Jordan over GF(p) on the first n_cols columns of rows, in
+    place; returns the pivot columns, the i-th pivot in row i."""
+    pivots = []
     for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c] % p != 0), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = pow(rows[r][c], -1, p)
         rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(n_rows):
+        for i in range(len(rows)):
             if i != r and rows[i][c] % p:
                 f = rows[i][c]
                 rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
+        pivots.append(c)
+    return pivots
+
+
+def _kernel_mod_p(cols, p):
+    """Kernel basis of the matrix with the given columns, over GF(p)."""
+    rows = [list(row) for row in zip(*cols)]
+    pivots = _row_reduce(rows, len(cols), p)
     basis = []
-    for c in range(n_cols):
+    for c in range(len(cols)):
         if c in pivots:
             continue
-        vec = [0] * n_cols
+        vec = [0] * len(cols)
         vec[c] = 1
-        for pc, pr in pivots.items():
-            vec[pc] = (-rows[pr][c]) % p
+        for r, pc in enumerate(pivots):
+            vec[pc] = (-rows[r][c]) % p
         basis.append(vec)
     return basis
 
@@ -395,28 +398,11 @@ def _span(basis, p):
 
 def _solve_mod_p(cols, rhs, p):
     """Solve A x = rhs mod p for A given by columns; None if inconsistent."""
-    n_rows = len(rhs)
-    n_cols = len(cols)
-    rows = [[cols[j][i] % p for j in range(n_cols)] + [rhs[i] % p] for i in range(n_rows)]
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n_rows):
-        if rows[i][-1]:
-            return None
-    sol = [0] * n_cols
-    for idx, c in enumerate(pivots):
-        sol[c] = rows[idx][-1]
+    rows = [[*row, b] for row, b in zip(zip(*cols), rhs)]
+    pivots = _row_reduce(rows, len(cols), p)
+    if any(row[-1] % p for row in rows[len(pivots):]):
+        return None
+    sol = [0] * len(cols)
+    for r, c in enumerate(pivots):
+        sol[c] = rows[r][-1]
     return sol

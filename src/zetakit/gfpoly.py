@@ -162,13 +162,8 @@ def smallest_irreducible(p, k):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-def root_count(f, p, n):
-    """Number of roots of f in GF(p^n), via gcd(x^(p^n) - x, f)."""
-    f = trim(f, p)
-    if not f:
-        raise ValueError("root_count of the zero polynomial")
-    if deg(f) == 0:
-        return 0
+def distinct_roots(f, p, n):
+    """gcd(x^(p^n) - x, f) for nonzero f: the monic product of its distinct
+    linear factors over GF(p^n), whose degree is f's number of roots there."""
     x = (0, 1)
-    xq = powmod(x, p**n, f, p)
-    return deg(gcd(sub(xq, x, p), f, p))
+    return gcd(sub(powmod(x, p**n, f, p), x, p), f, p)

@@ -17,13 +17,14 @@ count tables.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import gfpoly
 from .errors import (
-    BudgetExceeded,
     InsufficientSamples,
     NotASubvariety,
     PoorFit,
@@ -31,7 +32,7 @@ from .errors import (
     ZeroInput,
     ZeroVector,
 )
-from .varieties import VarietySpec, default_budget, require_homogeneous
+from .varieties import VarietySpec, _check_budget, require_homogeneous
 
 _CHUNK = 1 << 20
 # trailing coordinates of a block span at most this many values, or one
@@ -92,16 +93,7 @@ def verify_product_formula(lam) -> dict:
 
 
 def _factorize(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return Counter(gfpoly._prime_factors(n))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +177,6 @@ def _box_heights(X: VarietySpec, m: int, B, budget, within=None):
     Each is g times a unique normalized point, and X's conditions are
     homogeneous, so A = 1 * P for the normalized counts P, and P = mu * A.
     """
-    budget = budget if budget is not None else default_budget()
     for Y in (X, within):
         if Y is not None:
             if Y.ambient != "projective":
@@ -194,8 +185,7 @@ def _box_heights(X: VarietySpec, m: int, B, budget, within=None):
     H = _height_root(B, m)
     nv = X.nvars
     total = (2 * H + 1) ** nv
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    _check_budget(total, budget)
     hist = np.zeros(H + 1, dtype=np.int32 if total < 1 << 31 else np.int64)
     for lead in reversed(range(nv)):
         _scan_slab(X, within, H, lead, hist)

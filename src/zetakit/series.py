@@ -203,17 +203,8 @@ def log_derivative(u: SeriesTrunc):
     return g[1:]
 
 
-def from_log_derivative(g, order):
-    """Inverse of log_derivative: n u_n = sum_{m=1}^n g_m u_{n-m}, u_0 = 1."""
-    out = [1] + [0] * order
-    for n in range(1, order + 1):
-        s = 0
-        for m in range(1, n + 1):
-            gm = g[m - 1]
-            if not _is_zero(gm):
-                s = s + gm * out[n - m]
-        out[n] = _divide(s, n)
-    return SeriesTrunc(order, out)
+# the inverse of log_derivative is the same recurrence, n u_n = sum g_m u_{n-m}
+from_log_derivative = exp_power_sums
 
 
 # ---------------------------------------------------------------------------

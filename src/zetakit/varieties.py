@@ -53,6 +53,7 @@ from .cyclotomic import Cyclotomic
 from .errors import (
     BudgetExceeded,
     NonHomogeneous,
+    ParseError,
     ProjectiveWithNonzeroF,
     RouteMismatch,
     TallyTooShallow,
@@ -136,29 +137,32 @@ def _as_poly(e, nvars):
 
 
 def spec_from_json(data):
-    amb = data["ambient"]
+    amb = data.get("ambient") if isinstance(data, dict) else None
+    if not isinstance(amb, dict) or amb.get("type") not in ("affine", "projective"):
+        raise ParseError(f"spec needs an affine or projective ambient, got {amb!r}")
+    dim = amb.get("dim")
+    if type(dim) is not int or dim < 0:
+        raise ParseError(f"ambient dim must be a nonnegative integer, got {dim!r}")
     if amb["type"] == "affine":
         return affine(
-            amb["dim"],
+            dim,
             data.get("equations", ()),
             data.get("inequations", ()),
             data.get("f"),
             data.get("base_map"),
         )
-    if amb["type"] == "projective":
-        return projective(amb["dim"], data.get("equations", ()), data.get("inequations", ()))
-    raise ValueError(f"unknown ambient type {amb['type']!r}")
+    return projective(dim, data.get("equations", ()), data.get("inequations", ()))
 
 
 def load_spec(path):
+    import tomllib  # about 5 ms, so only spec files pay for it
+
     with open(path) as fh:
         text = fh.read()
-    if path.endswith(".toml"):
-        import tomllib
-
-        data = tomllib.loads(text)
-    else:
-        data = json.loads(text)
+    try:
+        data = tomllib.loads(text) if path.endswith(".toml") else json.loads(text)
+    except (tomllib.TOMLDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return spec_from_json(data)
 
 
@@ -214,6 +218,10 @@ def projective_space(n):
 
 
 def _check_budget(estimate, budget):
+    """Charge an enumeration of ~estimate candidates; None is the default
+    budget, resolved here and nowhere else."""
+    if budget is None:
+        budget = default_budget()
     if estimate > budget:
         raise BudgetExceeded(estimate, budget)
 
@@ -332,7 +340,7 @@ def _histogram(X, F, m, twist, budget):
     blocks, whose histograms (from _block_histogram) convolve mod p; a
     cell stops at the first block that leaves its histogram all zero.
     """
-    p, budget = F.p, default_budget() if budget is None else budget
+    p = F.p
     if X.ambient == "affine":
         cells = [(X, X.nvars)]
     else:  # chart j has n - j free coordinates; the last chart is one point
@@ -376,7 +384,7 @@ class _Block:
     f: Poly
     F: FieldSpec
     m: int
-    budget: int
+    budget: object  # an int, or None for the default
     c: object = None
     twist: object = None
     trace_w: object = None
@@ -610,7 +618,6 @@ def fiber_histograms(X: VarietySpec, chi: AdditiveCharacter, budget=None):
     Rows follow the base points s in itertools.product order over element
     indices (first coordinate most significant).
     """
-    budget = budget if budget is not None else default_budget()
     E = _extension_spec(chi.field, 1)
     raw = _enumerate_block(list(range(X.nvars)), X.equations, X.inequations,
                            X.f, BulkField(E).trace_weights(chi.c), E, budget,
@@ -627,7 +634,6 @@ def membership_walk(X: VarietySpec, others, F: FieldSpec, m: int = 1,
     on X, masks[i] the rows on others[i] (specs on the same ambient), and
     point(row) is that row's coordinates as element indices.
     """
-    budget = budget if budget is not None else default_budget()
     B = BulkField(_extension_spec(F, m))
     if X.ambient == "affine":
         cells = [((), X.nvars, lambda poly: poly)]
@@ -796,10 +802,10 @@ def _count_univariate(b: _Block):
         return [0] * p
     g = _univariate_gcd(b.eqs, var, p)
     if g:
-        roots = _distinct_root_poly(g, p, n)
+        roots = gfpoly.distinct_roots(g, p, n)
         count = gfpoly.deg(roots) - gfpoly.deg(gfpoly.gcd(roots, bad, p))
     else:  # no equations: F_Q minus the inequation roots
-        count = p**n - gfpoly.root_count(bad, p, n)
+        count = p**n - gfpoly.deg(gfpoly.distinct_roots(bad, p, n))
     return [count] + [0] * (p - 1)
 
 
@@ -824,13 +830,6 @@ def _univariate_product(ineqs, var, p):
     return prod
 
 
-def _distinct_root_poly(g, p, n_ext):
-    """gcd(x^Q - x, g): squarefree product of the linear factors over GF(p^n)."""
-    x = (0, 1)
-    xq = gfpoly.powmod(x, p**n_ext, g, p)
-    return gfpoly.gcd(gfpoly.sub(xq, x, p), g, p)
-
-
 def _univariate_hist(b: _Block):
     """Exact histogram for a one-variable block with f != 0 whose constraint
     roots all lie in the base field; None when that cannot be certified
@@ -851,14 +850,14 @@ def _univariate_hist(b: _Block):
         return _enumerate_block([var], eqs, ineqs, b.f, weights, F, b.budget)
 
     def in_base(R):
-        return gfpoly.deg(_distinct_root_poly(R, p, F.k)) == gfpoly.deg(R)
+        return gfpoly.deg(gfpoly.distinct_roots(R, p, F.k)) == gfpoly.deg(R)
 
     def check_roots(walked, R):
         if walked != gfpoly.deg(R):
             raise RouteMismatch(f"walk over F_{F.q}: {walked} roots, gcd: {gfpoly.deg(R)}")
 
     if b.eqs:
-        R = _distinct_root_poly(_univariate_gcd(b.eqs, var, p), p, F.k * b.m)
+        R = gfpoly.distinct_roots(_univariate_gcd(b.eqs, var, p), p, F.k * b.m)
         if gfpoly.deg(R) <= 0:
             return [0] * p
         if not in_base(R):
@@ -873,7 +872,7 @@ def _univariate_hist(b: _Block):
     H = _univariate_product(b.ineqs, var, p)
     if H is None:
         return [0] * p  # an inequation is identically zero mod p
-    R = _distinct_root_poly(H, p, F.k * b.m)
+    R = gfpoly.distinct_roots(H, p, F.k * b.m)
     if gfpoly.deg(R) <= 0:
         return full
     if not in_base(R):
@@ -1180,30 +1179,38 @@ def closed_point_tally(X: VarietySpec, chi: AdditiveCharacter, r_max: int,
     """Counts a_{alpha,r} of closed points of degree r with character value
     alpha = zeta_p^e, for r <= r_max.
 
-    Derived from per-degree exponent histograms by subfield inversion:
-    a point of exact degree d contributes d geometric points over F_{q^r}
-    (d | r), each at exponent (r/d) * e mod p.  Exact divisibility by r is
-    asserted at every step.
+    The per-degree exponent histograms go through orbit_inversion one
+    degree at a time, so a failed inversion stops the enumeration there.
     """
-    p = chi.p
+    hists = (exponent_histogram(X, chi, r, budget) for r in range(1, r_max + 1))
+    return ClosedPointTally(chi.field, chi.p, r_max, orbit_inversion(hists))
+
+
+def orbit_inversion(histograms) -> dict:
+    """Closed points a[(r, e)] from histograms h_r[e] given in degree order
+    r = 1, 2, ... (any iterable; each is read only after the degrees below
+    it are inverted).
+
+    A closed point of exact degree d at exponent e contributes d points
+    over F_{q^r} for each d | r, each at exponent (r/d) * e mod p, where p
+    is the histogram length (a one-entry histogram [N_r] is a point count).
+    What is left at degree r must be divisible by r and nonnegative; an
+    AssertionError names the first degree where it is not.
+    """
     a = {}
-    for r in range(1, r_max + 1):
-        hist = list(exponent_histogram(X, chi, r, budget))
-        for d in _divisors(r):
-            if d == r:
-                continue
-            mult = r // d
-            for e in range(p):
-                c = a.get((d, e), 0)
-                if c:
-                    hist[(mult * e) % p] -= d * c
+    for r, hist in enumerate(histograms, 1):
+        hist = list(hist)
+        p = len(hist)
+        for (d, e), c in a.items():
+            if r % d == 0 and d < r:
+                hist[(r // d * e) % p] -= d * c
         for e in range(p):
             if hist[e] % r != 0 or hist[e] < 0:
                 raise AssertionError(
                     f"orbit inversion failed at degree {r}: histogram {hist}")
             if hist[e]:
                 a[(r, e)] = hist[e] // r
-    return ClosedPointTally(chi.field, p, r_max, a)
+    return a
 
 
 def _divisors(m):
@@ -1265,7 +1272,7 @@ class PointEnumeration:
         self.spec = X
         self.base = F
         self.m = m
-        self.budget = budget if budget is not None else default_budget()
+        self.budget = budget
         if X.ambient == "projective":
             require_homogeneous(X)
         est = (F.q**m) ** X.nvars

@@ -229,12 +229,7 @@ def L_map(M, T: int) -> WittVector:
     if len(M) <= _LEIBNIZ_MAX:
         poly = char_series(M)
         return WittVector(SeriesTrunc(T, poly.coeffs).inverse())
-    traces = []
-    P = M
-    for _ in range(T):
-        traces.append(mat_trace(P))
-        P = mat_mul(P, M)
-    return WittVector(exp_power_sums(traces, T))
+    return WittVector(_trace_series(M, T))
 
 
 def trace_identity_check(M, T: int) -> dict:
@@ -244,17 +239,21 @@ def trace_identity_check(M, T: int) -> dict:
     of traces versus the Leibniz determinant.
     """
     M = _check_square(M)
-    traces = []
-    P = M
-    for _ in range(T):
-        traces.append(mat_trace(P))
-        P = mat_mul(P, M)
-    lhs = exp_power_sums(traces, T)
+    lhs = _trace_series(M, T)
     rhs = SeriesTrunc(T, char_series(M).coeffs).inverse() if M else SeriesTrunc.one(T)
     for n in range(T + 1):
         if lhs.coeffs[n] != rhs.coeffs[n]:
             raise CoefficientMismatch(n, lhs.coeffs[n], rhs.coeffs[n])
     return {"verdict": "pass", "rank": len(M), "order": T, "series": lhs.to_json()}
+
+
+def _trace_series(M, T):
+    """exp(sum tr(M^m) t^m / m) through t^T: the trace route to L(M)."""
+    traces, P = [], M
+    for _ in range(T):
+        traces.append(mat_trace(P))
+        P = mat_mul(P, M)
+    return exp_power_sums(traces, T)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Zeta functions of varieties over finite fields, as truncated series.
 
-Every zeta is computed by two routes — exp of power sums and the Euler
-product over closed points — and the routes are compared exactly before
-anything is returned.  Both rest on the same per-degree counts (or
-exponent histograms), which the orbit inversion turns into closed points,
-so their agreement is an identity of formal series once that inversion
-is integral and nonnegative.  That inversion's divisibility and sign checks
-constrain the enumerated histograms only below the top degree T: an error
-of T*k points in the degree-T histogram yields a wrong series with no
-error raised.  Also houses reconstruction of a truncated series as a
-rational function P/Q by exact linear algebra.
+Both zetas share one closed-point core.  The per-degree point counts
+(hw_zeta) or exponent histograms (exp_zeta) go through one orbit
+inversion (`varieties.orbit_inversion`) into closed points, and one
+comparison (`_dual_route`) checks exp of the power sums against the
+Euler product over those closed points, exactly, before anything is
+returned.  Both routes rest on the same counts, so their agreement is an
+identity of formal series once the inversion is integral and
+nonnegative.  The inversion's divisibility and sign checks constrain the
+enumerated histograms only below the top degree T: an error of T*k
+points in the degree-T histogram yields a wrong series with no error
+raised.  Also houses reconstruction of a truncated series as a rational
+function P/Q by exact linear algebra.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .errors import (
     CoefficientMismatch,
     InsufficientOrder,
     NoCandidate,
-    NonIntegralCoefficient,
     RouteMismatch,
+    TallyTooShallow,
 )
 from .series import SeriesTrunc, euler_factor, exp_power_sums
 from .varieties import ClosedPointTally, VarietySpec
@@ -35,26 +37,13 @@ def hw_zeta(X: VarietySpec, F: FieldSpec, T: int, budget=None) -> SeriesTrunc:
     """exp(sum #X(F_{q^m}) t^m / m) over Z, cross-checked against the
     Euler product prod_r (1 - t^r)^(-a_r) over closed points."""
     counts = [varieties.count_points_ff(X, F, m, budget) for m in range(1, T + 1)]
-    route_a = exp_power_sums(counts, T)
-    if not route_a.is_integral():
-        raise NonIntegralCoefficient(f"hw zeta of {X!r}: {route_a!r}")
-    route_a = route_a.to_integral()
 
-    # closed-point degrees by inversion of the count sequence
-    a = {}
-    for r in range(1, T + 1):
-        s = counts[r - 1] - sum(d * a[d] for d in a if r % d == 0)
-        if s % r != 0 or s < 0:
-            raise AssertionError(
-                f"orbit inversion failed at degree {r}: counts {counts}")
-        if s:
-            a[r] = s // r
-    route_b = SeriesTrunc.one(T)
-    for r in sorted(a):
-        route_b = route_b * euler_factor(1, r, a[r], T)
-    if route_a != route_b:
-        raise RouteMismatch(f"hw zeta routes differ: {route_a!r} vs {route_b!r}")
-    return route_b
+    def factors():  # inverted only once route A is integral
+        a = varieties.orbit_inversion([n] for n in counts)
+        for (r, _e), n in sorted(a.items()):
+            yield euler_factor(1, r, n, T)
+
+    return _dual_route(counts, factors(), T)
 
 
 def exp_zeta(X: VarietySpec, chi: AdditiveCharacter, T: int, budget=None) -> SeriesTrunc:
@@ -64,40 +53,37 @@ def exp_zeta(X: VarietySpec, chi: AdditiveCharacter, T: int, budget=None) -> Ser
     Route B: prod over closed points of (1 - alpha t^r)^(-a_{alpha,r}),
     with alpha ranging over zeta_p^e in ascending exponent order.
     """
-    p = chi.p
-    tally = varieties.closed_point_tally(X, chi, T, budget)
-    sums = [tally.n_chi_m(m) for m in range(1, T + 1)]
-    route_a = exp_power_sums(sums, T)
-    for n, c in enumerate(route_a.coeffs):
-        if isinstance(c, Cyclotomic) and not c.is_integral():
-            raise NonIntegralCoefficient(f"t^{n} coefficient {c!r}")
-        if isinstance(c, Fraction) and c.denominator != 1:
-            raise NonIntegralCoefficient(f"t^{n} coefficient {c!r}")
-    route_a = route_a.to_integral()
-
-    route_b = SeriesTrunc.one(T)
-    for (r, e), count in sorted(tally.a.items()):
-        route_b = route_b * euler_factor(Cyclotomic.zeta_power(p, e), r, count, T)
-    if route_a != route_b:
-        raise RouteMismatch(f"exp zeta routes differ: {route_a!r} vs {route_b!r}")
-    return route_b
+    return exp_zeta_from_tally(varieties.closed_point_tally(X, chi, T, budget), T)
 
 
 def exp_zeta_from_tally(tally: ClosedPointTally, T: int) -> SeriesTrunc:
-    """Euler product route only, from a precomputed tally (depth >= T)."""
+    """exp_zeta through t^T from a precomputed tally of depth >= T."""
+    if tally.r_max < T:
+        raise TallyTooShallow(f"tally depth {tally.r_max} < requested order {T}")
+    sums = [tally.n_chi_m(m) for m in range(1, T + 1)]
+    factors = (euler_factor(Cyclotomic.zeta_power(tally.p, e), r, count, T)
+               for (r, e), count in sorted(tally.a.items()) if r <= T)
+    return _dual_route(sums, factors, T)
+
+
+def _dual_route(power_sums, euler_factors, T) -> SeriesTrunc:
+    """Route A, exp(sum N_m t^m / m) with every coefficient integral,
+    against route B, the product of the Euler factors (consumed after
+    route A); raises RouteMismatch unless they agree and returns route B."""
+    route_a = exp_power_sums(power_sums, T).to_integral()
     route_b = SeriesTrunc.one(T)
-    for (r, e), count in sorted(tally.a.items()):
-        if r > T:
-            continue
-        route_b = route_b * euler_factor(Cyclotomic.zeta_power(tally.p, e), r, count, T)
+    for factor in euler_factors:
+        route_b = route_b * factor
+    if route_a != route_b:
+        raise RouteMismatch(f"zeta routes differ: {route_a!r} vs {route_b!r}")
     return route_b
 
 
 def kapranov_check(X: VarietySpec, chi: AdditiveCharacter, n_max: int, budget=None):
     """Coefficientwise comparison of the zeta series against direct sums
     over degree-n effective 0-cycles, for n <= n_max."""
-    z = exp_zeta(X, chi, n_max, budget)
     tally = varieties.closed_point_tally(X, chi, n_max, budget)
+    z = exp_zeta_from_tally(tally, n_max)
     rows = []
     for n in range(n_max + 1):
         if n == 0:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from zetakit import varieties
 from zetakit.cli import main
 from zetakit.varieties import affine, gm, point_spec, projective, projective_space
 
@@ -167,3 +168,45 @@ def test_heights_nonhomogeneous_spec_exits_1(tmp_path, capsys):
     code, out = run(["heights", "--spec", str(path), "--bound", "10"], capsys)
     assert code == 1
     assert out == ""
+
+
+def test_toml_spec_and_malformed_toml(tmp_path, capsys):
+    good = tmp_path / "line.toml"
+    good.write_text('[ambient]\ntype = "affine"\ndim = 1\n')
+    code, out = run(["zeta", "--spec", str(good), "--p", "3", "--order", "4"], capsys)
+    assert code == 0
+    assert json.loads(out)["series"] == [1, 3, 9, 27, 81]
+    bad = tmp_path / "bad.toml"
+    bad.write_text('[ambient\ntype = "affine"\n')
+    code, out = run(["zeta", "--spec", str(bad), "--p", "3", "--order", "4"], capsys)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("data", [
+    {"ambient": {"type": "affine"}},
+    {"ambient": {"type": "affine", "dim": "2"}},
+    {"ambient": {"type": "torus", "dim": 1}},
+    {"equations": ["x0"]},
+    [1, 2],
+], ids=["no-dim", "string-dim", "unknown-type", "no-ambient", "not-an-object"])
+def test_spec_without_a_valid_ambient_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    code, out = run(["zeta", "--spec", str(path), "--p", "3", "--order", "4"], capsys)
+    assert code == 2
+    assert out == ""
+
+
+def test_expzeta_enumerates_each_degree_once(specs, capsys, monkeypatch):
+    degrees = []
+    histogram = varieties._histogram
+
+    def spy(X, F, m, twist, budget):
+        degrees.append(m)
+        return histogram(X, F, m, twist, budget)
+
+    monkeypatch.setattr(varieties, "_histogram", spy)
+    code, _ = run(["expzeta", "--spec", specs["gm"], "--p", "3", "--order", "5"], capsys)
+    assert code == 0
+    assert degrees == [1, 2, 3, 4, 5]

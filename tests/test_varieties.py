@@ -594,3 +594,41 @@ def test_cover_witness_is_the_same_in_small_chunks(monkeypatch, target, pieces,
                                                    p, k, m, split):
     _walk_in_small_chunks(monkeypatch, p ** (k * m), k * m, split)
     _check_cover_witness(target, pieces, build_field(p, k), m)
+
+
+# -- orbit inversion -------------------------------------------------------------
+
+
+def test_orbit_inversion_of_point_counts():
+    # N_m = 2^m on A^1/F_2: degree-r closed points are the monic irreducibles
+    assert varieties.orbit_inversion([2**m] for m in range(1, 5)) == {
+        (1, 0): 2, (2, 0): 1, (3, 0): 2, (4, 0): 3}
+
+
+def test_orbit_inversion_of_exponent_histograms():
+    # p = 3; closed points: degree 1 at exponents 0 and 1, degree 2 at 2,
+    # degree 3 at 1.  Over F_{q^r} a degree-d point (d | r) at exponent e
+    # gives d points at (r/d) * e mod 3.
+    hists = [[1, 1, 0], [1, 0, 2 + 1], [2, 3, 0]]
+    assert varieties.orbit_inversion(hists) == {
+        (1, 0): 1, (1, 1): 1, (2, 2): 1, (3, 1): 1}
+
+
+@pytest.mark.parametrize("hists", [
+    [[2], [0], [8]],  # -2 points of degree 2
+    [[1], [2], [1]],  # 1 point left at degree 2, not divisible by 2
+    [[1, 1, 0], [0, 0, 1], [2, 3, 0]],  # -1 points at exponent 0
+    [[1, 1, 0], [1, 0, 2], [2, 3, 0]],  # 1 point left at exponent 2
+], ids=["counts-negative", "counts-not-divisible",
+        "histograms-negative", "histograms-not-divisible"])
+def test_orbit_inversion_stops_at_the_first_bad_degree(hists):
+    asked = []
+
+    def stream():
+        for r, h in enumerate(hists, 1):
+            asked.append(r)
+            yield h
+
+    with pytest.raises(AssertionError, match="orbit inversion failed at degree 2"):
+        varieties.orbit_inversion(stream())
+    assert asked == [1, 2]  # degree 3 is never asked for

@@ -6,7 +6,7 @@ import pytest
 
 from zetakit import varieties
 from zetakit.cyclofield import build_field, character
-from zetakit.errors import InsufficientOrder, NoCandidate
+from zetakit.errors import InsufficientOrder, NoCandidate, TallyTooShallow
 from zetakit.polynomials import Poly
 from zetakit.series import SeriesTrunc
 from zetakit.varieties import (
@@ -123,3 +123,24 @@ def test_hw_zeta_rejects_counts_that_no_closed_points_give(monkeypatch, F3):
                         lambda X, F, m, budget=None: fake[m])
     with pytest.raises(AssertionError, match="orbit inversion failed at degree 2"):
         hw_zeta(affine_line(), F3, 2)
+
+
+def test_exp_zeta_from_tally_refuses_a_shallow_tally(F5):
+    X = circle(Poly.parse("x0*x1", 2))
+    tally = closed_point_tally(X, character(F5), 4)
+    with pytest.raises(TallyTooShallow, match="tally depth 4"):
+        exp_zeta_from_tally(tally, 5)
+    assert exp_zeta_from_tally(tally, 4) == exp_zeta(X, character(F5), 4)
+
+
+def test_kapranov_check_enumerates_each_degree_once(monkeypatch, F3):
+    degrees = []
+    histogram = varieties._histogram
+
+    def spy(X, F, m, twist, budget):
+        degrees.append(m)
+        return histogram(X, F, m, twist, budget)
+
+    monkeypatch.setattr(varieties, "_histogram", spy)
+    assert kapranov_check(gm(Poly.parse("x0", 1)), character(F3), 4)["verdict"] == "pass"
+    assert degrees == [1, 2, 3, 4]
