@@ -17,6 +17,7 @@ import sys
 from . import __version__, heights, kexp, scissor, varieties, witt, zetas
 from .cyclofield import build_field, character
 from .errors import ParseError, ZetakitError
+from .series import SeriesTrunc
 
 
 def _canonical_json(obj):
@@ -162,16 +163,28 @@ def _cmd_fourier(args):
     return 0
 
 
+def _job_field(data, key, kind):
+    """data[key], checked to be a `kind` (bools are not ints); ParseError otherwise."""
+    if not isinstance(data, dict):
+        raise ParseError(f"job entries must be objects, got {data!r}")
+    value = data.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"job field {key!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def _cmd_ledger(args):
     with open(args.spec) as fh:
         job = json.load(fh)
     registry = {name: varieties.spec_from_json(data)
-                for name, data in job["classes"].items()}
-    realizations = [_realization_from_json(r) for r in job["realizations"]]
+                for name, data in _job_field(job, "classes", dict).items()}
+    realizations = [_realization_from_json(r)
+                    for r in _job_field(job, "realizations", list)]
     reports = []
     failed = False
-    for rel_data in job["relations"]:
-        rel = scissor.LedgerRelation(rel_data["left"], tuple(rel_data["right"]),
+    for rel_data in _job_field(job, "relations", list):
+        rel = scissor.LedgerRelation(_job_field(rel_data, "left", str),
+                                     tuple(_job_field(rel_data, "right", list)),
                                      rel_data.get("provenance", "ledger file"))
         reps = scissor.ledger_check(rel, registry, realizations,
                                     args.budget, strict=False)
@@ -188,26 +201,26 @@ def _cmd_ledger(args):
 
 
 def _realization_from_json(data):
-    kind = data["type"]
+    kind = _job_field(data, "type", str)
     if kind == "point-count":
         return scissor.PointCountRealization(
-            build_field(data["p"], data.get("k", 1)), data.get("m", 1))
+            build_field(_job_field(data, "p", int), data.get("k", 1)), data.get("m", 1))
     if kind == "exp-sum":
-        F = build_field(data["p"], data.get("k", 1))
+        F = build_field(_job_field(data, "p", int), data.get("k", 1))
         return scissor.ExpSumRealization(
             character(F, F.from_index(data.get("twist", 1))), data.get("m", 1))
     if kind == "height-count":
         return scissor.HeightCountRealization(
-            data.get("degree", 1), tuple(data["bounds"]))
+            data.get("degree", 1), tuple(_job_field(data, "bounds", list)))
     raise ParseError(f"unknown realization type {kind!r}", 0)
 
 
 def _cmd_stratify(args):
     with open(args.spec) as fh:
         job = json.load(fh)
-    target = varieties.spec_from_json(job["target"])
-    candidates = {name: varieties.spec_from_json(data)
-                  for name, data in job.get("candidates", {}).items()}
+    target = varieties.spec_from_json(_job_field(job, "target", dict))
+    candidates = _job_field(job, "candidates", dict) if "candidates" in job else {}
+    candidates = {name: varieties.spec_from_json(data) for name, data in candidates.items()}
     result = scissor.stratify(
         target, candidates, job.get("degree", 1),
         tuple(job.get("bounds") or heights.dyadic_bounds(job.get("bound", 60))),
@@ -258,17 +271,19 @@ def _cmd_selftest(args):
     return 1 if failed else 0
 
 
+# explicit raises, not assert statements, so `python -O` keeps the checks
 def _assert_series(series, coeffs):
-    for n, c in enumerate(coeffs):
-        assert series.coeffs[n] == c, (n, series.coeffs[n], c)
+    series.require_equal(SeriesTrunc(series.order, coeffs))
 
 
 def _assert_equal(a, b):
-    assert a == b, (a, b)
+    if a != b:
+        raise AssertionError((a, b))
 
 
 def _assert_true(v):
-    assert v
+    if not v:
+        raise AssertionError
 
 
 _COMMANDS = {

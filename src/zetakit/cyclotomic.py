@@ -1,17 +1,27 @@
-"""Exact arithmetic in Z[zeta_p] (and its fraction field) for prime p.
+"""Exact arithmetic in Z[zeta_p] (and its fraction field) for prime p,
+and the one exact-scalar layer every module above builds on.
 
 Elements are stored as coefficient vectors of length p-1 in the basis
 1, zeta, ..., zeta^(p-2), with the canonical reduction
 1 + zeta + ... + zeta^(p-1) = 0 applied on construction.  For p = 2 the
-basis has length 1 and the ring is just Z.  Coefficients are ints or
-Fractions; a value is "integral" when every coefficient is an integer.
+basis has length 1 and the ring is just Z.
+
+Normal form: an exact scalar is an int, a Fraction with denominator
+other than 1, or a Cyclotomic whose coefficients are in that form.
+`demote` maps a scalar to it, and `Cyclotomic` and `series.SeriesTrunc`
+apply it to every coefficient on construction.  So a scalar is integral
+exactly when it is an int or a Cyclotomic with int coefficients, and
+nothing downstream converts Fractions back to ints.  The same layer
+holds the one zero test (`is_zero`), the one exact Gauss-Jordan over Q
+and Q(zeta_p) (`solve_exact`) and the one scalar-to-JSON map
+(`json_scalar`).  A rational Cyclotomic stays a Cyclotomic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import MixedCyclotomicOrder
+from .errors import MixedCyclotomicOrder, NonRational
 
 
 class Cyclotomic:
@@ -23,7 +33,7 @@ class Cyclotomic:
         if len(coeffs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients for p={p}, got {len(coeffs)}")
         self.p = p
-        self.coeffs = tuple(_norm_scalar(c) for c in coeffs)
+        self.coeffs = tuple(demote(c) for c in coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -121,10 +131,8 @@ class Cyclotomic:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         # columns: self * zeta^j expressed in the basis
         cols = [(self * Cyclotomic.zeta_power(p, j)).coeffs for j in range(n)]
-        mat = [[Fraction(cols[j][i]) for j in range(n)] for i in range(n)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        sol = _solve_fraction_system(mat, rhs)
-        return Cyclotomic(p, sol)
+        mat = [[cols[j][i] for j in range(n)] for i in range(n)]
+        return Cyclotomic(p, solve_exact(mat, [1] + [0] * (n - 1), n))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -150,19 +158,14 @@ class Cyclotomic:
 
     def rational_value(self):
         if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
+            raise NonRational(f"{self!r} is not rational")
         return self.coeffs[0]
 
     def to_integral(self):
-        """Assert integrality and return a copy with int coefficients."""
-        coeffs = []
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise ValueError(f"non-integral coefficient {c}")
-                c = c.numerator
-            coeffs.append(c)
-        return Cyclotomic(self.p, coeffs)
+        """Return self after checking that every coefficient is an int."""
+        if not self.is_integral():
+            raise ValueError(f"non-integral coefficients {self!r}")
+        return self
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -181,30 +184,69 @@ class Cyclotomic:
         return f"Cyclo(p={self.p}, {terms})"
 
     def to_json(self):
-        return [int(c) if isinstance(c, int) else str(c) for c in self.coeffs]
+        return [json_scalar(c) for c in self.coeffs]
 
 
-def _norm_scalar(c):
+# ---------------------------------------------------------------------------
+# Exact scalars: int / Fraction / Cyclotomic uniformly
+
+
+def demote(c):
+    """The normal form of an exact scalar: integral Fractions and bools
+    become ints; everything else is returned as it is."""
     if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+        return c.numerator
     if isinstance(c, bool):
         return int(c)
     return c
 
 
-def _solve_fraction_system(mat, rhs):
-    """Gaussian elimination over Q; mat is modified in place."""
-    n = len(mat)
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if mat[r][col] != 0)
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        rhs[col] *= inv
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                rhs[r] -= f * rhs[col]
-    return rhs
+def is_zero(c):
+    if isinstance(c, Cyclotomic):
+        return c.is_zero()
+    return c == 0
+
+
+def is_integral(c):
+    """True for ints and Cyclotomics with int coefficients (normal form)."""
+    if isinstance(c, Cyclotomic):
+        return c.is_integral()
+    return isinstance(c, int)
+
+
+def json_scalar(c):
+    """A Cyclotomic as its coefficient list, a Fraction as "a/b", an int as is."""
+    if isinstance(c, Cyclotomic):
+        return c.to_json()
+    return str(c) if isinstance(c, Fraction) else c
+
+
+def solve_exact(rows, rhs, nvars):
+    """Gauss-Jordan over Q or Q(zeta_p): a solution of rows . x = rhs in
+    normal form, free variables set to 0, or None if the system is
+    inconsistent.  The lists are modified in place."""
+    m = len(rows)
+    pivots = []
+    for col in range(nvars):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if not is_zero(rows[i][col])), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rhs[r], rhs[piv] = rhs[piv], rhs[r]
+        lead = rows[r][col]
+        inv = lead.inverse() if isinstance(lead, Cyclotomic) else 1 / Fraction(lead)
+        rows[r] = [x * inv for x in rows[r]]
+        rhs[r] = rhs[r] * inv
+        for i in range(m):
+            if i != r and not is_zero(rows[i][col]):
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rhs[i] = rhs[i] - f * rhs[r]
+        pivots.append(col)
+    if any(not is_zero(b) for b in rhs[len(pivots):]):
+        return None
+    sol = [0] * nvars
+    for i, col in enumerate(pivots):
+        sol[col] = demote(rhs[i])
+    return sol

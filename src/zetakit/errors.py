@@ -156,3 +156,7 @@ class ParseError(ZetakitError):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+class NonRational(ZetakitError):
+    pass

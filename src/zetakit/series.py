@@ -1,9 +1,14 @@
 """Truncated power series with exact coefficients.
 
 Coefficients may be ints, Fractions, or cyclotomic integers; all
-operations are exact and truncate at a fixed order T.  Includes the
-exp-of-power-sums recurrence, binomial Euler factors, and the log
-derivative (ghost) transform used by the Witt-ring layer.
+operations are exact and truncate at a fixed order T.  Every coefficient
+is kept in the normal form of `cyclotomic.demote` from construction on,
+so a series is integral exactly when each coefficient is an int or a
+Cyclotomic with int coefficients, and `to_integral` only checks.
+Includes the exp-of-power-sums recurrence, binomial Euler factors, the
+log derivative (ghost) transform used by the Witt-ring layer, and
+`require_equal`, the one coefficientwise comparison that names the first
+differing t^n.
 """
 
 from __future__ import annotations
@@ -11,8 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic
-from .errors import NonIntegralCoefficient, OrderMismatch
+from .cyclotomic import Cyclotomic, demote, is_integral, is_zero, json_scalar
+from .errors import CoefficientMismatch, NonIntegralCoefficient, OrderMismatch
 
 
 class SeriesTrunc:
@@ -24,7 +29,7 @@ class SeriesTrunc:
         coeffs = list(coeffs)[: order + 1]
         coeffs += [0] * (order + 1 - len(coeffs))
         self.order = order
-        self.coeffs = tuple(_demote(c) for c in coeffs)
+        self.coeffs = tuple(demote(c) for c in coeffs)
 
     @classmethod
     def one(cls, order):
@@ -73,11 +78,11 @@ class SeriesTrunc:
         T = self.order
         out = [0] * (T + 1)
         for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
+            if is_zero(a):
                 continue
             for j in range(T + 1 - i):
                 b = other.coeffs[j]
-                if not _is_zero(b):
+                if not is_zero(b):
                     out[i + j] = out[i + j] + a * b
         return SeriesTrunc(T, out)
 
@@ -99,13 +104,12 @@ class SeriesTrunc:
     def inverse(self):
         """Series inverse; the constant term must be a unit."""
         T = self.order
-        c0 = self.coeffs[0]
-        inv0 = _unit_inverse(c0)
+        inv0 = demote(Fraction(1) / self.coeffs[0])
         out = [inv0] + [0] * T
         for n in range(1, T + 1):
             s = 0
             for m in range(1, n + 1):
-                if not _is_zero(self.coeffs[m]):
+                if not is_zero(self.coeffs[m]):
                     s = s + self.coeffs[m] * out[n - m]
             out[n] = -(inv0 * s)
         return SeriesTrunc(T, out)
@@ -123,26 +127,31 @@ class SeriesTrunc:
         return SeriesTrunc(order, self.coeffs[: order + 1])
 
     def is_integral(self):
-        return all(_coeff_is_integral(c) for c in self.coeffs)
+        return all(is_integral(c) for c in self.coeffs)
 
     def to_integral(self):
-        """Assert every coefficient is integral; demote Fractions to ints."""
-        out = []
+        """Return self after checking that every coefficient is integral."""
         for n, c in enumerate(self.coeffs):
-            try:
-                out.append(_force_integral(c))
-            except ValueError:
+            if not is_integral(c):
                 raise NonIntegralCoefficient(f"t^{n} coefficient {c!r}")
-        return SeriesTrunc(self.order, out)
+        return self
+
+    def require_equal(self, other):
+        """Return self if it equals other coefficientwise; otherwise raise
+        CoefficientMismatch(n, self[n], other[n]) at the first t^n that differs."""
+        other = self._coerce(other)
+        for n, (a, b) in enumerate(zip(self.coeffs, other.coeffs)):
+            if a != b:
+                raise CoefficientMismatch(n, a, b)
+        return self
 
     def to_json(self):
-        return [c.to_json() if isinstance(c, Cyclotomic) else
-                (str(c) if isinstance(c, Fraction) else c) for c in self.coeffs]
+        return [json_scalar(c) for c in self.coeffs]
 
     def __repr__(self):
         parts = []
         for n, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if is_zero(c):
                 continue
             parts.append(f"{c!r}" if n == 0 else f"({c!r})t^{n}")
         return "SeriesTrunc(" + (" + ".join(parts) or "0") + f"; T={self.order})"
@@ -163,9 +172,9 @@ def exp_power_sums(power_sums, order):
         s = 0
         for m in range(1, n + 1):
             Nm = power_sums[m - 1]
-            if not _is_zero(Nm):
+            if not is_zero(Nm):
                 s = s + Nm * out[n - m]
-        out[n] = _divide(s, n)
+        out[n] = demote(s / Fraction(n))
     return SeriesTrunc(order, out)
 
 
@@ -197,7 +206,7 @@ def log_derivative(u: SeriesTrunc):
     for m in range(1, T + 1):
         s = m * u.coeffs[m]
         for j in range(1, m):
-            if not _is_zero(g[j]):
+            if not is_zero(g[j]):
                 s = s - g[j] * u.coeffs[m - j]
         g[m] = s
     return g[1:]
@@ -206,57 +215,3 @@ def log_derivative(u: SeriesTrunc):
 # the inverse of log_derivative is the same recurrence, n u_n = sum g_m u_{n-m}
 from_log_derivative = exp_power_sums
 
-
-# ---------------------------------------------------------------------------
-# Scalar helpers (int / Fraction / Cyclotomic uniformly)
-
-
-def _is_zero(c):
-    if isinstance(c, Cyclotomic):
-        return c.is_zero()
-    return c == 0
-
-
-def _demote(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
-def _divide(c, n):
-    if isinstance(c, Cyclotomic):
-        return _demote_cyclo(c / n)
-    return _demote(Fraction(c) / n)
-
-
-def _demote_cyclo(c):
-    if c.is_integral():
-        return c
-    try:
-        return c.to_integral()
-    except ValueError:
-        return c
-
-
-def _unit_inverse(c0):
-    if isinstance(c0, Cyclotomic):
-        return _demote_cyclo(c0.inverse())
-    return _demote(Fraction(1) / Fraction(c0))
-
-
-def _coeff_is_integral(c):
-    if isinstance(c, Cyclotomic):
-        return c.is_integral()
-    if isinstance(c, Fraction):
-        return c.denominator == 1
-    return isinstance(c, int)
-
-
-def _force_integral(c):
-    if isinstance(c, Cyclotomic):
-        return c.to_integral()
-    if isinstance(c, Fraction):
-        if c.denominator != 1:
-            raise ValueError(str(c))
-        return c.numerator
-    return c

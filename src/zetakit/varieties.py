@@ -65,7 +65,13 @@ _CHUNK = 1 << 20
 
 
 def default_budget():
-    return int(os.environ.get("ZETAKIT_BUDGET", DEFAULT_BUDGET))
+    raw = os.environ.get("ZETAKIT_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"ZETAKIT_BUDGET must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------

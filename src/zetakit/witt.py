@@ -13,9 +13,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cyclotomic import Cyclotomic, json_scalar
 from .errors import (
-    CoefficientMismatch,
     NonIntegralResult,
+    NonRational,
     NonSquare,
     UnverifiedCandidate,
 )
@@ -114,10 +115,8 @@ def witt_mul(u, v) -> WittVector:
     """
     us, vs = _as_series(u), _as_series(v)
     out = ghost_inverse(ghost(us) * ghost(vs), us.order)
-    if us.is_integral() and vs.is_integral():
-        if not out.series.is_integral():
-            raise NonIntegralResult(f"{us!r} * {vs!r} -> {out.series!r}")
-        return WittVector(out.series.to_integral())
+    if us.is_integral() and vs.is_integral() and not out.is_integral():
+        raise NonIntegralResult(f"{us!r} * {vs!r} -> {out.series!r}")
     return out
 
 
@@ -241,9 +240,7 @@ def trace_identity_check(M, T: int) -> dict:
     M = _check_square(M)
     lhs = _trace_series(M, T)
     rhs = SeriesTrunc(T, char_series(M).coeffs).inverse() if M else SeriesTrunc.one(T)
-    for n in range(T + 1):
-        if lhs.coeffs[n] != rhs.coeffs[n]:
-            raise CoefficientMismatch(n, lhs.coeffs[n], rhs.coeffs[n])
+    lhs.require_equal(rhs)
     return {"verdict": "pass", "rank": len(M), "order": T, "series": lhs.to_json()}
 
 
@@ -281,34 +278,29 @@ class EndoClass:
     def to_json(self):
         return {
             "plus": {"rank": self.plus_rank,
-                     "matrix": [[_num_json(x) for x in row] for row in self.plus_matrix]},
+                     "matrix": [[json_scalar(x) for x in row] for row in self.plus_matrix]},
             "minus": {"rank": self.minus_rank,
-                      "matrix": [[_num_json(x) for x in row] for row in self.minus_matrix]},
+                      "matrix": [[json_scalar(x) for x in row] for row in self.minus_matrix]},
         }
-
-
-def _num_json(x):
-    return str(x) if isinstance(x, Fraction) else x
 
 
 def companion_matrix(coeffs):
     """Matrix M with det(1 - tM) = 1 + c_1 t + ... + c_d t^d.
 
-    coeffs is the full coefficient list starting at the constant 1.
+    coeffs is the full coefficient list starting at the constant 1; a
+    Cyclotomic coefficient must be rational (NonRational otherwise).
     """
     if not coeffs or coeffs[0] != 1:
         raise ValueError("polynomial must have constant term 1")
-    cs = list(coeffs[1:])
+    cs = [c.rational_value() if isinstance(c, Cyclotomic) else c for c in coeffs[1:]]
     while cs and cs[-1] == 0:
         cs.pop()
     d = len(cs)
     if d == 0:
         return ()
     for c in cs:
-        if isinstance(c, Fraction):
-            continue
-        if not isinstance(c, int):
-            raise ValueError(f"companion lift needs rational coefficients, got {c!r}")
+        if not isinstance(c, (int, Fraction)):
+            raise NonRational(f"companion lift needs rational coefficients, got {c!r}")
     rows = []
     for i in range(d):
         row = [0] * d
@@ -335,11 +327,7 @@ def zeta_lift(rc: RationalCandidate) -> EndoClass:
     minus = companion_matrix(list(rc.numerator))
     cls = EndoClass(len(plus), plus, len(minus), minus)
     T = rc.verified_order
-    got = cls.value(T).series
-    want = rc.expand(T)
-    for n in range(T + 1):
-        if got.coeffs[n] != want.coeffs[n]:
-            raise CoefficientMismatch(n, got.coeffs[n], want.coeffs[n])
+    cls.value(T).series.require_equal(rc.expand(T))
     return cls
 
 
@@ -347,10 +335,7 @@ def lift_roundtrip(series: SeriesTrunc, max_deg: int) -> EndoClass:
     """reconstruct -> lift -> L, asserting the series is reproduced."""
     rc = rational_reconstruct(series, max_deg)
     cls = zeta_lift(rc)
-    got = cls.value(series.order).series
-    for n in range(series.order + 1):
-        if got.coeffs[n] != series.coeffs[n]:
-            raise CoefficientMismatch(n, got.coeffs[n], series.coeffs[n])
+    cls.value(series.order).series.require_equal(series)
     return cls
 
 
@@ -369,20 +354,13 @@ def exponentiability_check(X, Y, F, T: int, budget=None) -> dict:
     zx = WittVector(hw_zeta(X, F, T, budget))
     zy = WittVector(hw_zeta(Y, F, T, budget))
     direct = hw_zeta(varieties.product_spec(X, Y), F, T, budget)
-    star = witt_mul(zx, zy).series
-    for n in range(T + 1):
-        if direct.coeffs[n] != star.coeffs[n]:
-            raise CoefficientMismatch(n, star.coeffs[n], direct.coeffs[n])
+    star = witt_mul(zx, zy).series.require_equal(direct)
 
     counts = [
         varieties.count_points_ff(X, F, m, budget) + varieties.count_points_ff(Y, F, m, budget)
         for m in range(1, T + 1)
     ]
-    union = exp_power_sums(counts, T)
-    summed = witt_add(zx, zy).series
-    for n in range(T + 1):
-        if union.coeffs[n] != summed.coeffs[n]:
-            raise CoefficientMismatch(n, summed.coeffs[n], union.coeffs[n])
+    summed = witt_add(zx, zy).series.require_equal(exp_power_sums(counts, T))
     return {
         "verdict": "pass",
         "order": T,

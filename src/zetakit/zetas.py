@@ -17,13 +17,11 @@ function P/Q by exact linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import varieties
 from .cyclofield import AdditiveCharacter, FieldSpec
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, demote, json_scalar, solve_exact
 from .errors import (
-    CoefficientMismatch,
     InsufficientOrder,
     NoCandidate,
     RouteMismatch,
@@ -84,19 +82,11 @@ def kapranov_check(X: VarietySpec, chi: AdditiveCharacter, n_max: int, budget=No
     over degree-n effective 0-cycles, for n <= n_max."""
     tally = varieties.closed_point_tally(X, chi, n_max, budget)
     z = exp_zeta_from_tally(tally, n_max)
-    rows = []
-    for n in range(n_max + 1):
-        if n == 0:
-            lhs = Cyclotomic.integer(chi.p, 1)
-            count = 1
-        else:
-            count, lhs = varieties.sym_divisors(X, chi, n, tally=tally)
-        rhs = z.coeffs[n]
-        if isinstance(rhs, int):
-            rhs = Cyclotomic.integer(chi.p, rhs)
-        if lhs != rhs:
-            raise CoefficientMismatch(n, lhs, rhs)
-        rows.append({"n": n, "sym_count": count, "coefficient": lhs.to_json()})
+    sums = [(1, Cyclotomic.integer(chi.p, 1))] + [
+        varieties.sym_divisors(X, chi, n, tally=tally) for n in range(1, n_max + 1)]
+    SeriesTrunc(n_max, [lhs for _, lhs in sums]).require_equal(z)
+    rows = [{"n": n, "sym_count": count, "coefficient": lhs.to_json()}
+            for n, (count, lhs) in enumerate(sums)]
     return {"verdict": "pass", "n_max": n_max, "rows": rows}
 
 
@@ -117,14 +107,10 @@ class RationalCandidate:
 
     def to_json(self):
         return {
-            "P": [_scalar_json(c) for c in self.numerator],
-            "Q": [_scalar_json(c) for c in self.denominator],
+            "P": [json_scalar(c) for c in self.numerator],
+            "Q": [json_scalar(c) for c in self.denominator],
             "verified_order": self.verified_order,
         }
-
-
-def _scalar_json(c):
-    return c.to_json() if isinstance(c, Cyclotomic) else c
 
 
 def rational_reconstruct(s: SeriesTrunc, max_deg: int) -> RationalCandidate:
@@ -152,7 +138,8 @@ def _try_degrees(s, dp, dq):
     for n in range(dp + 1, T + 1):
         rows.append([s.coeffs[n - j] if n - j >= 0 else 0 for j in range(1, dq + 1)])
         rhs.append(-s.coeffs[n])
-    q = _solve_consistent(rows, rhs, dq)
+    # free variables are set to 0; the expansion check below catches a bad choice
+    q = solve_exact(rows, rhs, dq)
     if q is None:
         return None
     Q = [1] + q
@@ -162,74 +149,9 @@ def _try_degrees(s, dp, dq):
         c = 0
         for j in range(min(n, dq) + 1):
             c = c + Q[j] * s.coeffs[n - j]
-        P.append(_demote(c))
-    cand = RationalCandidate(tuple(P), tuple(_demote(c) for c in Q), T)
+        P.append(demote(c))
+    cand = RationalCandidate(tuple(P), tuple(Q), T)
     if cand.expand(T) != s:
         return None
     return cand
 
-
-def _demote(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    if isinstance(c, Cyclotomic) and not c.is_integral():
-        try:
-            return c.to_integral()
-        except ValueError:
-            return c
-    return c
-
-
-def _solve_consistent(rows, rhs, nvars):
-    """Solve an (over)determined linear system exactly; None if inconsistent.
-
-    Works over Q or Q(zeta_p); free variables are set to 0.
-    """
-    rows = [[_lift(x) for x in row] for row in rows]
-    rhs = [_lift(x) for x in rhs]
-    m = len(rows)
-    pivots = []
-    r = 0
-    for col in range(nvars):
-        piv = next((i for i in range(r, m) if not _is_zero(rows[i][col])), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        inv = _inv(rows[r][col])
-        rows[r] = [x * inv for x in rows[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(m):
-            if i != r and not _is_zero(rows[i][col]):
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        pivots.append(col)
-        r += 1
-    for i in range(r, m):
-        if not _is_zero(rhs[i]):
-            return None
-    sol = [_lift(0)] * nvars
-    for i, col in enumerate(pivots):
-        sol[col] = rhs[i]
-    # leftover free variables would make pivot rows only partially determined;
-    # re-verification by expansion in the caller catches any bad choice
-    return [_demote(x) for x in sol]
-
-
-def _lift(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
-
-
-def _is_zero(x):
-    if isinstance(x, Cyclotomic):
-        return x.is_zero()
-    return x == 0
-
-
-def _inv(x):
-    if isinstance(x, Cyclotomic):
-        return x.inverse()
-    return 1 / x

@@ -1,8 +1,14 @@
 """End-to-end CLI checks: exit codes, canonical output, reruns."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import zetakit
 
 from zetakit import varieties
 from zetakit.cli import main
@@ -210,3 +216,78 @@ def test_expzeta_enumerates_each_degree_once(specs, capsys, monkeypatch):
     code, _ = run(["expzeta", "--spec", specs["gm"], "--p", "3", "--order", "5"], capsys)
     assert code == 0
     assert degrees == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("command, job", [
+    ("ledger", {"relations": []}),
+    ("ledger", {"classes": [], "realizations": [], "relations": []}),
+    ("ledger", {"classes": {}, "relations": []}),
+    ("ledger", {"classes": {}, "realizations": {}, "relations": []}),
+    ("ledger", {"classes": {}, "realizations": []}),
+    ("ledger", {"classes": {}, "realizations": [{"p": 3}], "relations": []}),
+    ("ledger", {"classes": {}, "realizations": [{"type": 1, "p": 3}], "relations": []}),
+    ("ledger", {"classes": {}, "realizations": [{"type": "point-count"}], "relations": []}),
+    ("ledger", {"classes": {}, "realizations": [{"type": "exp-sum", "p": "5"}],
+                "relations": []}),
+    ("ledger", {"classes": {}, "realizations": [{"type": "height-count"}], "relations": []}),
+    ("ledger", {"classes": {}, "realizations": [[]], "relations": []}),
+    ("ledger", {"classes": {}, "realizations": [], "relations": [{"right": []}]}),
+    ("ledger", [1, 2]),
+    ("stratify", {"bounds": [4, 8]}),
+    ("stratify", {"target": "P2"}),
+    ("stratify", {"target": {"ambient": {"type": "projective", "dim": 1}},
+                  "candidates": []}),
+], ids=["no-classes", "list-classes", "no-realizations", "dict-realizations",
+        "no-relations", "no-type", "int-type", "no-p", "string-p", "no-bounds",
+        "list-realization", "relation-without-left", "not-an-object",
+        "no-target", "string-target", "list-candidates"])
+def test_malformed_job_file_exits_2(tmp_path, capsys, command, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code = main([command, "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_malformed_budget_variable_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(affine(2, ["x1^2 + x0*x1 - x0^3 - 1"]).to_json()))
+    monkeypatch.setenv("ZETAKIT_BUDGET", "abc")
+    code = main(["zeta", "--spec", str(path), "--p", "3", "--order", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "ZETAKIT_BUDGET" in captured.err and "'abc'" in captured.err
+    monkeypatch.setenv("ZETAKIT_BUDGET", "1000")
+    assert varieties.default_budget() == 1000
+
+
+_FAILING_CHECKS = """
+import sys
+from zetakit import cli
+from zetakit.series import SeriesTrunc
+assert False  # stripped under -O
+checks = [lambda: cli._assert_equal(1, 2), lambda: cli._assert_true(False),
+          lambda: cli._assert_series(SeriesTrunc(2, [1, 4, 13]), [1, 4, 14])]
+for check in checks:
+    try:
+        check()
+    except Exception:
+        continue
+    sys.exit("a failing check passed")
+"""
+
+
+def test_selftest_checks_survive_python_O():
+    src = str(Path(zetakit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", _FAILING_CHECKS],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    done = subprocess.run([sys.executable, "-O", "-m", "zetakit.cli", "selftest"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["verdict"] == "pass"

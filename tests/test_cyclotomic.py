@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from zetakit.cyclotomic import Cyclotomic
-from zetakit.errors import MixedCyclotomicOrder
+from zetakit.cyclotomic import Cyclotomic, demote, json_scalar, solve_exact
+from zetakit.errors import MixedCyclotomicOrder, NonRational
 
 
 def zeta(p, e=1):
@@ -56,6 +56,8 @@ def test_rational_value():
     assert x.is_rational()
     assert x.rational_value() == Fraction(3, 2)
     assert not zeta(3).is_rational()
+    with pytest.raises(NonRational):
+        zeta(3).rational_value()
 
 
 def test_to_integral():
@@ -63,6 +65,27 @@ def test_to_integral():
     assert x.to_integral() == 3
     with pytest.raises(ValueError):
         (Cyclotomic.integer(3, 1) / 2).to_integral()
+
+
+def test_normal_form():
+    assert type(demote(Fraction(6, 3))) is int and demote(Fraction(6, 3)) == 2
+    assert demote(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(demote(True)) is int
+    x = Cyclotomic(3, [Fraction(4, 2), True])
+    assert x.coeffs == (2, 1) and all(type(c) is int for c in x.coeffs)
+    assert x.is_integral() and x.to_integral() is x
+    assert json_scalar(Fraction(-1, 2)) == "-1/2"
+    assert json_scalar(Cyclotomic(3, [Fraction(1, 2), 3])) == ["1/2", 3]
+
+
+def test_solve_exact_over_q_and_q_zeta():
+    # x + y = 3, x - y = 1, 2x = 4: consistent, overdetermined
+    assert solve_exact([[1, 1], [1, -1], [2, 0]], [3, 1, 4], 2) == [2, 1]
+    assert solve_exact([[1, 1], [1, 1]], [1, 2], 2) is None
+    # a free variable is set to 0
+    assert solve_exact([[2, 4]], [1], 2) == [Fraction(1, 2), 0]
+    z = zeta(5)
+    assert solve_exact([[z]], [1 + z], 1) == [(1 + z) * z.inverse()]
 
 
 def test_from_exponent_counts_matches_sum():
@@ -99,3 +122,17 @@ def test_additive_inverse(a):
 def test_division_roundtrip(a):
     if not a.is_zero():
         assert (a * a) / a == a
+
+
+@st.composite
+def unit(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    q = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    x = Cyclotomic(p, draw(st.lists(q, min_size=p - 1, max_size=p - 1)))
+    assume(not x.is_zero())
+    return x
+
+
+@given(unit())
+def test_inverse_is_exact(x):
+    assert x * x.inverse() == 1

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zetakit.cyclotomic import Cyclotomic
-from zetakit.errors import OrderMismatch
+from zetakit.errors import CoefficientMismatch, NonIntegralCoefficient, OrderMismatch
 from zetakit.series import (
     SeriesTrunc,
     euler_factor,
@@ -59,6 +59,25 @@ def test_integrality_check():
     assert not s.is_integral()
     t = SeriesTrunc(2, [1, Fraction(4, 2), 0])
     assert list(t.to_integral().coeffs) == [1, 2, 0]
+
+
+def test_to_integral_checks_and_returns_self():
+    z = Cyclotomic.zeta_power(3, 1)
+    s = SeriesTrunc(2, [1, Fraction(6, 3), 2 * z])
+    assert s.to_integral() is s
+    with pytest.raises(NonIntegralCoefficient, match="t\\^2"):
+        SeriesTrunc(2, [1, 2, z / 2]).to_integral()
+
+
+def test_require_equal_names_the_first_differing_coefficient():
+    z = Cyclotomic.zeta_power(3, 1)
+    s = SeriesTrunc(3, [1, z, 2, 5])
+    assert s.require_equal(SeriesTrunc(3, [1, z, Cyclotomic.integer(3, 2), 5])) is s
+    with pytest.raises(CoefficientMismatch) as exc:
+        s.require_equal(SeriesTrunc(3, [1, z, 3, 4]))
+    assert exc.value.n == 2
+    with pytest.raises(OrderMismatch):
+        s.require_equal(SeriesTrunc.one(2))
 
 
 def test_cyclotomic_coefficients_multiply():

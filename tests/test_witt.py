@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zetakit.errors import CoefficientMismatch, NonSquare, UnverifiedCandidate
+from zetakit.cyclofield import character
+from zetakit.cyclotomic import Cyclotomic
+from zetakit.errors import (
+    CoefficientMismatch,
+    NonRational,
+    NonSquare,
+    UnverifiedCandidate,
+    ZetakitError,
+)
 from zetakit.series import SeriesTrunc
 from zetakit.witt import (
     EndoClass,
@@ -26,7 +34,8 @@ from zetakit.witt import (
     witt_mul,
     zeta_lift,
 )
-from zetakit.zetas import rational_reconstruct
+from zetakit.varieties import affine
+from zetakit.zetas import exp_zeta, rational_reconstruct
 
 T = 8
 
@@ -127,6 +136,39 @@ def test_zeta_lift_rejects_underverified():
     rc = type(rc)(rc.numerator, rc.denominator, 1)  # pretend t^1 only
     with pytest.raises(UnverifiedCandidate):
         zeta_lift(rc)
+
+
+def test_zeta_lift_of_rational_cyclotomic_coefficients(F3):
+    # points 0, 1 with f = 1, 2: Z = 1 / ((1 - zeta t)(1 - zeta^2 t)) = 1 / (1 + t + t^2)
+    z = exp_zeta(affine(1, ["x0^2 - x0"], f="x0 + 1"), character(F3), 6)
+    rc = rational_reconstruct(z, 2)
+    assert list(rc.denominator) == [1, 1, 1]
+    assert all(isinstance(c, Cyclotomic) for c in rc.denominator[1:])
+    cls = zeta_lift(rc)
+    assert (cls.plus_rank, cls.minus_rank) == (2, 0)
+    assert cls.value(6).series == z
+    assert lift_roundtrip(z, 2) == cls
+
+
+def test_companion_matrix_rejects_irrational_coefficients(F3):
+    zeta = Cyclotomic.zeta_power(3, 1)
+    with pytest.raises(NonRational):
+        companion_matrix([1, zeta])
+    # Z = 1 / (1 - zeta t) reconstructs, but has no lift over Q
+    s = exp_zeta(affine(1, ["x0"], f="1"), character(F3), 6)
+    with pytest.raises(ZetakitError):
+        lift_roundtrip(s, 2)
+
+
+def test_trace_identity_names_the_first_bad_coefficient(monkeypatch):
+    from zetakit import witt
+
+    exact = witt._trace_series
+    monkeypatch.setattr(witt, "_trace_series",
+                        lambda M, T: exact(M, T) + SeriesTrunc(T, [0, 0, 0, 1]))
+    with pytest.raises(CoefficientMismatch) as exc:
+        trace_identity_check(((1, 1), (1, 0)), 6)
+    assert exc.value.n == 3
 
 
 def test_endo_class_value_with_minus_part():

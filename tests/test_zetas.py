@@ -1,15 +1,19 @@
 """Zeta series: Hasse-Weil closed forms, twisted L-series, reconstruction."""
 
+import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from zetakit import varieties
 from zetakit.cyclofield import build_field, character
+from zetakit.cyclotomic import Cyclotomic
 from zetakit.errors import InsufficientOrder, NoCandidate, TallyTooShallow
 from zetakit.polynomials import Poly
 from zetakit.series import SeriesTrunc
 from zetakit.varieties import (
+    affine,
     affine_line,
     circle,
     closed_point_tally,
@@ -114,6 +118,30 @@ def test_reconstruct_rejects_non_rational_series():
     coeffs = [Fraction(1, math.factorial(n)) for n in range(11)]
     with pytest.raises(NoCandidate):
         rational_reconstruct(SeriesTrunc(10, coeffs), 2)
+
+
+def test_reconstruct_gauss_sum_numerator_over_z_zeta3(F3):
+    # exp(sum -(-g)^m t^m / m) = 1 + g t with g = 1 + 2 zeta the Gauss sum
+    z = Cyclotomic.zeta_power(3, 1)
+    rc = rational_reconstruct(exp_zeta(affine_line("x0^2"), character(F3), 6), 2)
+    assert list(rc.numerator) == [1, 1 + 2 * z]
+    assert list(rc.denominator) == [1]
+
+
+def test_reconstruct_cyclotomic_denominator_inverts_a_pivot(F3):
+    # one point with f = 1: N_m = zeta^m, so Z = 1 / (1 - zeta t)
+    z = Cyclotomic.zeta_power(3, 1)
+    s = exp_zeta(affine(1, ["x0"], f="1"), character(F3), 6)
+    rc = rational_reconstruct(s, 2)
+    assert list(rc.numerator) == [1]
+    assert list(rc.denominator) == [1, -z]
+    assert rc.expand(6) == s
+
+
+def test_rational_candidate_with_fractions_serializes():
+    s = SeriesTrunc(6, [Fraction(1, 2**n) for n in range(7)])
+    text = json.dumps(rational_reconstruct(s, 2).to_json())
+    assert json.loads(text) == {"P": [1], "Q": [1, "-1/2"], "verified_order": 6}
 
 
 def test_hw_zeta_rejects_counts_that_no_closed_points_give(monkeypatch, F3):
