@@ -60,7 +60,8 @@ def _mod_p(x, p, bound, out):
     bound < 2^51 (2^22); np.mod on float64 is about ten times slower.
     """
     limit = _FLOAT32_EXACT if x.dtype == np.float32 else _FLOAT_EXACT
-    assert bound < limit, f"{bound} too large for an exact {x.dtype} reduction"
+    if bound >= limit:
+        raise AssertionError(f"{bound} too large for an exact {x.dtype} reduction")
     quot = np.add(x, 0.5)
     quot *= 1 / p
     np.floor(quot, out=quot)

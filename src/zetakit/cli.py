@@ -109,7 +109,7 @@ def _cmd_zeta(args):
 def _cmd_expzeta(args):
     X = varieties.load_spec(args.spec)
     F = build_field(args.p, args.k)
-    chi = character(F, F.from_index(args.twist))
+    chi = _character(F, args.twist)
     tally = varieties.closed_point_tally(X, chi, args.order, args.budget)
     series = zetas.exp_zeta_from_tally(tally, args.order)
     report = {"job": _job_echo(args), "verdict": "pass", "q": F.q,
@@ -163,13 +163,25 @@ def _cmd_fourier(args):
     return 0
 
 
-def _job_field(data, key, kind):
-    """data[key], checked to be a `kind` (bools are not ints); ParseError otherwise."""
+def _character(F, twist):
+    """The additive character of twist index c; ParseError unless 0 <= c < q,
+    since F.from_index would reduce c silently."""
+    if not 0 <= twist < F.q:
+        raise ParseError(f"twist must be in [0, {F.q}), got {twist}")
+    return character(F, F.from_index(twist))
+
+
+def _job_field(data, key, kind, default=None, least=None):
+    """data[key] (default when absent), checked to be a `kind` (bools are
+    not ints) and at least `least`; ParseError otherwise."""
     if not isinstance(data, dict):
         raise ParseError(f"job entries must be objects, got {data!r}")
-    value = data.get(key)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ParseError(f"job field {key!r} must be a {kind.__name__}, got {value!r}")
+    value = data.get(key, default)
+    if (not isinstance(value, kind) or isinstance(value, bool)
+            or least is not None and value < least):
+        at_least = "" if least is None else f" >= {least}"
+        raise ParseError(f"job field {key!r} must be a {kind.__name__}{at_least}, "
+                         f"got {value!r}")
     return value
 
 
@@ -186,12 +198,12 @@ def _cmd_ledger(args):
         rel = scissor.LedgerRelation(_job_field(rel_data, "left", str),
                                      tuple(_job_field(rel_data, "right", list)),
                                      rel_data.get("provenance", "ledger file"))
+        for name in (rel.left, *rel.right):
+            if not isinstance(name, str) or name not in registry:
+                raise ParseError(f"relation names an undeclared class {name!r}")
         reps = scissor.ledger_check(rel, registry, realizations,
                                     args.budget, strict=False)
-        for r in reps:
-            r.details.pop("error", None)
-            if r.verdict != "pass":
-                failed = True
+        failed = failed or any(r.verdict != "pass" for r in reps)
         reports.append({"relation": rel.to_json(),
                         "reports": [r.to_json() for r in reps]})
     report = {"job": _job_echo(args),
@@ -202,17 +214,18 @@ def _cmd_ledger(args):
 
 def _realization_from_json(data):
     kind = _job_field(data, "type", str)
-    if kind == "point-count":
-        return scissor.PointCountRealization(
-            build_field(_job_field(data, "p", int), data.get("k", 1)), data.get("m", 1))
-    if kind == "exp-sum":
-        F = build_field(_job_field(data, "p", int), data.get("k", 1))
-        return scissor.ExpSumRealization(
-            character(F, F.from_index(data.get("twist", 1))), data.get("m", 1))
     if kind == "height-count":
         return scissor.HeightCountRealization(
-            data.get("degree", 1), tuple(_job_field(data, "bounds", list)))
-    raise ParseError(f"unknown realization type {kind!r}", 0)
+            _job_field(data, "degree", int, 1, least=1),
+            tuple(_job_field(data, "bounds", list)))
+    if kind not in ("point-count", "exp-sum"):
+        raise ParseError(f"unknown realization type {kind!r}", 0)
+    F = build_field(_job_field(data, "p", int), _job_field(data, "k", int, 1, least=1))
+    m = _job_field(data, "m", int, 1, least=1)
+    if kind == "point-count":
+        return scissor.PointCountRealization(F, m)
+    return scissor.ExpSumRealization(
+        _character(F, _job_field(data, "twist", int, 1)), m)
 
 
 def _cmd_stratify(args):

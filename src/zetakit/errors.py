@@ -126,6 +126,10 @@ class NoStrictDrop(ZetakitError):
     pass
 
 
+class UnrepresentableComplement(ZetakitError):
+    pass
+
+
 class BaseMismatch(ZetakitError):
     pass
 
@@ -159,4 +163,8 @@ class ParseError(ZetakitError):
 
 
 class NonRational(ZetakitError):
+    pass
+
+
+class ConstantTermNotOne(ZetakitError):
     pass

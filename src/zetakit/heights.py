@@ -87,7 +87,8 @@ def verify_product_formula(lam) -> dict:
             contrib = Fraction(p) ** (sign * e)
             factors[str(p)] = factors.get(str(p), Fraction(1)) * contrib
             product *= contrib
-    assert product == 1, (lam, factors)
+    if product != 1:
+        raise AssertionError(f"product formula fails for {lam}: {factors}")
     return {"lambda": str(lam), "factors": {k: str(v) for k, v in factors.items()},
             "product": str(product)}
 
@@ -190,7 +191,8 @@ def _box_heights(X: VarietySpec, m: int, B, budget, within=None):
     for lead in reversed(range(nv)):
         _scan_slab(X, within, H, lead, hist)
     prim = _mobius_inversion(hist)
-    assert prim.min() >= 0, "negative primitive count"
+    if prim.min() < 0:
+        raise AssertionError("negative primitive count")
     heights = np.flatnonzero(prim)
     return np.repeat(heights, prim[heights])
 
@@ -264,7 +266,8 @@ def _check_within(outer, cols, shape, mask, lead):
     flat = first if mask is True else int(sel[first])
     i, j = divmod(flat, shape[1])
     point = [0] * lead + [int(c[i, j]) for c in full[lead:]]
-    assert math.gcd(*point) == 1, f"first violating point {point} is not normalized"
+    if math.gcd(*point) != 1:
+        raise AssertionError(f"first violating point {point} is not normalized")
     for poly, _, vanish in outer:
         if (poly.eval_int(point) == 0) != vanish:
             raise NotASubvariety(f"point {point} violates "
@@ -323,8 +326,10 @@ class HeightCountTable:
     counts: tuple
 
     def __post_init__(self):
-        assert all(a < b for a, b in zip(self.bounds, self.bounds[1:]))
-        assert all(a <= b for a, b in zip(self.counts, self.counts[1:]))
+        if any(a >= b for a, b in zip(self.bounds, self.bounds[1:])):
+            raise AssertionError(f"bounds {self.bounds} are not increasing")
+        if any(a > b for a, b in zip(self.counts, self.counts[1:])):
+            raise AssertionError(f"counts {self.counts} decrease")
 
     def to_csv(self):
         lines = ["B,N"] + [f"{b},{n}" for b, n in zip(self.bounds, self.counts)]
@@ -349,11 +354,12 @@ def _count_table(hs, m, bounds, name):
     return HeightCountTable(name, m, tuple(bounds), counts)
 
 
-def dyadic_bounds(top, samples=8):
-    """Geometric B-grid ending at `top`."""
+def dyadic_bounds(top):
+    """Geometric B-grid ending at `top`: the distinct max(1, top // 2^j),
+    j < 8."""
     out = []
     b = top
-    for _ in range(samples):
+    for _ in range(8):
         out.append(b)
         b = max(1, b // 2)
     return tuple(sorted(set(out)))
@@ -389,12 +395,11 @@ class AsymptoticFit:
                 "residual": self.residual}
 
 
-def asymptotic_fit(tbl: HeightCountTable, t_grid=(0, 1, 2, 3),
-                   threshold=0.05) -> AsymptoticFit:
-    """Best fit N(B) ~ c B^beta (log B)^t over the integer t grid.
+def asymptotic_fit(tbl: HeightCountTable) -> AsymptoticFit:
+    """Best fit N(B) ~ c B^beta (log B)^t over t = 0, 1, 2, 3.
 
     Least squares in log space on the top half of the grid; the residual
-    is the rms log misfit and must come in under the threshold.
+    is the rms log misfit and must come in under 0.05.
     """
     pairs = _top_half(tbl)
     if any(b <= 1 for b, _ in pairs):
@@ -403,14 +408,14 @@ def asymptotic_fit(tbl: HeightCountTable, t_grid=(0, 1, 2, 3),
     ln = np.log([float(n) for _, n in pairs])
     llb = np.log(lb)
     best = None
-    for t in t_grid:
+    for t in range(4):
         y = ln - t * llb
         (slope, intercept), res = _lstsq_line(lb, y)
         if best is None or res < best[0] - 1e-9:  # ties go to the smaller t
             best = (res, t, slope, intercept)
     res, t, slope, intercept = best
-    if res > threshold:
-        raise PoorFit(f"rms log residual {res:.4f} > {threshold}")
+    if res > 0.05:
+        raise PoorFit(f"rms log residual {res:.4f} > 0.05")
     return AsymptoticFit(float(slope), int(t), float(math.exp(intercept)), float(res))
 
 
@@ -426,13 +431,14 @@ def _lstsq_line(x, y):
 
 
 def accumulation_test(V: VarietySpec, U: VarietySpec, m: int, bounds,
-                      strong=0.9, weak=0.1, budget=None) -> dict:
+                      budget=None) -> dict:
     """Classify V inside U as a strongly/weakly/non-accumulating subvariety.
 
     Finite-data proxy for the limit definitions: ratio at the top bound
     above `strong` (and not decaying) means strong; minimum ratio over
     the top half above `weak` means weak; else none.
     """
+    strong, weak = 0.9, 0.1
     bounds = sorted(bounds)
     tv = _count_table(_check_subvariety(V, U, m, bounds[-1], budget), m, bounds, "V")
     tu = height_count_table(U, m, bounds, budget, name="U")
@@ -464,8 +470,9 @@ def _check_subvariety(V, U, m, B, budget):
 # Reference asymptotics
 
 
-def _zeta_value(s, cutoff=2000):
+def _zeta_value(s):
     """Riemann zeta at integer s >= 2: direct sum plus Euler-Maclaurin tail."""
+    cutoff = 2000
     head = sum(k ** (-s) for k in range(1, cutoff))
     tail = cutoff ** (1 - s) / (s - 1) + 0.5 * cutoff ** (-s)
     return head + tail

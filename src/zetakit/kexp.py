@@ -199,13 +199,6 @@ class MotFunction:
             out = out + v
         return out
 
-    def to_csv(self):
-        lines = ["point,coefficients"]
-        for s, v in sorted(self.table.items()):
-            pt = " ".join(str(i) for i in s)
-            lines.append(f"{pt},{' '.join(str(x) for x in v.to_json())}")
-        return "\n".join(lines) + "\n"
-
 
 def _base_points(F, d):
     return itertools.product(range(F.q), repeat=d)

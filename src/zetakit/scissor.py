@@ -2,10 +2,13 @@
 under executable realizations.
 
 No Grothendieck group is ever constructed.  A relation [U] = sum [X_i] is
-an observable claim: under a point-count realization the counts must add,
-under an exponential-sum realization the character sums must add, and
-under a height realization the count tables must add bound by bound.
-Failures always carry a concrete witness.
+an observable claim.  A realization measures each spec (a point count, a
+character sum, or a table of height counts) and one comparison,
+`_additivity`, checks that the sides add, a table bound by bound.  A
+failure's witness is the first pair that differs, {"left", "right"} plus
+"B" for a table.  A disjoint cover over a finite field first walks every
+target point and names the first one in no piece or in two; the walked
+total is then the left side of the comparison.
 """
 
 from __future__ import annotations
@@ -15,15 +18,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import heights, varieties
-from .cyclotomic import Cyclotomic
+from .cyclotomic import json_scalar
 from .errors import (
     DoubleCovered,
     NoStrictDrop,
     NotASubvariety,
     TotalMismatch,
     Uncovered,
+    UnrepresentableComplement,
+    ZetakitError,
 )
 from .varieties import VarietySpec
+
+_SIGMA_TOLERANCE = 0.25  # abscissa gap between "keeps the boundary" and "drops"
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,7 @@ class RealizationReport:
     verdict: str  # 'pass' | 'fail'
     witness: object = None
     details: dict = field(default_factory=dict)
+    error: ZetakitError | None = None  # a failure's exception, raised when strict
 
     def to_json(self):
         out = {"realization": self.tag, "verdict": self.verdict}
@@ -69,7 +77,7 @@ class RealizationReport:
         return out
 
 
-# Realization descriptors
+# Realizations: each measures a spec; covers walk the points of field_spec
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,9 @@ class PointCountRealization:
     @property
     def tag(self):
         return f"point-count(q={self.field_spec.q},m={self.m})"
+
+    def measure(self, X, budget=None):
+        return varieties.count_points_ff(X, self.field_spec, self.m, budget)
 
 
 @dataclass(frozen=True)
@@ -92,15 +103,43 @@ class ExpSumRealization:
         c = self.chi.c.index()
         return f"exp-sum(q={self.chi.field.q},chi={c},m={self.m})"
 
+    @property
+    def field_spec(self):
+        return self.chi.field
+
+    def measure(self, X, budget=None):
+        return varieties.exp_sum(X, self.chi, self.m, budget)
+
 
 @dataclass(frozen=True)
 class HeightCountRealization:
     bundle_degree: int
     bounds: tuple
+    field_spec = None
 
     @property
     def tag(self):
         return f"height-count(O({self.bundle_degree}),B<={max(self.bounds)})"
+
+    def measure(self, X, budget=None):
+        return heights.height_count_table(X, self.bundle_degree, self.bounds, budget)
+
+
+def _additivity(real, lhs, parts, details):
+    """The report on lhs = sum(parts) under `real`: scalars compare whole,
+    height tables bound by bound.  A pass carries details(), evaluated
+    only then; a failure, the first pair that differs."""
+    if isinstance(lhs, heights.HeightCountTable):
+        rows = [({"B": b}, n, sum(t.counts[i] for t in parts))
+                for i, (b, n) in enumerate(zip(lhs.bounds, lhs.counts))]
+    else:  # summed from a zero of lhs's kind, so an empty right side keeps its form
+        rows = [({}, lhs, sum(parts, lhs * 0))]
+    for where, left, right in rows:
+        if left != right:
+            witness = {**where, "left": json_scalar(left), "right": json_scalar(right)}
+            return RealizationReport(real.tag, "fail", witness, {"kind": "total"},
+                                     TotalMismatch(f"{real.tag}: {witness}"))
+    return RealizationReport(real.tag, "pass", details=details())
 
 
 # ---------------------------------------------------------------------------
@@ -112,67 +151,43 @@ def verify_disjoint_cover(d: Decomposition, realizations, budget=None,
     """Check that the pieces cover the target once each, per realization.
 
     Finite-field realizations walk every target point (vectorized) and
-    demand exactly one containing piece; height realizations demand exact
-    count additivity at every bound.  With strict=True the first failure raises
-    Uncovered / DoubleCovered / TotalMismatch.
+    demand exactly one containing piece, then compare the walked total
+    with the pieces' point counts; height realizations compare count
+    tables.  With strict=True the first failure raises Uncovered /
+    DoubleCovered / TotalMismatch.
     """
     reports = []
     for real in realizations:
-        if isinstance(real, (PointCountRealization, ExpSumRealization)):
-            rep = _cover_pointwise(d, real, budget)
-        elif isinstance(real, HeightCountRealization):
-            rep = _cover_heights(d, real, budget)
-        else:
-            raise TypeError(f"unknown realization {real!r}")
-        reports.append(rep)
+        reports.append(rep := _cover(d, real, budget))
         if strict and rep.verdict != "pass":
-            raise rep.details["error"]
+            raise rep.error
     return reports
 
 
-def _cover_pointwise(d, real, budget):
+def _cover(d, real, budget):
     """A point's hit count is the sum of the piece masks; the witness is
     the first target point, in enumeration order, not hit exactly once."""
-    F = real.field_spec if isinstance(real, PointCountRealization) else real.chi.field
+    if real.field_spec is None:  # nothing to walk: compare the count tables
+        table = real.measure(d.target, budget)
+        return _additivity(real, table, [real.measure(p, budget) for p in d.pieces],
+                           lambda: {"bounds": list(table.bounds),
+                                    "counts": list(table.counts)})
+    F, m = real.field_spec, real.m
     total = 0
-    for inside, masks, point in varieties.membership_walk(
-            d.target, d.pieces, F, real.m, budget):
+    for inside, masks, point in varieties.membership_walk(d.target, d.pieces, F, m, budget):
         bad = inside & (sum(masks, np.zeros(len(inside), dtype=np.int64)) != 1)
         if bad.any():
             row = int(np.argmax(bad))
             witness, hits = point(row), [i for i, mk in enumerate(masks) if mk[row]]
             if not hits:
                 return RealizationReport(real.tag, "fail", witness,
-                                         {"error": Uncovered(witness), "kind": "uncovered"})
+                                         {"kind": "uncovered"}, Uncovered(witness))
             return RealizationReport(real.tag, "fail", witness,
-                                     {"error": DoubleCovered(witness),
-                                      "kind": "double-covered", "pieces": hits})
+                                     {"kind": "double-covered", "pieces": hits},
+                                     DoubleCovered(witness))
         total += int(inside.sum())
-    piece_total = sum(varieties.count_points_ff(piece, F, real.m, budget)
-                      for piece in d.pieces)
-    if piece_total != total:
-        err = TotalMismatch(f"target has {total} points, pieces sum to {piece_total}")
-        return RealizationReport(real.tag, "fail", [total, piece_total],
-                                 {"error": err, "kind": "total"})
-    return RealizationReport(real.tag, "pass", details={"points": total})
-
-
-def _cover_heights(d, real, budget):
-    bounds = sorted(real.bounds)
-    m = real.bundle_degree
-    tu = heights.height_count_table(d.target, m, bounds, budget)
-    piece_tables = [heights.height_count_table(p, m, bounds, budget)
-                    for p in d.pieces]
-    for i, b in enumerate(bounds):
-        lhs = tu.counts[i]
-        rhs = sum(t.counts[i] for t in piece_tables)
-        if lhs != rhs:
-            err = TotalMismatch(f"at B={b}: target {lhs}, pieces {rhs}")
-            return RealizationReport(real.tag, "fail", {"B": b, "target": lhs,
-                                                        "pieces": rhs},
-                                     {"error": err, "kind": "total"})
-    return RealizationReport(real.tag, "pass",
-                             details={"bounds": bounds, "counts": list(tu.counts)})
+    parts = [varieties.count_points_ff(piece, F, m, budget) for piece in d.pieces]
+    return _additivity(real, total, parts, lambda: {"points": total})
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +195,7 @@ def _cover_heights(d, real, budget):
 
 
 def ledger_check(rel: LedgerRelation, registry, realizations, budget=None,
-                 sigma_tolerance=0.25, strict=True):
+                 strict=True):
     """Additivity of a class relation under each realization.
 
     registry maps class ids to VarietySpecs.  Height realizations also
@@ -192,62 +207,29 @@ def ledger_check(rel: LedgerRelation, registry, realizations, budget=None,
     right = [registry[r] for r in rel.right]
     reports = []
     for real in realizations:
-        if isinstance(real, PointCountRealization):
-            lhs = varieties.count_points_ff(left, real.field_spec, real.m, budget)
-            rhs = sum(varieties.count_points_ff(s, real.field_spec, real.m, budget)
-                      for s in right)
-            rep = _totals_report(real.tag, lhs, rhs)
-        elif isinstance(real, ExpSumRealization):
-            lhs = varieties.exp_sum(left, real.chi, real.m, budget)
-            rhs = Cyclotomic.integer(real.chi.p, 0)
-            for s in right:
-                rhs = rhs + varieties.exp_sum(s, real.chi, real.m, budget)
-            rep = _totals_report(real.tag, lhs, rhs,
-                                 jsonify=lambda v: v.to_json())
-        elif isinstance(real, HeightCountRealization):
-            rep = _ledger_heights(rel, left, right, real, budget, sigma_tolerance)
-        else:
-            raise TypeError(f"unknown realization {real!r}")
-        reports.append(rep)
+        lhs = real.measure(left, budget)
+        parts = [real.measure(s, budget) for s in right]
+        reports.append(rep := _additivity(real, lhs, parts,
+                                          lambda: _ledger_details(rel, lhs, parts)))
         if strict and rep.verdict != "pass":
-            raise rep.details["error"]
+            raise rep.error
     return reports
 
 
-def _totals_report(tag, lhs, rhs, jsonify=lambda v: v):
-    if lhs != rhs:
-        err = TotalMismatch(f"{tag}: left {lhs!r} != right {rhs!r}")
-        return RealizationReport(tag, "fail",
-                                 {"left": jsonify(lhs), "right": jsonify(rhs)},
-                                 {"error": err, "kind": "total"})
-    return RealizationReport(tag, "pass", details={"value": jsonify(lhs)})
-
-
-def _ledger_heights(rel, left, right, real, budget, tol):
-    bounds = sorted(real.bounds)
-    m = real.bundle_degree
-    tl = heights.height_count_table(left, m, bounds, budget, name=rel.left)
-    piece_tables = [heights.height_count_table(s, m, bounds, budget, name=nm)
-                    for nm, s in zip(rel.right, right)]
-    for i, b in enumerate(bounds):
-        lhs = tl.counts[i]
-        rhs = sum(t.counts[i] for t in piece_tables)
-        if lhs != rhs:
-            err = TotalMismatch(f"at B={b}: {rel.left} {lhs}, pieces {rhs}")
-            return RealizationReport(real.tag, "fail",
-                                     {"B": b, "left": lhs, "right": rhs},
-                                     {"error": err, "kind": "total"})
-    sigma = {rel.left: heights.abscissa_estimate(tl)}
-    for t in piece_tables:
-        sigma[t.variety] = heights.abscissa_estimate(t)
+def _ledger_details(rel, lhs, parts):
+    """A scalar's value, or the abscissa estimates of height tables."""
+    if not isinstance(lhs, heights.HeightCountTable):
+        return {"value": json_scalar(lhs)}
+    sigma = {nm: heights.abscissa_estimate(t)
+             for nm, t in zip((rel.left, *rel.right), (lhs, *parts))}
     top = max((sigma[nm] for nm in rel.right), default=None)
     details = {"sigma": sigma}
     if top is not None:
-        details["complement_consistent"] = abs(top - sigma[rel.left]) < tol
+        details["complement_consistent"] = abs(top - sigma[rel.left]) < _SIGMA_TOLERANCE
         details["sieve_drop"] = {
-            nm: sigma[rel.left] - sigma[nm] > tol for nm in rel.right
+            nm: sigma[rel.left] - sigma[nm] > _SIGMA_TOLERANCE for nm in rel.right
         }
-    return RealizationReport(real.tag, "pass", details=details)
+    return details
 
 
 # ---------------------------------------------------------------------------
@@ -255,25 +237,24 @@ def _ledger_heights(rel, left, right, real, budget, tol):
 
 
 def stratify(U: VarietySpec, candidates, m, bounds, margin=0.25, budget=None,
-             strict=True, name="U"):
+             name="U"):
     """Greedy nested chain of strata by estimated convergence boundary.
 
-    At each step the candidate inside the current stratum with the
-    largest abscissa drop (at least `margin`) is appended; ties go to the
-    candidate with fewer points at the top bound.  Pieces are the
-    successive complements, each a locally closed spec.
+    candidates maps names to specs.  At each step the candidate inside
+    the current stratum with the largest abscissa drop (at least `margin`)
+    is appended; ties go to the candidate with fewer points at the top
+    bound.  Pieces are the successive complements, each a locally closed
+    spec.  NoStrictDrop when no candidate drops by `margin`.
     """
     bounds = sorted(bounds)
-    named = dict(candidates.items() if isinstance(candidates, dict)
-                 else ((f"V{i}", c) for i, c in enumerate(candidates)))
     sigma = {name: heights.abscissa_estimate(
         heights.height_count_table(U, m, bounds, budget, name=name))}
     chain = [(name, U)]
-    remaining = dict(named)
+    remaining = dict(candidates)
     while True:
         current_name, current = chain[-1]
-        best = None
-        for nm, cand in list(remaining.items()):
+        options = []  # ((-drop, points at the top bound), name), in candidate order
+        for nm, cand in remaining.items():
             try:
                 hs = heights._check_subvariety(cand, current, m, bounds[-1], budget)
             except NotASubvariety:
@@ -282,41 +263,30 @@ def stratify(U: VarietySpec, candidates, m, bounds, margin=0.25, budget=None,
                 sigma[nm] = heights.abscissa_estimate(
                     heights._count_table(hs, m, bounds, nm))
             drop = sigma[current_name] - sigma[nm]
-            if drop < margin:
-                continue
-            key = (-drop, len(hs))
-            if best is None or key < best[0]:
-                best = (key, nm, cand)
-        if best is None:
+            if drop >= margin:
+                options.append(((-drop, len(hs)), nm))
+        if not options:
             break
-        _, nm, cand = best
-        chain.append((nm, cand))
-        del remaining[nm]
+        nm = min(options, key=lambda o: o[0])[1]
+        chain.append((nm, remaining.pop(nm)))
     if len(chain) == 1:
-        if strict:
-            raise NoStrictDrop(
-                f"no candidate drops the abscissa by {margin} below {name}")
-        pieces = {name: U}
-        relation = LedgerRelation(name, (name,), "stratification")
-        return {"chain": [name], "sigma": sigma, "pieces": pieces,
-                "relation": relation}
-    pieces = {}
-    for (top_name, top), nxt in zip(chain, chain[1:] + [None]):
-        if nxt is None:
-            pieces[top_name] = top
-        else:
-            pieces[f"{top_name}\\{nxt[0]}"] = _complement(top, nxt[1])
+        raise NoStrictDrop(f"no candidate drops the abscissa by {margin} below {name}")
+    pieces = {f"{outer}\\{nm}": _complement(top, nm, inner)
+              for (outer, top), (nm, inner) in zip(chain, chain[1:])}
+    pieces[chain[-1][0]] = chain[-1][1]
     relation = LedgerRelation(name, tuple(pieces), "stratification")
     return {"chain": [nm for nm, _ in chain], "sigma": sigma,
             "pieces": pieces, "relation": relation}
 
 
-def _complement(outer: VarietySpec, inner: VarietySpec) -> VarietySpec:
-    """outer minus inner, for an inner cut out by one extra equation."""
+def _complement(outer: VarietySpec, name, inner: VarietySpec) -> VarietySpec:
+    """outer minus the candidate `name`, which must be cut out of it by one
+    extra equation: the complement of more is not one spec."""
     extra = [e for e in inner.equations if e not in outer.equations]
     if len(extra) != 1:
-        raise ValueError(
-            "complement needs the inner stratum cut out by one extra equation")
+        raise UnrepresentableComplement(
+            f"candidate {name!r} is cut out by {len(extra)} extra equations; "
+            "a complement needs exactly one")
     return VarietySpec(outer.ambient, outer.dim, outer.equations,
                        outer.inequations + (extra[0],), outer.f, outer.base_map)
 

@@ -17,7 +17,12 @@ import math
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, demote, is_integral, is_zero, json_scalar
-from .errors import CoefficientMismatch, NonIntegralCoefficient, OrderMismatch
+from .errors import (
+    CoefficientMismatch,
+    ConstantTermNotOne,
+    NonIntegralCoefficient,
+    OrderMismatch,
+)
 
 
 class SeriesTrunc:
@@ -123,9 +128,6 @@ class SeriesTrunc:
     def __hash__(self):
         return hash((self.order, self.coeffs))
 
-    def truncate(self, order):
-        return SeriesTrunc(order, self.coeffs[: order + 1])
-
     def is_integral(self):
         return all(is_integral(c) for c in self.coeffs)
 
@@ -201,7 +203,7 @@ def log_derivative(u: SeriesTrunc):
     """
     T = u.order
     if u.coeffs[0] != 1:
-        raise ValueError("log derivative needs constant term 1")
+        raise ConstantTermNotOne("log derivative needs constant term 1")
     g = [0] * (T + 1)  # g[0] unused
     for m in range(1, T + 1):
         s = m * u.coeffs[m]

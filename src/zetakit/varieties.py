@@ -139,6 +139,8 @@ def _as_poly(e, nvars):
         return e
     if isinstance(e, int):
         return Poly.constant(nvars, e)
+    if not isinstance(e, str):
+        raise ParseError(f"spec polynomial must be a string or an int, got {e!r}")
     return Poly.parse(e, nvars)
 
 

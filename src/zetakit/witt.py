@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, json_scalar
 from .errors import (
+    ConstantTermNotOne,
     NonIntegralResult,
     NonRational,
     NonSquare,
@@ -31,7 +32,7 @@ class WittVector:
 
     def __init__(self, series: SeriesTrunc):
         if series.coeffs[0] != 1:
-            raise ValueError("Witt vectors have constant term 1")
+            raise ConstantTermNotOne("Witt vectors have constant term 1")
         self.series = series
 
     @classmethod
@@ -291,7 +292,7 @@ def companion_matrix(coeffs):
     Cyclotomic coefficient must be rational (NonRational otherwise).
     """
     if not coeffs or coeffs[0] != 1:
-        raise ValueError("polynomial must have constant term 1")
+        raise ConstantTermNotOne("polynomial must have constant term 1")
     cs = [c.rational_value() if isinstance(c, Cyclotomic) else c for c in coeffs[1:]]
     while cs and cs[-1] == 0:
         cs.pop()

@@ -233,6 +233,22 @@ def test_expzeta_enumerates_each_degree_once(specs, capsys, monkeypatch):
     ("ledger", {"classes": {}, "realizations": [[]], "relations": []}),
     ("ledger", {"classes": {}, "realizations": [], "relations": [{"right": []}]}),
     ("ledger", [1, 2]),
+    ("ledger", {"classes": {}, "realizations": [{"type": "point-count", "p": 3, "m": "2"}],
+                "relations": []}),
+    ("ledger", {"classes": {}, "realizations": [{"type": "point-count", "p": 3, "k": "x"}],
+                "relations": []}),
+    ("ledger", {"classes": {}, "realizations": [{"type": "point-count", "p": 3, "m": 0}],
+                "relations": []}),
+    ("ledger", {"classes": {}, "realizations": [{"type": "exp-sum", "p": 3, "twist": "1"}],
+                "relations": []}),
+    ("ledger", {"classes": {}, "realizations": [{"type": "exp-sum", "p": 3, "twist": 3}],
+                "relations": []}),
+    ("ledger", {"classes": {}, "realizations": [{"type": "height-count", "degree": 0,
+                                                 "bounds": [4, 8]}], "relations": []}),
+    ("ledger", {"classes": {"A1": affine(1).to_json()}, "realizations": [],
+                "relations": [{"left": "A1", "right": ["A2"]}]}),
+    ("ledger", {"classes": {"A1": affine(1).to_json()}, "realizations": [],
+                "relations": [{"left": "A2", "right": ["A1"]}]}),
     ("stratify", {"bounds": [4, 8]}),
     ("stratify", {"target": "P2"}),
     ("stratify", {"target": {"ambient": {"type": "projective", "dim": 1}},
@@ -240,6 +256,8 @@ def test_expzeta_enumerates_each_degree_once(specs, capsys, monkeypatch):
 ], ids=["no-classes", "list-classes", "no-realizations", "dict-realizations",
         "no-relations", "no-type", "int-type", "no-p", "string-p", "no-bounds",
         "list-realization", "relation-without-left", "not-an-object",
+        "string-m", "string-k", "zero-m", "string-twist", "twist-out-of-range",
+        "zero-degree", "undeclared-right-class", "undeclared-left-class",
         "no-target", "string-target", "list-candidates"])
 def test_malformed_job_file_exits_2(tmp_path, capsys, command, job):
     path = tmp_path / "job.json"
@@ -249,6 +267,41 @@ def test_malformed_job_file_exits_2(tmp_path, capsys, command, job):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_out_of_range_twist_exits_2(specs, capsys):
+    # GF(9) would read twist 9 as index 0, the trivial character
+    code = main(["expzeta", "--spec", specs["gm"], "--p", "3", "--k", "2",
+                 "--order", "3", "--twist", "9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "twist" in captured.err
+
+
+def test_non_string_spec_polynomial_exits_2(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"ambient": {"type": "affine", "dim": 1},
+                                "equations": [1.5]}))
+    code = main(["zeta", "--spec", str(path), "--p", "3", "--order", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "1.5" in captured.err
+
+
+def test_stratify_candidate_with_two_extra_equations_exits_1(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "target": projective(2, ["x2*(x0*x2 - x1^2)"]).to_json(),
+        "candidates": {"pt": projective(2, ["x0", "x2"]).to_json()},
+        "bounds": [4, 8, 16, 32, 64],
+    }))
+    code = main(["stratify", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "UnrepresentableComplement" in captured.err and "'pt'" in captured.err
 
 
 def test_malformed_budget_variable_exits_2(tmp_path, capsys, monkeypatch):

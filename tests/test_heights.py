@@ -2,12 +2,17 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zetakit
 from zetakit import heights
 from zetakit.errors import (
     BudgetExceeded,
@@ -295,3 +300,34 @@ def test_height_root_is_exact(k, m):
     assert heights._height_root(k**m, m) == k
     assert heights._height_root(k**m - 1, m) == k - 1
     assert heights._height_root((k + 1) ** m - 1, m) == k
+
+
+_STRIPPED_CHECKS = """
+import numpy as np
+from zetakit import bulk, heights
+from zetakit.varieties import projective_space
+assert False  # stripped under -O
+x = np.zeros(4)
+checks = [
+    lambda: heights.HeightCountTable("x", 1, (8, 4), (5, 3)),
+    lambda: heights.HeightCountTable("x", 1, (4, 8), (5, 3)),
+    lambda: bulk._mod_p(x, 3, bulk._FLOAT_EXACT, np.empty_like(x)),
+    lambda: heights.count_points(projective_space(1), 1, 5),
+]
+heights._mobius_inversion = lambda A: A - 1  # negative primitive counts
+for check in checks:
+    try:
+        check()
+    except AssertionError:
+        continue
+    raise SystemExit("a failing check passed")
+"""
+
+
+def test_checks_survive_python_O():
+    src = str(Path(zetakit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", _STRIPPED_CHECKS],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -4,7 +4,13 @@ import pytest
 
 from zetakit import heights, scissor
 from zetakit.cyclofield import build_field, character
-from zetakit.errors import DoubleCovered, NoStrictDrop, Uncovered
+from zetakit.errors import (
+    DoubleCovered,
+    NoStrictDrop,
+    TotalMismatch,
+    Uncovered,
+    UnrepresentableComplement,
+)
 from zetakit.scissor import (
     Decomposition,
     ExpSumRealization,
@@ -78,6 +84,22 @@ def test_height_realization_cover():
     assert reports[0].verdict == "pass"
 
 
+def test_cover_total_mismatch_has_the_ledger_witness_shape():
+    # every point of Gm lies in A^1 once, but A^1 has one point more
+    d = Decomposition(gm(), (affine_line(),))
+    with pytest.raises(TotalMismatch):
+        verify_disjoint_cover(d, realizations()[:1])
+    rep, = verify_disjoint_cover(d, realizations()[:1], strict=False)
+    assert rep.witness == {"left": 2, "right": 3}
+    assert isinstance(rep.error, TotalMismatch)
+    assert rep.to_json() == {"realization": rep.tag, "verdict": "fail",
+                             "witness": {"left": 2, "right": 3},
+                             "details": {"kind": "total"}}
+    d = Decomposition(projective_space(1), (projective(1, inequations=["x1"]),))
+    rep, = verify_disjoint_cover(d, [HeightCountRealization(1, BOUNDS)], strict=False)
+    assert rep.witness == {"B": 4, "left": 24, "right": 23}  # (1:0) is missing
+
+
 def test_ledger_additivity():
     registry = {
         "A1": affine_line(),
@@ -144,6 +166,13 @@ def test_stratify_scans_each_candidate_once_per_round(monkeypatch):
              for nm, X in (("C", union), ("conic", conic))}
     assert result["sigma"] == sigma
     assert result["chain"] == ["C", "conic"]
+
+
+def test_stratify_names_a_candidate_without_a_one_equation_complement():
+    union = projective(2, equations=["x2*(x0*x2 - x1^2)"])
+    point = projective(2, equations=["x0", "x2"])  # (0:1:0), two extra equations
+    with pytest.raises(UnrepresentableComplement, match="'pt'"):
+        stratify(union, {"pt": point}, 1, BOUNDS, name="C")
 
 
 def test_stratify_without_drop_raises():

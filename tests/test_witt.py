@@ -11,12 +11,13 @@ from zetakit.cyclofield import character
 from zetakit.cyclotomic import Cyclotomic
 from zetakit.errors import (
     CoefficientMismatch,
+    ConstantTermNotOne,
     NonRational,
     NonSquare,
     UnverifiedCandidate,
     ZetakitError,
 )
-from zetakit.series import SeriesTrunc
+from zetakit.series import SeriesTrunc, log_derivative
 from zetakit.witt import (
     EndoClass,
     L_map,
@@ -158,6 +159,16 @@ def test_companion_matrix_rejects_irrational_coefficients(F3):
     s = exp_zeta(affine(1, ["x0"], f="1"), character(F3), 6)
     with pytest.raises(ZetakitError):
         lift_roundtrip(s, 2)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: companion_matrix([2, 1]),
+    lambda: WittVector(SeriesTrunc(2, [2, 1])),
+    lambda: log_derivative(SeriesTrunc(2, [2, 1])),
+], ids=["companion_matrix", "WittVector", "log_derivative"])
+def test_constant_term_checks_raise_a_typed_error(check):
+    with pytest.raises(ConstantTermNotOne):
+        check()
 
 
 def test_trace_identity_names_the_first_bad_coefficient(monkeypatch):
