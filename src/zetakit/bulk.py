@@ -104,6 +104,10 @@ class BulkField:
         gather, so it suits matching but not element order."""
         return self._kernel.key_of(a)
 
+    def coefficient(self, c):
+        """An integer coefficient as a scalar of this field: c mod p."""
+        return c % self.p
+
     def const(self, value, shape=1):
         """A scalar, an int (prime subfield) or an FFElem, repeated over a
         row shape (an int or a tuple; a read-only broadcast)."""

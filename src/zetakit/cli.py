@@ -119,6 +119,8 @@ def _cmd_expzeta(args):
 
 
 def _cmd_heights(args):
+    if args.degree < 1:
+        raise ParseError(f"--degree must be at least 1, got {args.degree}")
     X = varieties.load_spec(args.spec)
     bounds = heights.dyadic_bounds(args.bound)
     tbl = heights.height_count_table(X, args.degree, bounds, args.budget)
@@ -185,6 +187,18 @@ def _job_field(data, key, kind, default=None, least=None):
     return value
 
 
+def _job_bounds(data):
+    """data["bounds"]: height bounds, ints >= 1 strictly increasing;
+    ParseError otherwise."""
+    bounds = _job_field(data, "bounds", list)
+    if (not bounds or any(not isinstance(b, int) or isinstance(b, bool) or b < 1
+                          for b in bounds)
+            or any(a >= b for a, b in zip(bounds, bounds[1:]))):
+        raise ParseError("job field 'bounds' must be strictly increasing ints >= 1, "
+                         f"got {bounds!r}")
+    return tuple(bounds)
+
+
 def _cmd_ledger(args):
     with open(args.spec) as fh:
         job = json.load(fh)
@@ -216,8 +230,7 @@ def _realization_from_json(data):
     kind = _job_field(data, "type", str)
     if kind == "height-count":
         return scissor.HeightCountRealization(
-            _job_field(data, "degree", int, 1, least=1),
-            tuple(_job_field(data, "bounds", list)))
+            _job_field(data, "degree", int, 1, least=1), _job_bounds(data))
     if kind not in ("point-count", "exp-sum"):
         raise ParseError(f"unknown realization type {kind!r}", 0)
     F = build_field(_job_field(data, "p", int), _job_field(data, "k", int, 1, least=1))
@@ -234,9 +247,10 @@ def _cmd_stratify(args):
     target = varieties.spec_from_json(_job_field(job, "target", dict))
     candidates = _job_field(job, "candidates", dict) if "candidates" in job else {}
     candidates = {name: varieties.spec_from_json(data) for name, data in candidates.items()}
+    bounds = (_job_bounds(job) if "bounds" in job
+              else heights.dyadic_bounds(_job_field(job, "bound", int, 60, least=1)))
     result = scissor.stratify(
-        target, candidates, job.get("degree", 1),
-        tuple(job.get("bounds") or heights.dyadic_bounds(job.get("bound", 60))),
+        target, candidates, _job_field(job, "degree", int, 1, least=1), bounds,
         margin=job.get("margin", 0.25), budget=args.budget)
     report = {
         "job": _job_echo(args),

@@ -102,6 +102,10 @@ class NotASubvariety(ZetakitError):
     pass
 
 
+class NotProjective(ZetakitError):
+    pass
+
+
 class PrefixTooShort(ZetakitError):
     pass
 

@@ -2,42 +2,42 @@
 
 Points of P^n(Q) are gcd-and-sign normalized integer vectors; the Weil
 height of a normalized point is max|x_i|, raised to the bundle degree m
-for O(m).  Counting is exhaustive enumeration of the height box by one
-vectorized, chunked scan (`_box_heights`).  It walks only the half box
-(first nonzero coordinate positive), evaluates polynomials exactly (in
-int64 under a proven bound, over Python ints above it), and bins every
-point of X by max|x_i| with no gcd test.  Each such point is g times a
-unique normalized point and the conditions of X must be homogeneous, so
-the histogram is 1 * P for the normalized counts P, which Moebius
-inversion recovers: P = mu * histogram.  Everything downstream (abscissa
-estimates, asymptotic fits, accumulation classification) works off exact
-count tables.
+for O(m).  Counting is exhaustive enumeration of the height box
+(`_box_heights`) on the chunk engine that walks finite fields
+(`varieties._chunks` and `_Chunk`), here over the exact integers -H..H
+(`_Integers`: int64 under a proven bound, Python ints above it).  It
+walks only the half box (first nonzero coordinate positive), one slab
+per leading coordinate, and bins every point of X by max|x_i| with no
+gcd test.  Each such point is g times a unique normalized point and the
+conditions of X must be homogeneous, so the histogram is 1 * P for the
+normalized counts P, which Moebius inversion recovers: P = mu *
+histogram.  Everything downstream (abscissa estimates, asymptotic fits,
+accumulation classification) works off exact count tables.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import gfpoly
+from . import gfpoly, varieties
 from .errors import (
+    DegreeZero,
     InsufficientSamples,
     NotASubvariety,
+    NotProjective,
     PoorFit,
     PrefixTooShort,
     ZeroInput,
     ZeroVector,
 )
 from .varieties import VarietySpec, _check_budget, require_homogeneous
-
-_CHUNK = 1 << 20
-# trailing coordinates of a block span at most this many values, or one
-# coordinate when a single one spans more
-_TRAIL = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def _height_root(B, m):
     """Largest integer H >= 0 with H^m <= B (0 when B < 1), in exact
     integer arithmetic: Newton steps down from a power of two above it."""
     if m < 1:
-        raise ValueError(f"bundle degree must be at least 1, got {m}")
+        raise DegreeZero(f"bundle degree must be at least 1, got {m}")
     B = int(B)  # H^m is an integer, so a fractional part never matters
     if B < 1:
         return 0
@@ -119,53 +119,39 @@ def _height_root(B, m):
         x = y
 
 
-def _row_evaluator(poly, H):
-    """Evaluator of an integer polynomial on coordinate columns with
-    |x_i| <= H.  It works in int64 when sum |c| * H^deg < 2^63, which
-    bounds every partial product and sum, and over Python ints otherwise.
-
-    Columns are arrays that broadcast against each other (None for a
-    coordinate the polynomial does not use).  Factors of equal shape are
-    multiplied first, so only the last product of a term has the shape
-    of the whole block.
+class _Integers:
+    """The integers -H..H as a ring with BulkField's row interface, so the
+    box scan runs on the chunk engine: index i is the integer i - H, and
+    a row holds the integer itself.  Rows are int64 when every polynomial
+    given has sum |c| * H^deg < 2^63, which bounds every partial product
+    and sum the engine forms, and Python ints (object) otherwise.
     """
-    big = sum(abs(c) * H ** sum(exps) for exps, c in poly.terms.items()) >= 1 << 63
-    dtype = object if big else np.int64
-    terms = [(c, [(i, e) for i, e in enumerate(exps) if e])
-             for exps, c in poly.terms.items()]
 
-    def evaluate(cols):
-        total = np.zeros((), dtype=dtype)
-        for c, factors in terms:
-            groups = {}
-            for i, e in factors:
-                f = cols[i].astype(dtype, copy=False) ** e
-                groups[f.shape] = groups[f.shape] * f if f.shape in groups else f
-            v = np.array(c, dtype=dtype)
-            for g in sorted(groups.values(), key=np.size):
-                v = v * g
-            total = total + v
-        return total
+    n = 1  # one int per row
 
-    return evaluate
+    def __init__(self, H, polys):
+        self.H, self.Q = H, 2 * H + 1
+        big = any(sum(abs(c) * H ** sum(exps) for exps, c in poly.terms.items()) >= 1 << 63
+                  for poly in polys)
+        self.dtype = object if big else np.int64
 
+    def digits_of(self, idx):
+        return (idx - self.H).astype(self.dtype)
 
-def _conditions(X, H, zeros):
-    """(poly, evaluator, must vanish) for each equation and inequation,
-    the evaluator taking the coordinates in `zeros` to be 0."""
-    return [(e, _row_evaluator(e.substitute(zeros), H), vanish)
-            for polys, vanish in ((X.equations, True), (X.inequations, False))
-            for e in polys]
+    def index_of(self, a):
+        return a + self.H
 
+    def const(self, value, shape):
+        return np.full(shape, value, dtype=self.dtype)
 
-def _holds(conditions, cols):
-    """Mask of the points of the block where every condition holds (True
-    when there are none); it may broadcast to the block's shape."""
-    mask = True
-    for _, ev, vanish in conditions:
-        value = ev(cols)
-        mask = mask & ((value == 0) if vanish else (value != 0))
-    return mask
+    # exact arithmetic on rows; an integer coefficient is kept as it is
+    add, neg, mul, scale, pow, eq, coefficient = map(staticmethod, (
+        operator.add, operator.neg, operator.mul, operator.mul, operator.pow,
+        operator.eq, operator.pos))
+
+    @staticmethod
+    def is_zero(a):
+        return a == 0
 
 
 def _box_heights(X: VarietySpec, m: int, B, budget, within=None):
@@ -178,18 +164,18 @@ def _box_heights(X: VarietySpec, m: int, B, budget, within=None):
     Each is g times a unique normalized point, and X's conditions are
     homogeneous, so A = 1 * P for the normalized counts P, and P = mu * A.
     """
-    for Y in (X, within):
-        if Y is not None:
-            if Y.ambient != "projective":
-                raise ValueError("height counting is defined on projective specs")
-            require_homogeneous(Y)
+    specs = [X] if within is None else [X, within]
+    for Y in specs:
+        if Y.ambient != "projective":
+            raise NotProjective("height counting is defined on projective specs")
+        require_homogeneous(Y)
     H = _height_root(B, m)
-    nv = X.nvars
-    total = (2 * H + 1) ** nv
+    total = (2 * H + 1) ** X.nvars
     _check_budget(total, budget)
+    ring = _Integers(H, [e for Y in specs for e in Y.equations + Y.inequations])
     hist = np.zeros(H + 1, dtype=np.int32 if total < 1 << 31 else np.int64)
-    for lead in reversed(range(nv)):
-        _scan_slab(X, within, H, lead, hist)
+    for lead in reversed(range(X.nvars)):
+        _scan_slab(X, within, ring, lead, hist, budget)
     prim = _mobius_inversion(hist)
     if prim.min() < 0:
         raise AssertionError("negative primitive count")
@@ -197,81 +183,52 @@ def _box_heights(X: VarietySpec, m: int, B, budget, within=None):
     return np.repeat(heights, prim[heights])
 
 
-def _scan_slab(X, within, H, lead, hist):
+def _scan_slab(X, within, ring, lead, hist, budget):
     """Add into hist the heights of the points of X in the slab where
-    x_0 .. x_{lead-1} = 0 and x_lead is in [1, H], walked in lex order.
-
-    A block is a run of prefixes (x_lead and the free coordinates before
-    the trailing ones, one (rows, 1) column each) times every value of
-    the trailing coordinates (one (1, T) column each).
+    x_0 .. x_{lead-1} = 0 and x_lead is in [1, H], walked in lex order by
+    the chunk engine with those zeros substituted.  A function of its own,
+    so that the last chunk's arrays are freed before Moebius inversion.
     """
-    nv, side = X.nvars, 2 * H + 1
     zeros = dict.fromkeys(range(lead), 0)
-    own = _conditions(X, H, zeros)
-    outer = _conditions(within, H, zeros) if within is not None else []
-    free = nv - 1 - lead
-    t = 0
-    while t < free and side <= _CHUNK and side ** (t + 1) <= max(side, _TRAIL):
-        t += 1
-    T = side**t
-    idx = np.arange(T, dtype=np.int64)
-    tail = []
-    for _ in range(t):
-        idx, digit = np.divmod(idx, side)
-        tail.insert(0, (digit - H).reshape(1, T))
-    tail_max = np.abs(tail).max(axis=0) if tail else None
-    prefixes = H * side ** (free - t)
-    rows = max(1, _CHUNK // T)
-    for start in range(0, prefixes, rows):
-        idx = np.arange(start, min(start + rows, prefixes), dtype=np.int64)[:, None]
-        head = []
-        for _ in range(free - t):
-            idx, digit = np.divmod(idx, side)
-            head.insert(0, digit - H)
-        head.insert(0, idx + 1)
-        cols = [None] * lead + head + tail
-        shape = (len(idx), T)
-        mask = _holds(own, cols)
-        head_max = head[0]  # x_lead > 0
-        for col in head[1:]:
-            head_max = np.maximum(head_max, np.abs(col))
-        lo = int(head_max.min())  # heights in this block start here
-        h = head_max - lo if tail_max is None else np.maximum(head_max - lo, tail_max - lo)
-        if mask is not True:
-            h = np.broadcast_to(h, shape)[np.broadcast_to(mask, shape)]
-        counts = np.bincount(h.ravel())
+    own, outer = [None if Y is None else ([e.substitute(zeros) for e in Y.equations],
+                                          [h.substitute(zeros) for h in Y.inequations])
+                  for Y in (X, within)]
+    for chunk in varieties._chunks(ring, range(lead, X.nvars), budget,
+                                   {lead: (ring.H + 1, ring.Q)}):
+        inside = chunk.mask(*own)
+        if not inside.any():
+            continue
+        *cols, last = [np.abs(d).astype(np.int64, copy=False) for d in chunk.elems.values()]
+        m = functools.reduce(np.maximum, cols, np.int64(0))  # (R, 1): leading max|x_i|
+        lo = max(int(m.min()), int(last.min()))  # no height in the chunk is below
+        h = np.maximum(m - lo, last - lo)  # max|x_i| - lo, the one full-size grid
+        counts = np.bincount(h.ravel() if inside.all() else h.ravel()[inside])
         hist[lo:lo + len(counts)] += counts
-        if outer:
-            _check_within(outer, cols, shape, mask, lead)
+        if outer is not None:
+            _check_within(within, outer, chunk, inside, lead, ring.H)
 
 
-def _check_within(outer, cols, shape, mask, lead):
-    """Raise NotASubvariety at the first point of the block, in walk order,
-    that satisfies X (mask) but violates one of U's conditions.
+def _check_within(U, outer, chunk, inside, lead, H):
+    """Raise NotASubvariety at the first point of the chunk, in walk order,
+    that lies on X (inside) but violates one of U's conditions, given as
+    (equations, inequations) with the slab's zeros substituted.  U is
+    evaluated on X's points only.
 
     That point is normalized: had it a common factor g > 1, its quotient
     by g would violate the same homogeneous condition earlier in the slab.
     """
-    full = [None if c is None else np.broadcast_to(c, shape) for c in cols]
-    if mask is True:
-        bad = ~np.broadcast_to(_holds(outer, cols), shape).ravel()
-    else:  # evaluate U only where X holds
-        sel = np.flatnonzero(np.broadcast_to(mask, shape))
-        i, j = np.divmod(sel, shape[1])
-        kept = [None if c is None else c[i, j] for c in full]
-        bad = ~np.broadcast_to(_holds(outer, kept), sel.shape)
+    kept = chunk if inside.all() else chunk.select(np.flatnonzero(inside))
+    bad = ~kept.mask(*outer)
     if not bad.any():
         return
-    first = int(np.argmax(bad))
-    flat = first if mask is True else int(sel[first])
-    i, j = divmod(flat, shape[1])
-    point = [0] * lead + [int(c[i, j]) for c in full[lead:]]
+    point = [0] * lead + [i - H for i in kept.point(int(np.argmax(bad)))]
     if math.gcd(*point) != 1:
         raise AssertionError(f"first violating point {point} is not normalized")
-    for poly, _, vanish in outer:
-        if (poly.eval_int(point) == 0) != vanish:
-            raise NotASubvariety(f"point {point} violates "
-                                 f"{poly!r}{'' if vanish else ' != 0'}")
+    for polys, vanish in ((U.equations, True), (U.inequations, False)):
+        for poly in polys:
+            if (poly.eval_int(point) == 0) != vanish:
+                raise NotASubvariety(f"point {point} violates "
+                                     f"{poly!r}{'' if vanish else ' != 0'}")
     raise AssertionError(f"point {point} flagged but satisfies every condition")
 
 

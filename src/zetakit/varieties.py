@@ -17,16 +17,17 @@ first strategy of one ordered tuple that takes it:
   4. two variables with separable equations: key matching, never Q^2;
   5. the chunked engine, under a candidate budget.
 
-Every point walk over a finite field goes through one chunk loop
-(`_chunks`) and one evaluator (`_Chunk`): block tallies, the pair scan,
-fiber histograms over a base map and the membership walks behind cover
-checks.  A chunk is a grid of prefixes of the leading variables, as
-(R, 1) columns, times values of the last variable, as a (1, T) row;
-flattened row-major, the grids keep PointEnumeration's order (first
-variable most significant).  Monomials are evaluated at their smallest
-broadcast shape, an equation is tested as "terms with the last variable
-= minus the others", and the trace of f is the sum of its terms' traces,
-so only mixed monomials are computed on the full grid.
+Every point walk goes through one chunk loop (`_chunks`) and one
+evaluator (`_Chunk`): block tallies, the pair scan, fiber histograms over
+a base map, the membership walks behind cover checks and, over the exact
+integers of `heights._Integers`, the height box.  A chunk is a grid of
+prefixes of the leading variables, as (R, 1) columns, times values of
+the last variable, as a (1, T) row; flattened row-major, the grids keep
+PointEnumeration's order (first variable most significant).  Monomials
+are evaluated at their smallest broadcast shape, an equation is tested
+as "terms with the last variable = minus the others", and the trace of
+f is the sum of its terms' traces, so only mixed monomials are computed
+on the full grid.
 `PointEnumeration` is the scalar reference that the tests compare them
 against; no production path uses it.
 """
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -450,10 +452,10 @@ def _projective_charts(X):
 
 class _Chunk:
     """One chunk of a block walk, laid out as a grid: R prefixes of the
-    block's leading variables as (R, 1) columns of BulkField rows, times
-    T values of its last variable as a (1, T) row.  The chunk's points are
-    the grid flattened row-major: flat row i * T + j is prefix i with the
-    j-th value of the last variable.
+    block's leading variables as (R, 1) columns of rows, times T values
+    of its last variable as a (1, T) row, in any ring with BulkField's row
+    interface.  The chunk's points are the grid flattened row-major: flat
+    row i * T + j is prefix i with the j-th value of the last variable.
 
     Each monomial is evaluated at its smallest broadcast shape: powers are
     taken on the columns and the row (cached per variable), a scale on
@@ -461,13 +463,13 @@ class _Chunk:
     leading ones reach the full grid.
     """
 
-    def __init__(self, B, cols, last, row, shape):
+    def __init__(self, B, elems, last, shape):
         self.bulk = B
         self.last = last  # None for a block without variables
-        self.elems = cols if last is None else {**cols, last: row}
+        self.elems = elems  # variable -> rows, the last variable last
         self.shape = shape
         self.rows = shape[0] * shape[1]
-        self.powers = {v: {1: d} for v, d in self.elems.items()}
+        self.powers = {v: {1: d} for v, d in elems.items()}
 
     def _terms(self, poly):
         """(has_last, value) per nonzero term: constants, then terms in the
@@ -477,7 +479,7 @@ class _Chunk:
         B = self.bulk
         out = []
         for exps, c in poly.terms.items():
-            c %= B.p
+            c = B.coefficient(c)
             if c == 0:
                 continue
             factors = []
@@ -510,8 +512,7 @@ class _Chunk:
         return sums[True], sums[False]
 
     def eval(self, poly):
-        """BulkField rows of an integer polynomial's values at every point,
-        flat."""
+        """Rows of an integer polynomial's values at every point, flat."""
         B = self.bulk
         sums = [v for v in self._sums(poly) if v is not None]
         val = B.add(*sums) if len(sums) == 2 else sums[0] if sums else B.const(0, (1, 1))
@@ -549,47 +550,55 @@ class _Chunk:
             code = code + self.bulk.linear_form(val, w)
         return np.broadcast_to(code % p, self.shape).ravel()
 
+    def select(self, rows):
+        """The chunk of the given flat rows, in that order, as one (1, k)
+        row per variable, gathered through broadcast views: no full grid
+        is copied."""
+        i, j = np.divmod(np.asarray(rows), self.shape[1])
+        elems = {v: np.broadcast_to(d, self.shape + d.shape[2:])[i, j][None]
+                 for v, d in self.elems.items()}
+        return _Chunk(self.bulk, elems, self.last, (1, len(i)))
+
     def point(self, row):
         """Element indices of one flat row, in variable order."""
-        i, j = divmod(row, self.shape[1])
-        return [int(self.bulk.index_of(d[(0, j) if v == self.last else (i, 0)]))
-                for v, d in self.elems.items()]
+        return [int(self.bulk.index_of(d[0, 0])) for d in self.select([row]).elems.values()]
 
 
-def _chunks(B, vs, budget):
-    """The chunk loop: walk the Q^r points of the variables vs, vs[0] most
-    significant (PointEnumeration's order), after charging Q^r against the
-    budget.  Yields one _Chunk per grid of about _CHUNK / n points.
+def _chunks(B, vs, budget, ranges=None):
+    """The chunk loop: walk the points of the variables vs, vs[0] most
+    significant (PointEnumeration's order), variable v over the element
+    indices [lo, hi) = ranges[v] (default [0, Q)), after charging the
+    number of points against the budget.  Yields one _Chunk per grid of
+    about _CHUNK / n points.
 
-    A grid holds R prefixes of vs[:-1] and T values of vs[-1].  While the
-    Q values of vs[-1] fit in one chunk, T = Q and R prefixes share the
-    one row, built once; otherwise R = 1 and consecutive chunks take
-    consecutive slices of T values.  Either way the grids, flattened
-    row-major, continue the walk order.
+    A grid holds R prefixes of vs[:-1], in mixed radix, and T values of
+    vs[-1].  While the values of vs[-1] fit in one chunk, T is all of
+    them and R prefixes share the one row, built once; otherwise R = 1
+    and consecutive chunks take consecutive slices of T values.  Either
+    way the grids, flattened row-major, continue the walk order.
     """
-    Q = B.Q
-    _check_budget(Q ** len(vs), budget)
+    spans = [(ranges or {}).get(v, (0, B.Q)) for v in vs]
+    sizes = [hi - lo for lo, hi in spans]
+    _check_budget(math.prod(sizes), budget)
     if not vs:  # the one point of a block without variables
-        yield _Chunk(B, {}, None, None, (1, 1))
+        yield _Chunk(B, {}, None, (1, 1))
         return
     *lead, last = vs
+    (lo, hi), size = spans[-1], sizes[-1]
     step = max(1, _CHUNK // B.n)
-    T = min(Q, step)
+    T = max(1, min(size, step))
     R = step // T
-    prefixes = Q ** len(lead)
+    prefixes = math.prod(sizes[:-1])
     row = None
     for start in range(0, prefixes, R):
-        rem = np.arange(start, min(start + R, prefixes), dtype=np.int64)
-        nrows = len(rem)
-        place = []
-        for _ in lead:
-            rem, cur = np.divmod(rem, Q)
-            place.append(cur)
-        cols = {v: B.digits_of(cur)[:, None] for v, cur in zip(lead, reversed(place))}
-        for t in range(0, Q, T):
-            if row is None or T < Q:
-                row = B.digits_of(np.arange(t, min(t + T, Q), dtype=np.int64))[None]
-            yield _Chunk(B, cols, last, row, (nrows, row.shape[1]))
+        idx = np.arange(start, min(start + R, prefixes), dtype=np.int64)
+        place = np.unravel_index(idx, sizes[:-1]) if lead else ()
+        cols = {v: B.digits_of(cur + first)[:, None]
+                for v, (first, _), cur in zip(lead, spans, place)}
+        for t in range(lo, hi, T):
+            if row is None or T < size:
+                row = B.digits_of(np.arange(t, min(t + T, hi), dtype=np.int64))[None]
+            yield _Chunk(B, {**cols, last: row}, last, (len(idx), row.shape[1]))
 
 
 def _enumerate_block(vs, eqs, ineqs, f, trace_w, E: FieldSpec, budget,

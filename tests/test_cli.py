@@ -176,6 +176,40 @@ def test_heights_nonhomogeneous_spec_exits_1(tmp_path, capsys):
     assert out == ""
 
 
+def test_heights_affine_spec_exits_1(tmp_path, capsys):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(affine(1).to_json()))
+    code = main(["heights", "--spec", str(path), "--bound", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "NotProjective" in captured.err
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_heights_degree_below_one_exits_2(specs, capsys, degree):
+    code = main(["heights", "--spec", specs["p1"], "--bound", "10", "--degree", degree])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--degree" in captured.err
+
+
+def test_ledger_height_count_on_an_affine_class_exits_1(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "classes": {"A1": affine(1).to_json(), "origin": point_spec().to_json(),
+                    "Gm": gm().to_json()},
+        "relations": [{"left": "A1", "right": ["origin", "Gm"]}],
+        "realizations": [{"type": "height-count", "bounds": [4, 8]}],
+    }))
+    code = main(["ledger", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "NotProjective" in captured.err
+
+
 def test_toml_spec_and_malformed_toml(tmp_path, capsys):
     good = tmp_path / "line.toml"
     good.write_text('[ambient]\ntype = "affine"\ndim = 1\n')
@@ -249,16 +283,28 @@ def test_expzeta_enumerates_each_degree_once(specs, capsys, monkeypatch):
                 "relations": [{"left": "A1", "right": ["A2"]}]}),
     ("ledger", {"classes": {"A1": affine(1).to_json()}, "realizations": [],
                 "relations": [{"left": "A2", "right": ["A1"]}]}),
+    ("ledger", {"classes": {}, "realizations": [{"type": "height-count",
+                                                 "bounds": ["a"]}], "relations": []}),
+    ("ledger", {"classes": {}, "realizations": [{"type": "height-count",
+                                                 "bounds": [8, 4]}], "relations": []}),
     ("stratify", {"bounds": [4, 8]}),
     ("stratify", {"target": "P2"}),
     ("stratify", {"target": {"ambient": {"type": "projective", "dim": 1}},
                   "candidates": []}),
+    ("stratify", {"target": projective_space(2).to_json(), "bounds": ["a"]}),
+    ("stratify", {"target": projective_space(2).to_json(), "bounds": [8, 8, 16, 32, 64]}),
+    ("stratify", {"target": projective_space(2).to_json(), "bounds": [0, 8]}),
+    ("stratify", {"target": projective_space(2).to_json(), "bound": "60"}),
+    ("stratify", {"target": projective_space(2).to_json(), "degree": 0}),
 ], ids=["no-classes", "list-classes", "no-realizations", "dict-realizations",
         "no-relations", "no-type", "int-type", "no-p", "string-p", "no-bounds",
         "list-realization", "relation-without-left", "not-an-object",
         "string-m", "string-k", "zero-m", "string-twist", "twist-out-of-range",
         "zero-degree", "undeclared-right-class", "undeclared-left-class",
-        "no-target", "string-target", "list-candidates"])
+        "string-realization-bounds", "decreasing-realization-bounds",
+        "no-target", "string-target", "list-candidates", "string-bounds",
+        "repeated-bounds", "zero-bound-in-bounds", "string-bound",
+        "zero-stratify-degree"])
 def test_malformed_job_file_exits_2(tmp_path, capsys, command, job):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))

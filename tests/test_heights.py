@@ -13,17 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zetakit
+from conftest import _walk_in_small_chunks
 from zetakit import heights
 from zetakit.errors import (
     BudgetExceeded,
+    DegreeZero,
     InsufficientSamples,
     NonHomogeneous,
     NotASubvariety,
+    NotProjective,
     PrefixTooShort,
     ZeroVector,
 )
 from zetakit.polynomials import Poly
-from zetakit.varieties import projective, projective_space
+from zetakit.varieties import affine, projective, projective_space
 
 
 def test_normalize_reduces_and_fixes_sign():
@@ -244,6 +247,42 @@ def test_within_witness_is_first_violating_point():
     assert str(exc.value) == witness
 
 
+# (X, U, m, B): each scan also runs with within=U, which the oracle either
+# passes or fails at its first violating point
+SPLIT_CASES = [
+    (projective_space(0), projective(0, ["x0"]), 1, 7),
+    (projective_space(3), projective(3, ["x0*x3 - x1*x2"]), 1, 3),
+    (projective(2, ["x0*x2 - x1^2"], ["x0 + x1 + x2"]),
+     projective(2, ["x0*x2 - x1^2"], ["x1"]), 1, 9),
+    (projective(2, ["x0*x2 - x1^2"], ["x0 + x1 + x2"]),
+     projective(2, ["x2*(x0*x2 - x1^2)"]), 2, 81),
+    (projective(1, ["x0*x1^64"]), projective(1, ["x0"]), 1, 10),  # Python ints
+]
+
+
+@pytest.mark.parametrize("split", ["R", "T"])
+@pytest.mark.parametrize("X, U, m, B", SPLIT_CASES,
+                         ids=["P0", "P3", "conic", "conic-in-union", "object"])
+def test_box_scan_matches_scalar_oracle_in_small_chunks(monkeypatch, X, U, m, B, split):
+    H = heights._height_root(B, m)
+    Q = 2 * H + 1
+    shapes = _walk_in_small_chunks(monkeypatch, Q, 1, split)
+    expected, _ = _oracle_scan(X, m, B)
+    _, witness = _oracle_scan(X, m, B, within=U)
+    assert heights.point_heights(X, m, B).tolist() == expected
+    if witness is None:
+        assert heights._box_heights(X, m, B, None, within=U).tolist() == expected
+    else:
+        with pytest.raises(NotASubvariety) as exc:
+            heights._box_heights(X, m, B, None, within=U)
+        assert str(exc.value) == witness
+    if split == "T":
+        assert all(R == 1 and T < Q for R, T in shapes)
+    else:  # the slab whose last coordinate leads spans H values
+        assert all(R <= 2 and T in (H, Q) for R, T in shapes)
+        assert X.nvars == 1 or (2, Q) in shapes
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=400))
 def test_mobius_inversion_matches_definition(values):
@@ -285,6 +324,16 @@ def test_accumulation_rejects_nonhomogeneous_sub_and_ambient():
         heights.accumulation_test(NONHOMOGENEOUS, projective_space(1), 1, (5, 10))
     with pytest.raises(NonHomogeneous):
         heights.accumulation_test(projective(1, ["x0"]), NONHOMOGENEOUS, 1, (5, 10))
+
+
+def test_affine_specs_and_degrees_below_one_are_typed_errors():
+    with pytest.raises(NotProjective):
+        heights.count_points(affine(1), 1, 5)
+    with pytest.raises(NotProjective):
+        heights.accumulation_test(projective_space(1), affine(2), 1, (5, 10))
+    for m in (0, -1):
+        with pytest.raises(DegreeZero):
+            heights.count_points(projective_space(1), m, 5)
 
 
 def test_huge_bound_exceeds_budget():

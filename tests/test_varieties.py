@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import _walk_in_small_chunks
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -516,25 +517,6 @@ def test_univariate_walk_that_misses_a_root_is_a_route_mismatch(monkeypatch, ine
 
 
 # -- the engine's grid layout against the scalar oracle -------------------------
-
-
-def _walk_in_small_chunks(monkeypatch, Q, n, split):
-    """Shrink the engine's chunks for a walk over F_Q (Q = p^n) so that the
-    prefix rows split ("R": T = Q, two prefixes per chunk) or the values
-    of the last variable do ("T": T = Q - 2); returns the list that
-    collects each chunk's (R, T)."""
-    step = 2 * Q + 1 if split == "R" else Q - 2
-    monkeypatch.setattr(varieties, "_CHUNK", step * n)
-    shapes = []
-    chunks = varieties._chunks
-
-    def spy(*args):
-        for chunk in chunks(*args):
-            shapes.append(chunk.shape)
-            yield chunk
-
-    monkeypatch.setattr(varieties, "_chunks", spy)
-    return shapes
 
 
 # blocks of r = 1, 2, 3 variables over F_7, F_9 and F_5, with inequations,
