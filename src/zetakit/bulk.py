@@ -6,7 +6,8 @@ representations, chosen once from the field size Q = p^n:
 * Q <= 2^26, the table kernel (except prime fields above about 2^25.5,
   whose table build would not be exact).  A row is the discrete logarithm of the
   element to the primitive root g of smallest index (int32; zero is the
-  sentinel Q - 1).  Multiplication, negation, scaling and powers are
+  sentinel Q - 1).  Multiplication, negation, scaling, powers and square
+  roots (half an even log; an odd log is a non-square for odd p) are
   index arithmetic mod Q - 1; addition goes through Zech's logarithm
   zech[k] = log(1 + g^k) (Huber, "Some comments on Zech's logarithms",
   IEEE Trans. IT 1990); a trace is one gather from a Q-entry table.  The
@@ -18,7 +19,10 @@ representations, chosen once from the field size Q = p^n:
 * Otherwise the convolution kernel.  A row is the digit vector over
   GF(p) in the basis 1, x, ..., x^(n-1), the scalar layer's basis.
   Multiplication is a convolution followed by a linear reduction whose
-  rows are the digits of x^j mod the modulus.  Memory stays at
+  rows are the digits of x^j mod the modulus.  A square root is
+  Tonelli-Shanks (Cohen, "A Course in Computational Algebraic Number
+  Theory", algorithm 1.5.1) on whole arrays, S - 1 masked rounds for
+  Q - 1 = 2^S t, from a non-residue found once per field.  Memory stays at
   O(chunk * n), so these fields are limited only by the enumeration
   budget, not by table construction.
 
@@ -29,12 +33,13 @@ indices (digits_of) and go back to them (index_of) or to matching keys
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 
 import numpy as np
 
 from . import gfpoly
-from .cyclofield import FieldSpec, trace_to_prime_int
+from .cyclofield import FieldSpec
 
 # fields up to this size use the table kernel
 _TABLE_LIMIT = 1 << 26
@@ -137,6 +142,12 @@ class BulkField:
         """a^e for an int e >= 0, with 0^0 = 1."""
         return self._kernel.pow(a, e)
 
+    def sqrt(self, a):
+        """(is_square, root): where a is a square, and there a root with
+        root^2 = a (either one; zero's root is zero).  root is unspecified
+        elsewhere.  In characteristic 2 every element is a square."""
+        return self._kernel.sqrt(a)
+
     # -- predicates and reductions ----------------------------------------
 
     def is_zero(self, a):
@@ -161,10 +172,21 @@ class BulkField:
     def trace_weights(self, twist):
         """Weights w with Tr_{F_Q/F_p}(twist * x) = digits(x) . w mod p.
 
-        twist is an FFElem of this field; computed scalarly per basis vector.
+        twist is an FFElem of this field.  With x the class of the variable,
+        w_j = Tr(twist * x^j) = sum_i twist_i * s_(i+j), where s_k = Tr(x^k)
+        is the k-th power sum of the roots of the monic modulus
+        x^n + c_(n-1) x^(n-1) + ... + c_0, from Newton's identities:
+        s_0 = n and s_k = -sum_(i=1)^min(k-1, n) c_(n-i) s_(k-i) - [k <= n] k c_(n-k).
         """
-        return [trace_to_prime_int(twist * self.spec.from_index(self.p**j))
-                for j in range(self.n)]
+        p, n, c = self.p, self.n, self.spec.modulus
+        s = [n % p]
+        for k in range(1, 2 * n - 1):
+            acc = sum(c[n - i] * s[k - i] for i in range(1, min(k - 1, n) + 1))
+            if k <= n:
+                acc += k * c[n - k]
+            s.append(-acc % p)
+        t = twist.coeffs
+        return [sum(t[i] * s[i + j] for i in range(n)) % p for j in range(n)]
 
     def trace_gram(self, w):
         """M[s][t] = Tr(twist * x^s * x^t) for w = trace_weights(twist).
@@ -186,6 +208,7 @@ class _ConvKernel:
     def __init__(self, F: BulkField):
         p, n = F.p, F.n
         self.p, self.n = p, n
+        self.spec, self.Q = F.spec, F.Q
         self.gram = F.trace_gram
         # narrowest dtype that can hold the worst-case pre-reduction value
         self.bound = bound = n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
@@ -271,6 +294,33 @@ class _ConvKernel:
             if e:
                 base = self.mul(base, base)
         return result
+
+    def sqrt(self, a):
+        if self.p == 2:  # squaring is onto: a = (a^(Q/2))^2
+            return np.ones(a.shape[:-1], dtype=bool), self.pow(a, self.Q // 2)
+        # Q - 1 = 2^S t, t odd; units[j] = c^(2^j) for c = z^t, a primitive
+        # 2^S-th root of unity from a non-residue z
+        S, t, c = _two_power_part(self.spec)
+        units = [self.digits_of(np.array([c], dtype=np.int64))]
+        for _ in range(S - 1):
+            units.append(self.mul(units[-1], units[-1]))
+        one = self.digits_of(np.array([1], dtype=np.int64))
+        w = self.pow(a, (t - 1) // 2)
+        root = self.mul(a, w)  # a^((t+1)/2)
+        b = self.mul(root, w)  # a^t; root^2 = a * b throughout
+        for k in range(S - 1, 0, -1):
+            # on squares b^(2^k) = 1; where b^(2^(k-1)) = -1 instead,
+            # multiplying b by c^(2^(S-k)) and root by c^(2^(S-k-1)) keeps
+            # root^2 = a * b and makes b^(2^(k-1)) = 1
+            e = b
+            for _ in range(k - 1):
+                e = self.mul(e, e)
+            flip = ~self.eq(e, one)[..., None]
+            root = np.where(flip, self.mul(root, units[S - k - 1]), root)
+            b = np.where(flip, self.mul(b, units[S - k]), b)
+        # Euler's criterion: a^((Q-1)/2) = b^(2^(S-1)) is unchanged by the
+        # rounds (c^(2^S) = 1), so b ends at 1 exactly on nonzero squares
+        return self.eq(b, one) | self.is_zero(a), root
 
     def is_zero(self, a):
         return ~a.any(axis=-1)
@@ -359,6 +409,15 @@ class _TableKernel:
         s = ((a.astype(dt) * e) % M).astype(np.int32)
         s[a == M] = M
         return s
+
+    def sqrt(self, a):
+        M = self.M
+        if self.p == 2:  # M is odd: g^k = (g^((k + M) / 2))^2 for odd k
+            return np.ones(a.shape, dtype=bool), (a + (a & 1) * M) >> 1
+        # M is even: g^k is a square iff k is even, zero (code M) included
+        root = a >> 1
+        root[a == M] = M
+        return (a & 1) == 0, root
 
     def is_zero(self, a):
         return a == self.M
@@ -453,6 +512,21 @@ def _primitive_root(spec: FieldSpec):
         if all(x**c != one for c in cofactors):
             return x
     raise AssertionError(f"no primitive root in {spec}")
+
+
+@functools.lru_cache(maxsize=8)
+def _two_power_part(spec: FieldSpec):
+    """(S, t, index of z^t) with Q - 1 = 2^S t, t odd, for the quadratic
+    non-residue z of smallest index (odd p)."""
+    M = spec.q - 1
+    S = (M & -M).bit_length() - 1
+    t = M >> S
+    one = spec.one()
+    for i in range(2, spec.q):
+        z = spec.from_index(i)
+        if z ** (M // 2) != one:
+            return S, t, (z**t).index()
+    raise AssertionError(f"no quadratic non-residue in {spec}")
 
 
 _cache = OrderedDict()  # FieldSpec -> _LogTables, least recently used first

@@ -14,13 +14,17 @@ first strategy of one ordered tuple that takes it:
   2. one variable, f = 0: roots via gcd with x^Q - x;
   3. one variable, f != 0: those roots walked over the base field when
      they all lie there;
-  4. two variables with separable equations: key matching, never Q^2;
-  5. the chunked engine, under a candidate budget.
+  4. two or more variables, an equation of degree 1 or (odd p) 2 in one
+     variable y with a constant leading coefficient: the other variables
+     walked, y solved by a square root per point, Q^(r-1) candidates;
+  5. two variables with separable equations: key matching, never Q^2;
+  6. the chunked engine, under a candidate budget.
 
 Every point walk goes through one chunk loop (`_chunks`) and one
-evaluator (`_Chunk`): block tallies, the pair scan, fiber histograms over
-a base map, the membership walks behind cover checks and, over the exact
-integers of `heights._Integers`, the height box.  A chunk is a grid of
+evaluator (`_Chunk`): block tallies, the quadratic-fiber walk, the pair
+scan, fiber histograms over a base map, the membership walks behind
+cover checks and, over the exact integers of `heights._Integers`, the
+height box.  A chunk is a grid of
 prefixes of the leading variables, as (R, 1) columns, times values of
 the last variable, as a (1, T) row; flattened row-major, the grids keep
 PointEnumeration's order (first variable most significant).  Monomials
@@ -412,7 +416,7 @@ def _block_histogram(b: _Block):
     """
     # names looked up per call, so a test can stand in for one strategy
     for strategy in (_full_space_hist, _count_univariate, _univariate_hist,
-                     _pair_hist, _engine_hist):
+                     _quadratic_hist, _pair_hist, _engine_hist):
         part = strategy(b)
         if part is not None:
             return part
@@ -897,6 +901,77 @@ def _univariate_hist(b: _Block):
     bad = base_hist([], []) - base_hist([], b.ineqs)
     check_roots(int(bad.sum()), R)
     return [a - int(c) for a, c in zip(full, bad)]
+
+
+def _quadratic_equation(b: _Block):
+    """(e, y, a, coefficients) for the first equation e, trying the last
+    variable first, whose degree d in a variable y is 1 or 2 (2 only for
+    odd p) with a constant leading coefficient a, nonzero mod p:
+    coefficients[k] is the coefficient of y^k, a Poly without y.  None
+    when no equation fits."""
+    p = b.F.p
+    for y in reversed(b.vs):
+        for e in b.eqs:
+            coeffs = {}
+            for exps, c in e.terms.items():
+                rest = exps[:y] + (0,) + exps[y + 1:]
+                coeffs.setdefault(exps[y], {})[rest] = c
+            d = max(coeffs)
+            a = coeffs[d].get((0,) * e.nvars, 0) % p
+            if d in (1, 2) and (d == 1 or p != 2) and len(coeffs[d]) == 1 and a:
+                return e, y, a, {k: Poly(e.nvars, t) for k, t in coeffs.items()}
+    return None
+
+
+def _quadratic_hist(b: _Block):
+    """Exponent histogram over a block with an equation e = a y^2 + g(x) y
+    + h(x), or a y + h(x), for a nonzero constant a (_quadratic_equation):
+    the other r - 1 variables x are walked and y takes its roots at each
+    x, so Q^(r-1) points are charged, not Q^r.
+
+    For odd p the roots are y = (-g +- s) / 2a with s^2 = D = g^2 - 4ah:
+    1 + eta(D) of them for the quadratic character eta (Ireland and Rosen,
+    ch. 8), so the second is taken only where D != 0.  Degree 1 has the
+    one root y = -h / a.  The points (x, y) are gathered into one chunk,
+    on which the other equations, the inequations and the trace of f are
+    evaluated as in the engine.  None when no equation fits.
+    """
+    found = None if len(b.vs) < 2 else _quadratic_equation(b)
+    if found is None:
+        return None
+    e, y, a, coeffs = found
+    p, B = b.F.p, BulkField(b.E)
+    zero = Poly(e.nvars)
+    lin, const = coeffs.get(1, zero), coeffs.get(0, zero)
+    others = [q for q in b.eqs if q is not e]
+    hist = np.zeros(p, dtype=np.int64)
+    for chunk in _chunks(B, [v for v in b.vs if v != y], b.budget):
+        h = chunk.eval(const)
+        if 2 not in coeffs:
+            rows = np.arange(chunk.rows)
+            roots = B.scale(-pow(a, -1, p), h)
+        else:
+            g = None if lin.is_zero() else chunk.eval(lin)
+            D = B.scale(-4 * a, h)
+            if g is not None:
+                D = B.add(B.mul(g, g), D)
+            square, s = B.sqrt(D)
+            two = square & B.nonzero(D)
+            rows = np.concatenate([np.flatnonzero(square), np.flatnonzero(two)])
+            s = np.concatenate([s[square], B.neg(s[two])])
+            if g is not None:
+                s = B.add(B.neg(g[rows]), s)
+            roots = B.scale(pow(2 * a, -1, p), s)
+        if not len(rows):
+            continue
+        pts = chunk.select(rows)
+        pts = _Chunk(B, {**pts.elems, y: roots[None]}, y, pts.shape)
+        mask = pts.mask(others, b.ineqs)
+        if b.f.is_zero():
+            hist[0] += int(mask.sum())
+        else:
+            hist += np.bincount(pts.trace(b.f, b.trace_w)[mask], minlength=p)
+    return [int(v) for v in hist]
 
 
 class _PairMatch:

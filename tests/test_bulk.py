@@ -155,6 +155,60 @@ def test_trace_gram_equals_its_definition(p, k):
         assert B.trace_gram(B.trace_weights(twist)) == want
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 5), (3, 1), (3, 7), (3, 14), (5, 4),
+                                 (7, 3), (131, 2), (3, 16)])
+def test_trace_weights_equal_the_scalar_traces(p, k):
+    F = build_field(p, k, max_bits=64)
+    B = BulkField(F)
+    for twist in (F.zero(), F.one(), F.from_index(F.q - 2), F.from_index(p + 1)):
+        want = [trace_to_prime_int(twist * F.from_index(p**j)) for j in range(k)]
+        assert B.trace_weights(twist) == want
+
+
+def _check_sqrt(B, idx):
+    """sqrt of squares, and is_square against Euler's criterion, on rows
+    with the given element indices (0 among them); returns the number of
+    non-squares."""
+    F = B.spec
+    a = B.digits_of(idx)
+    square, root = B.sqrt(a)
+    assert np.array_equal(square, B.eq(B.mul(root, root), a))
+    euler = [F.p == 2 or x.is_zero() or x ** ((F.q - 1) // 2) == F.one()
+             for x in map(F.from_index, idx[:200].tolist())]
+    assert square[:200].tolist() == euler
+    a2 = B.mul(a, a)
+    square2, root2 = B.sqrt(a2)
+    assert square2.all() and B.eq(B.mul(root2, root2), a2).all()
+    zero = np.flatnonzero(idx == 0)
+    assert square[zero].all() and B.is_zero(root[zero]).all()
+    return int((~square).sum())
+
+
+def _conv(F):
+    """A BulkField on the convolution kernel, also below the table limit."""
+    B = BulkField(F)
+    B._kernel = bulk._ConvKernel(B)
+    return B
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS + [(17, 1), (257, 1)])
+def test_sqrt_on_a_full_walk_of_each_kernel(p, k):
+    # 17 - 1 = 2^4 and 257 - 1 = 2^8 take every Tonelli-Shanks round
+    F = build_field(p, k)
+    for B in (BulkField(F), _conv(F)):
+        nonsquares = _check_sqrt(B, np.arange(F.q, dtype=np.int64))
+        assert nonsquares == (0 if p == 2 else (F.q - 1) // 2)
+
+
+@pytest.mark.parametrize("p,k", [(3, 17), (5, 12), (3, 18), (2, 27)])
+def test_sqrt_on_the_convolution_kernel(p, k):
+    # v_2(Q - 1) is 1, 4 and 3 for the odd fields
+    F = build_field(p, k, max_bits=64)
+    B = BulkField(F)
+    assert isinstance(B._kernel, bulk._ConvKernel)
+    _check_sqrt(B, _rows(F, 2000, p))
+
+
 def test_tables_are_built_only_by_walks():
     bulk._cache.clear()
     F = build_field(3, 1)

@@ -1,8 +1,9 @@
 """Point counting, exponent histograms, and closed-point tallies.
 
 The fast counting paths (linearized monomials, quadratic diagonalization,
-separable two-variable matching) are cross-checked here against a direct
-scalar enumeration, which is its own independent implementation.
+quadratic fibers, separable two-variable matching) are cross-checked here
+against a direct scalar enumeration, which is its own independent
+implementation, and each strategy against the chunked engine.
 """
 
 import itertools
@@ -401,6 +402,23 @@ STRATEGY_CASES = [
     ("_pair_hist", _block(2, 5, 2, 2, ["x0^3 - x1^2 - 1"], f="x0^2*x1")),
     ("_pair_hist", _block(2, 7, 3, 1, ["x0^2 + 3*x1^3 - 2", "x0^3 - x1"])),
     ("_pair_hist", _block(2, 7, 1, 3, ["x0^2 + 3*x1^3 - 2"], f="x0*x1^2 + x0")),
+    # the circle: no y term, so the roots are +-s / 2a
+    ("_quadratic_hist", _block(2, 3, 2, 3, ["x0^2 + x1^2 - 1"], f="x0*x1")),
+    ("_quadratic_hist", _block(2, 3, 2, 3, ["x0^2 + x1^2 - 2"])),
+    # a y term g(x) = x0 (the cubic of the zeta corpus), and a leading 3
+    ("_quadratic_hist", _block(2, 5, 1, 3, ["x1^2 + x0*x1 - x0^3 - 2"])),
+    ("_quadratic_hist", _block(2, 7, 1, 3, ["3*x1^2 + x0*x1 + x0^2 - 1"], f="x1^3 + x0")),
+    ("_quadratic_hist", _block(2, 7, 2, 1, ["x1^2 - x0^3 - 3*x0"], ["x1"], f="x0*x1")),
+    # y^2 = x0^2: a double root at x0 = 0
+    ("_quadratic_hist", _block(2, 3, 1, 5, ["x1^2 - x0^2"], f="x0 + x1^2")),
+    ("_quadratic_hist", _block(2, 3, 1, 5, ["x1^2 - x0^2"])),
+    # degree 1 in y, with y in an inequation and in f
+    ("_quadratic_hist", _block(2, 5, 2, 1, ["2*x1 + x0^3 - 1"], ["x0*x1 - 1"], f="x0*x1")),
+    # three variables; y = x2 also in a second equation, an inequation and f
+    ("_quadratic_hist", _block(3, 3, 1, 3, ["x2^2 + x0*x2 + x1 - 1", "x0*x2 + x1^2 - x2"],
+                               ["x2 - x0"], f="x2^2*x1 + x0")),
+    ("_quadratic_hist", _block(3, 5, 2, 1, ["x0^2 + 2*x1^2 + 3*x2^2 - 1"], f="x0*x1*x2")),
+    ("_quadratic_hist", _block(3, 3, 2, 1, ["x0*x1 + x2^2 - x1*x2 - 1"], ["x0 + x2"])),
 ]
 
 
@@ -411,6 +429,38 @@ def test_strategy_matches_the_engine_on_the_same_block(name, block):
     assert part == varieties._engine_hist(block)
     if block.f.is_zero():
         assert part[1:] == [0] * (block.F.p - 1)
+
+
+@pytest.mark.parametrize("block", [
+    _block(2, 2, 2, 1, ["x0^2 + x1^2 - 1"]),  # p = 2: no square-root formula
+    _block(2, 3, 1, 2, ["x0*x1^2 + x0^2*x1 - 1"]),  # leading x0 in x1, x1 in x0
+    _block(2, 5, 1, 1, ["x0^3 + x1^3 - 1"], f="x0*x1"),  # degree 3 in both
+], ids=["p2", "non-constant-lead", "cubic"])
+def test_quadratic_strategy_declines_blocks_without_a_quadratic_fiber(block):
+    assert varieties._quadratic_hist(block) is None
+
+
+@pytest.mark.parametrize("split", ["R", "T"])
+def test_quadratic_strategy_in_small_chunks(monkeypatch, split):
+    # the leading variables of a three-variable block split across chunks
+    block = _block(3, 3, 1, 3, ["x2^2 + x0*x2 + x1 - 1"], ["x2 - x0"], f="x2^2*x1 + x0")
+    want = varieties._engine_hist(block)
+    shapes = _walk_in_small_chunks(monkeypatch, 27, 3, split)
+    assert varieties._quadratic_hist(block) == want
+    assert len(shapes) > 1
+
+
+@pytest.mark.parametrize("block", [
+    _block(2, 3, 2, 2, ["x0^2 + x1^2 - 1"], f="x0*x1"),
+    _block(2, 17, 1, 1, ["x1^2 + x0*x1 - x0^3 - 2"], ["x1 - 1"], f="x1"),  # 17 - 1 = 2^4
+    _block(3, 5, 1, 2, ["x0^2 + 2*x1^2 + 3*x2^2 - 1"], f="x0*x1*x2"),
+], ids=["circle", "cubic", "r3"])
+def test_quadratic_strategy_on_the_convolution_kernel(monkeypatch, block):
+    # the digit-vector kernel's Tonelli-Shanks roots, against table walks
+    want = varieties._engine_hist(block)
+    monkeypatch.setattr(bulk, "_TABLE_LIMIT", 0)
+    assert isinstance(BulkField(block.E)._kernel, bulk._ConvKernel)
+    assert varieties._quadratic_hist(block) == want
 
 
 # three separable equations over F_{3^7}; x1 = x0 and x1 = -x0 solve all
@@ -447,27 +497,35 @@ def test_pair_match_offsets_are_bounded_by_the_y_keys():
     assert peak < 8 << 20
 
 
+def _circle_peak(strategy, f, m):
+    """Traced peak of one strategy on the circle block over F_{9^m}, the
+    field's tables included."""
+    block = _block(2, 3, 2, m, ["x0^2 + x1^2 - 1"], f=f)
+    bulk._cache.clear()
+    tracemalloc.start()
+    try:
+        assert strategy(block) is not None
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("f", [None, "x0*x1"])
 def test_pair_strategy_memory_grows_by_a_bounded_amount_per_element(f):
-    # the circle over F_9 is one pair block over F_{3^(2m)}; its traced
-    # peak, the field's tables included, may grow by at most 70 bytes per
-    # extra element from Q = 3^12 (m = 6) to Q = 3^14 (m = 7)
-    F = build_field(3, 2)
-    X = circle(None if f is None else Poly.parse(f, 2))
+    # the circle over F_9 as a pair block over F_{3^(2m)}: its traced peak
+    # may grow by at most 70 bytes per extra element from Q = 3^12 (m = 6)
+    # to Q = 3^14 (m = 7)
+    grow = _circle_peak(varieties._pair_hist, f, 7) - _circle_peak(varieties._pair_hist, f, 6)
+    assert grow / (3**14 - 3**12) <= 70
 
-    def peak(m):
-        bulk._cache.clear()
-        tracemalloc.start()
-        try:
-            if f is None:
-                count_points_ff(X, F, m)
-            else:
-                exponent_histogram(X, character(F), m)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert (peak(7) - peak(6)) / (3**14 - 3**12) <= 70
+@pytest.mark.parametrize("f", [None, "x0*x1"])
+def test_quadratic_strategy_memory_grows_by_a_bounded_amount_per_element(f):
+    # the same circle through the quadratic-fiber strategy: chunks of x0
+    # and their roots x1, so little beyond the tables' 13 bytes per element
+    grow = (_circle_peak(varieties._quadratic_hist, f, 7)
+            - _circle_peak(varieties._quadratic_hist, f, 6))
+    assert grow / (3**14 - 3**12) <= 24
 
 
 @pytest.mark.parametrize("X", [
