@@ -165,10 +165,6 @@ class BulkField:
         with w = trace_weights(c) this is Tr(c * a)."""
         return self._kernel.linear_form(a, w)
 
-    def pair_trace(self, x, y, w):
-        """linear_form(x * y, w) over row pairs (x[i], y[i])."""
-        return self._kernel.pair_trace(x, y, w)
-
     def trace_weights(self, twist):
         """Weights w with Tr_{F_Q/F_p}(twist * x) = digits(x) . w mod p.
 
@@ -209,7 +205,6 @@ class _ConvKernel:
         p, n = F.p, F.n
         self.p, self.n = p, n
         self.spec, self.Q = F.spec, F.Q
-        self.gram = F.trace_gram
         # narrowest dtype that can hold the worst-case pre-reduction value
         self.bound = bound = n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
         if bound < (1 << 15) - 1:
@@ -236,9 +231,6 @@ class _ConvKernel:
             self.digit_table = np.empty((self.block, self.span), dtype=self.dtype)
             for j in range(self.span):
                 table, self.digit_table[:, j] = np.divmod(table, p)
-        # pair_trace's bilinear form, sum_st x_s M_st y_t, is exact in
-        # float64 while n^2 (p-1)^3 < 2^53; past that it runs in int64
-        self.form_dtype = np.float64 if n * n * (p - 1) ** 3 < 1 << 53 else np.int64
 
     def digits_of(self, idx):
         n, span = self.n, self.span
@@ -331,14 +323,6 @@ class _ConvKernel:
     def linear_form(self, a, w):
         return (a @ np.asarray(w, dtype=self.dtype)) % self.p
 
-    def pair_trace(self, x, y, w):
-        # x^T M y with the trace Gram matrix M: no field multiplication
-        dt = self.form_dtype
-        left = x.astype(dt) @ np.array(self.gram(w), dtype=dt)
-        if dt is np.int64:
-            left %= self.p
-        return np.einsum("...n,...n->...", left, y.astype(dt)).astype(np.int64) % self.p
-
 
 # ---------------------------------------------------------------------------
 # Q <= 2^26: discrete-log rows
@@ -427,9 +411,6 @@ class _TableKernel:
 
     def linear_form(self, a, w):
         return self.t.trace_table(w)[a]
-
-    def pair_trace(self, x, y, w):
-        return self.linear_form(self.mul(x, y), w)
 
 
 class _LogTables:

@@ -14,18 +14,20 @@ first strategy of one ordered tuple that takes it:
   2. one variable, f = 0: roots via gcd with x^Q - x;
   3. one variable, f != 0: those roots walked over the base field when
      they all lie there;
-  4. two or more variables, an equation of degree 1 or (odd p) 2 in one
-     variable y with a constant leading coefficient: the other variables
-     walked, y solved by a square root per point, Q^(r-1) candidates;
-  5. two variables with separable equations: key matching, never Q^2;
-  6. the chunked engine, under a candidate budget.
+  4. two or more variables, an equation e solved for one variable y at
+     each point of the others: by a square root when e has degree 1 or
+     (odd p) 2 in y with a constant leading coefficient, Q^(r-1)
+     candidates; else, for two variables and e = u(x) + w(y), from a
+     table of every y sorted by w(y), 2Q candidates plus the roots
+     expanded;
+  5. the chunked engine, under a candidate budget.
 
 Every point walk goes through one chunk loop (`_chunks`) and one
-evaluator (`_Chunk`): block tallies, the quadratic-fiber walk, the pair
-scan, fiber histograms over a base map, the membership walks behind
-cover checks and, over the exact integers of `heights._Integers`, the
-height box.  A chunk is a grid of
-prefixes of the leading variables, as (R, 1) columns, times values of
+evaluator (`_Chunk`): block tallies, the walks of strategy 4 and its
+root table, fiber histograms over a base map, the membership walks
+behind cover checks and, over the exact integers of `heights._Integers`,
+the height box.  A chunk is a grid of prefixes of the leading
+variables, as (R, 1) columns, times values of
 the last variable, as a (1, T) row; flattened row-major, the grids keep
 PointEnumeration's order (first variable most significant).  Monomials
 are evaluated at their smallest broadcast shape, an equation is tested
@@ -416,7 +418,7 @@ def _block_histogram(b: _Block):
     """
     # names looked up per call, so a test can stand in for one strategy
     for strategy in (_full_space_hist, _count_univariate, _univariate_hist,
-                     _quadratic_hist, _pair_hist, _engine_hist):
+                     _fiber_hist, _engine_hist):
         part = strategy(b)
         if part is not None:
             return part
@@ -558,10 +560,11 @@ class _Chunk:
         """The chunk of the given flat rows, in that order, as one (1, k)
         row per variable, gathered through broadcast views: no full grid
         is copied."""
-        i, j = np.divmod(np.asarray(rows), self.shape[1])
+        rows = np.asarray(rows)
+        i, j = np.divmod(rows, self.shape[1]) if self.shape[0] > 1 else (0, rows)
         elems = {v: np.broadcast_to(d, self.shape + d.shape[2:])[i, j][None]
                  for v, d in self.elems.items()}
-        return _Chunk(self.bulk, elems, self.last, (1, len(i)))
+        return _Chunk(self.bulk, elems, self.last, (1, len(rows)))
 
     def point(self, row):
         """Element indices of one flat row, in variable order."""
@@ -903,53 +906,97 @@ def _univariate_hist(b: _Block):
     return [a - int(c) for a, c in zip(full, bad)]
 
 
-def _quadratic_equation(b: _Block):
-    """(e, y, a, coefficients) for the first equation e, trying the last
-    variable first, whose degree d in a variable y is 1 or 2 (2 only for
-    odd p) with a constant leading coefficient a, nonzero mod p:
-    coefficients[k] is the coefficient of y^k, a Poly without y.  None
-    when no equation fits."""
+def _y_coefficients(e, y):
+    """{k: the terms of the coefficient of y^k in e}, without y."""
+    coeffs = {}
+    for exps, c in e.terms.items():
+        coeffs.setdefault(exps[y], {})[exps[:y] + (0,) + exps[y + 1:]] = c
+    return coeffs
+
+
+def _constant(terms, p):
+    """The value mod p of a coefficient's terms if it is a constant, else 0."""
+    exps = next(iter(terms))
+    return terms[exps] % p if len(terms) == 1 and not any(exps) else 0
+
+
+def _fiber(b: _Block):
+    """(solver, e, y): the first equation e of the block, with the
+    variable y it is solved for (the last variable tried first), that a
+    fiber solver takes; None when neither does.
+
+    _sqrt_roots comes first: e of degree 1 or (odd p) 2 in y with a
+    constant leading coefficient, nonzero mod p.  Else _table_roots, for
+    two variables: e = u(x) + w(y) with w nonconstant, over a field of
+    fewer than 2^31 elements, so that keys and indices fit in int32.
+    """
+    if len(b.vs) < 2:
+        return None
     p = b.F.p
-    for y in reversed(b.vs):
-        for e in b.eqs:
-            coeffs = {}
-            for exps, c in e.terms.items():
-                rest = exps[:y] + (0,) + exps[y + 1:]
-                coeffs.setdefault(exps[y], {})[rest] = c
-            d = max(coeffs)
-            a = coeffs[d].get((0,) * e.nvars, 0) % p
-            if d in (1, 2) and (d == 1 or p != 2) and len(coeffs[d]) == 1 and a:
-                return e, y, a, {k: Poly(e.nvars, t) for k, t in coeffs.items()}
+    splits = [(e, y, _y_coefficients(e, y)) for y in reversed(b.vs) for e in b.eqs]
+    for e, y, coeffs in splits:
+        d = max(coeffs)
+        if d in (1, 2) and (d == 1 or p != 2) and _constant(coeffs[d], p):
+            return _sqrt_roots, e, y
+    if len(b.vs) == 2 and b.F.q ** b.m < 1 << 31:
+        for e, y, coeffs in splits:
+            if max(coeffs) and all(_constant(c, p) for k, c in coeffs.items() if k):
+                return _table_roots, e, y
     return None
 
 
-def _quadratic_hist(b: _Block):
-    """Exponent histogram over a block with an equation e = a y^2 + g(x) y
-    + h(x), or a y + h(x), for a nonzero constant a (_quadratic_equation):
-    the other r - 1 variables x are walked and y takes its roots at each
-    x, so Q^(r-1) points are charged, not Q^r.
+def _fiber_hist(b: _Block):
+    """Exponent histogram over a block with an equation e that a solver
+    takes (_fiber): the other variables x are walked, and the solver
+    returns (roots, eqs, ineqs).  roots(chunk) is (n, batches): the n
+    roots y of e at the chunk's points and, lazily, (rows, ys) batches
+    of flat chunk rows and their roots.  The points (x, y) are gathered
+    into one chunk, on which the conditions left, eqs and ineqs, and the
+    trace of f are evaluated as in the engine; a count with no
+    conditions left adds up n and gathers nothing.
+    """
+    fiber = _fiber(b)
+    if fiber is None:
+        return None
+    solver, e, y = fiber
+    p, B = b.F.p, BulkField(b.E)
+    roots, eqs, ineqs = solver(b, B, e, y, [q for q in b.eqs if q is not e], b.ineqs)
+    count = b.f.is_zero() and not eqs and not ineqs
+    hist = np.zeros(p, dtype=np.int64)
+    for chunk in _chunks(B, [v for v in b.vs if v != y], b.budget):
+        n, batches = roots(chunk)
+        if count:
+            hist[0] += n
+            continue
+        for rows, ys in batches:
+            pts = chunk.select(rows)
+            pts = _Chunk(B, {**pts.elems, y: ys[None]}, y, pts.shape)
+            code = pts.trace(b.f, b.trace_w)  # zeros for a count
+            if eqs or ineqs:
+                code = code[pts.mask(eqs, ineqs)]
+            hist += np.bincount(code, minlength=p)
+    return [int(v) for v in hist]
+
+
+def _sqrt_roots(b: _Block, B, e, y, eqs, ineqs):
+    """The roots of e = a y^2 + g(x) y + h(x), or a y + h(x), for a
+    nonzero constant a: Q^(r-1) points x are charged, not Q^r.
 
     For odd p the roots are y = (-g +- s) / 2a with s^2 = D = g^2 - 4ah:
     1 + eta(D) of them for the quadratic character eta (Ireland and Rosen,
     ch. 8), so the second is taken only where D != 0.  Degree 1 has the
-    one root y = -h / a.  The points (x, y) are gathered into one chunk,
-    on which the other equations, the inequations and the trace of f are
-    evaluated as in the engine.  None when no equation fits.
+    one root y = -h / a.  Every other condition is left to the points.
     """
-    found = None if len(b.vs) < 2 else _quadratic_equation(b)
-    if found is None:
-        return None
-    e, y, a, coeffs = found
-    p, B = b.F.p, BulkField(b.E)
-    zero = Poly(e.nvars)
-    lin, const = coeffs.get(1, zero), coeffs.get(0, zero)
-    others = [q for q in b.eqs if q is not e]
-    hist = np.zeros(p, dtype=np.int64)
-    for chunk in _chunks(B, [v for v in b.vs if v != y], b.budget):
+    coeffs = _y_coefficients(e, y)
+    p = b.F.p
+    a = _constant(coeffs[max(coeffs)], p)
+    lin, const = (Poly(e.nvars, coeffs.get(k)) for k in (1, 0))
+
+    def roots(chunk):
         h = chunk.eval(const)
         if 2 not in coeffs:
             rows = np.arange(chunk.rows)
-            roots = B.scale(-pow(a, -1, p), h)
+            ys = B.scale(-pow(a, -1, p), h)
         else:
             g = None if lin.is_zero() else chunk.eval(lin)
             D = B.scale(-4 * a, h)
@@ -961,238 +1008,89 @@ def _quadratic_hist(b: _Block):
             s = np.concatenate([s[square], B.neg(s[two])])
             if g is not None:
                 s = B.add(B.neg(g[rows]), s)
-            roots = B.scale(pow(2 * a, -1, p), s)
-        if not len(rows):
-            continue
-        pts = chunk.select(rows)
-        pts = _Chunk(B, {**pts.elems, y: roots[None]}, y, pts.shape)
-        mask = pts.mask(others, b.ineqs)
-        if b.f.is_zero():
-            hist[0] += int(mask.sum())
-        else:
-            hist += np.bincount(pts.trace(b.f, b.trace_w)[mask], minlength=p)
-    return [int(v) for v in hist]
+            ys = B.scale(pow(2 * a, -1, p), s)
+        return len(rows), [(rows, ys)]
+
+    return roots, eqs, ineqs
 
 
-class _PairMatch:
-    """Solution set of a 2-variable block with separable equations.
+def _table_roots(b: _Block, B, e, y, eqs, ineqs):
+    """The roots of e = u(x) + w(y) in a two-variable block, from a table
+    of the elements t sorted by the key of -w(t).
 
-    Each equation must split as u(x) + w(y) = 0; inequations must be
-    univariate.  Solutions are pairs with key(x) = (u_k(x))_k equal to
-    key(y) = (-w_k(y))_k.  The surviving y indices are held sorted by key
-    (one packed int64 sort of key << 32 | index, see _pair_match), and x
-    row i matches the run iy_sorted[lo[i]:hi[i]].  Never Q^2.
+    One walk over t in F_Q (charged Q) evaluates u(t) and -w(t), sharing
+    the chunk's powers, and the conditions on x alone and on y alone; a
+    t that fails one gets the key Q.  The t are sorted by key (one np.sort
+    of the distinct int64 values key << 32 | index, whose low words are
+    then the sorted indices), those keyed Q are cut off the end, and
+    offsets[k] is where key k starts.  The roots at x are the run
+    offsets[key(u(x))] up to the next offset, so a count is the sum of
+    the run lengths; runs are expanded by np.repeat, about _CHUNK points
+    at a time, and charged against the budget.  The conditions on x and
+    y together are left to the points.
+    Memory per field element, beyond the tables' 12: 4 of x keys, 8 of y
+    keys packed and sorted, 4 of sorted indices and 4 of offsets.
     """
-
-    def __init__(self, ix, lo, hi, iy_sorted):
-        self.ix = ix  # surviving x indices
-        self.lo = lo  # per-x match range into iy_sorted
-        self.hi = hi
-        self.iy_sorted = iy_sorted
-
-    @property
-    def count(self):
-        return int(self.hi.sum(dtype=np.int64) - self.lo.sum(dtype=np.int64))
-
-    def pairs(self, chunk):
-        """Yield (I, J) element-index arrays covering all solution pairs.
-
-        Blocks are whole x-rows expanded by np.repeat, roughly `chunk`
-        pairs each (one oversized row can exceed it).
-        """
-        nrows = len(self.lo)
-        starts = np.zeros(nrows + 1, dtype=np.int64)
-        starts[1:] = self.hi
-        starts[1:] -= self.lo
-        np.cumsum(starts, out=starts)
-        row = 0
-        while row < nrows:
-            end = int(np.searchsorted(starts, starts[row] + chunk, side="left"))
-            end = min(max(end, row + 1), nrows)
-            if starts[end] > starts[row]:
-                counts = np.diff(starts[row:end + 1])
-                # pair t of row r sits at iy_sorted[lo[r] + t - starts[r]]
-                at = np.repeat(self.lo[row:end] - starts[row:end], counts)
-                at += np.arange(starts[row], starts[end])
-                yield np.repeat(self.ix[row:end], counts), self.iy_sorted[at]
-            row = end
-
-
-# key ranges up to this many buckets, and up to _BUCKETS_PER_KEY buckets per
-# y key, use a direct offset table
-_BUCKET_LIMIT = 1 << 28
-_BUCKETS_PER_KEY = 4
-
-
-def _pair_match(vs, eqs, ineqs, B: BulkField, budget, extra_jobs=()):
-    """Match a separable 2-variable block over the field of B.
-
-    Returns (match, extra outputs); match is None when the block does not
-    fit the separable shape.  extra_jobs are (univariate poly,
-    reduce_chunk) pairs evaluated in the same scan as the keys.
-
-    One scan of v1 writes both sides' keys, and the y side is sorted by
-    key.  While key_range < 2^31 the keys are int32 and the sort is a plain
-    np.sort of one int64 array key << 32 | index: its values are distinct,
-    so the order is the stable order by key, and the low and high words
-    are the sorted indices and keys.  Wider keys take a stable argsort.  A
-    key range up to _BUCKET_LIMIT and up to _BUCKETS_PER_KEY times the
-    number of y keys is matched through a table of bucket offsets into
-    the sorted keys; a wider one by binary search, with the x side sorted
-    too so that the searches run in key order.  Indices are int32 while
-    Q < 2^31.
-
-    Memory per field element on the bucket path, with int32 keys and
-    indices: the scan writes 8 bytes of keys (both sides); sorting and
-    matching peak at 20 (keys, indices and the packed sort, then lo and
-    hi) plus 4 per key of the key range for the offsets (at most 16 per
-    y key); the match keeps
-    16 (x indices, lo, hi, sorted y indices), and expanding pairs adds 8
-    of row starts and up to 2 of univariate trace exponents.  The table
-    kernel's tables add 12.  A one-equation block (key range Q) thus
-    peaks near 24 bytes per element for a count and 26 for a histogram,
-    plus the tables, one chunk of pairs and, with inequations, a mask
-    byte and a transient 12 per element on each masked side.
-    """
-    v1, v2 = vs
-    splits = []
-    for e in eqs:
-        u_terms, w_terms = {}, {}
-        for exps, c in e.terms.items():
-            if exps[v1] and exps[v2]:
-                return None, None
-            (w_terms if exps[v2] else u_terms)[exps] = c
-        splits.append((Poly(e.nvars, u_terms), Poly(e.nvars, w_terms)))
-    for h in ineqs:
-        if len(h.variables()) > 1:
-            return None, None
+    x, = (v for v in b.vs if v != y)
     Q = B.Q
-    key_range = Q ** len(splits)
-    if key_range >= 1 << 62:
-        return None, None  # combined match keys would overflow int64
-    # with at least one equation key_range >= Q, so int32 keys imply int32
-    # indices, which the packed sort needs
-    key_dtype = np.int32 if key_range < 1 << 31 else np.int64
-    idx_dtype = np.int32 if Q < 1 << 31 else np.int64
+    u = Poly(e.nvars, {k: c for k, c in e.terms.items() if not k[y]})
+    minus_w = (u - e).rename({y: x}, e.nvars)  # in x, to share the powers
 
-    # x and y run over the same Q elements: one scan of v1 evaluates every
-    # polynomial, with the y-side written in v1, so both sides share a
-    # power cache
-    def in_v1(poly):
-        return poly.rename({**{i: i for i in range(poly.nvars)}, v2: v1}, poly.nvars)
+    conds = (eqs, ineqs)
+    on_x = [[q for q in c if y not in q.variables()] for c in conds]
+    on_y = [[q.rename({y: x}, q.nvars) for q in c if x not in q.variables()] for c in conds]
+    eqs, ineqs = ([q for q in c if len(q.variables()) == 2] for c in conds)
 
-    splits = [(in_v1(u), in_v1(w)) for u, w in splits]
-    masked = [(in_v1(h), next(iter(h.variables()))) for h in ineqs]
-    extra_jobs = [(in_v1(poly), reduce_chunk) for poly, reduce_chunk in extra_jobs]
-    keys = {v1: np.empty(Q, dtype=key_dtype), v2: np.empty(Q, dtype=key_dtype)}
-    masks = {side: np.ones(Q, dtype=bool) for _h, side in masked}
-    extras = [[] for _ in extra_jobs]
-    start = 0
-    for chunk in _chunks(B, [v1], budget):
-        rows = slice(start, start + chunk.rows)
-        start += chunk.rows
-        xkey = ykey = 0
-        for u, w in splits:
-            xkey = xkey * Q + B.key_of(chunk.eval(u))
-            ykey = ykey * Q + B.key_of(B.neg(chunk.eval(w)))
-        keys[v1][rows], keys[v2][rows] = xkey, ykey
-        for h, side in masked:
-            masks[side][rows] &= B.nonzero(chunk.eval(h))
-        for out, (poly, reduce_chunk) in zip(extras, extra_jobs):
-            out.append(reduce_chunk(chunk.eval(poly)))
-    extras = [np.concatenate(o) for o in extras]
+    def keys(chunk, poly, conds):  # Q, past every key, where a condition fails
+        k = B.key_of(chunk.eval(poly)).astype(np.int32)
+        if any(conds):
+            k[~chunk.mask(*conds)] = Q
+        return k
 
-    def side(v, by_key):
-        """Indices of v's elements that pass its inequations, with their
-        keys; sorted by key when by_key.  Takes v's keys and mask."""
-        key = keys.pop(v)
-        if v in masks:
-            idx = np.flatnonzero(masks.pop(v)).astype(idx_dtype)
-            key = key[idx]
-        else:
-            idx = np.arange(Q, dtype=idx_dtype)
-        if not by_key:
-            return idx, key
-        if key_dtype is np.int64:
-            order = np.argsort(key, kind="stable")
-            return idx[order], key[order]
-        packed = key.astype(np.int64)
-        del key
-        packed <<= 32
-        packed |= idx
-        del idx
-        packed.sort()
-        idx = np.empty(len(packed), dtype=idx_dtype)
-        np.bitwise_and(packed, 0xFFFFFFFF, out=idx, casting="unsafe")
-        key = np.empty(len(packed), dtype=key_dtype)
-        np.right_shift(packed, 32, out=key, casting="unsafe")
-        return idx, key
+    ykeys, xkeys = [], []  # per chunk of the walk
+    for chunk in _chunks(B, [x], b.budget):
+        ykeys.append(keys(chunk, minus_w, on_y))
+        xkeys.append(keys(chunk, u, on_x))
+    packed = np.concatenate(ykeys, dtype=np.int64)
+    del ykeys
+    packed <<= 32
+    packed |= np.arange(Q, dtype=np.int32)
+    packed.sort()
+    packed = packed[:np.searchsorted(packed, Q << 32)]  # the t that pass
+    table = packed.astype(np.int32)  # the low words
+    packed >>= 32  # the keys, in order: counted a slice at a time
+    offsets = np.zeros(Q + 1, dtype=np.int32)
+    for i in range(0, len(packed), _CHUNK):
+        seg = packed[i:i + _CHUNK]
+        counts = np.bincount(seg - seg[0])
+        offsets[seg[0] + 1:seg[0] + 1 + len(counts)] += counts
+    del packed
+    np.cumsum(offsets, out=offsets)
+    xkeys = iter(xkeys)
+    expanded = 0
 
-    iy_sorted, yk = side(v2, True)
-    bucket = key_range <= min(_BUCKET_LIMIT, _BUCKETS_PER_KEY * len(yk))
-    ix, xk = side(v1, not bucket)
-    if bucket:
-        # per-key counts of the sorted keys, one slice at a time, summed in
-        # place into offsets: no key-range-sized int64 temporaries
-        offsets = np.zeros(key_range + 1, dtype=idx_dtype)
-        for i in range(0, len(yk), _CHUNK):
-            seg = yk[i:i + _CHUNK]
-            first = int(seg[0])
-            counts = np.bincount(seg - first)
-            offsets[first + 1:first + 1 + len(counts)] += counts
-        del yk
-        np.cumsum(offsets, dtype=idx_dtype, out=offsets)
-        lo, hi = offsets[xk], offsets[1:][xk]
-    else:
-        lo = np.searchsorted(yk, xk, side="left").astype(idx_dtype)
-        hi = np.searchsorted(yk, xk, side="right").astype(idx_dtype)
-    return _PairMatch(ix, lo, hi, iy_sorted), extras
+    def expand(lo, hi, n):
+        nonlocal expanded
+        expanded += n
+        _check_budget(expanded, b.budget)
+        starts = np.zeros(len(lo) + 1, dtype=np.int64)
+        np.cumsum(hi - lo, out=starts[1:])
+        # whole runs per batch, cut where a run starts at or past k * _CHUNK
+        cuts = [0, *np.searchsorted(starts, np.arange(_CHUNK, n, _CHUNK)).tolist(), len(lo)]
+        shift = lo - starts[:-1]  # root j of run i is table[shift[i] + starts[i] + j]
+        for r, end in zip(cuts, cuts[1:]):
+            rows = np.repeat(np.arange(r, end), np.diff(starts[r:end + 1]))
+            at = shift[rows]
+            at += np.arange(starts[r], starts[end])
+            yield rows, B.digits_of(table[at])
 
+    def roots(chunk):  # the x walk repeats the table walk's chunks, in order
+        k = next(xkeys)  # a key of Q clips to the empty run offsets[Q]:offsets[Q]
+        lo, hi = np.take(offsets, k), np.take(offsets[1:], k, mode="clip")
+        n = int(hi.sum(dtype=np.int64) - lo.sum(dtype=np.int64))
+        return n, expand(lo, hi, n)
 
-def _pair_hist(b: _Block):
-    """Exponent histogram over a separable-equation pair block.
-
-    For f = 0 it is the match count, with no pair expanded or charged.
-    Else the pair count is charged against the budget; univariate f-terms
-    contribute per-variable trace exponents from the matching scan, and
-    each cross monomial a*x^c*y^d contributes Tr(twist * a x^c * y^d) per
-    pair through BulkField.pair_trace.
-    """
-    if len(b.vs) != 2 or not b.eqs:
-        return None
-    v1, v2 = b.vs
-    p, f = b.F.p, b.f
-    uni, cross = {v1: {}, v2: {}}, []
-    for exps, c in f.terms.items():
-        if exps[v1] and exps[v2]:
-            cross.append((exps, c))
-        else:
-            uni[v2 if exps[v2] else v1][exps] = c
-    uni = {v: Poly(f.nvars, terms) for v, terms in uni.items() if terms}
-    B = BulkField(b.E)
-    extra = [(poly, lambda vals: B.linear_form(vals, b.trace_w)) for poly in uni.values()]
-    match, extras = _pair_match(b.vs, b.eqs, b.ineqs, B, b.budget, extra_jobs=extra)
-    if match is None:
-        return None
-    if f.is_zero():
-        return [match.count] + [0] * (p - 1)
-    _check_budget(match.count, b.budget)  # the pairs are expanded below
-    side_exponents = dict(zip(uni, extras))
-    hist = np.zeros(p, dtype=np.int64)
-    for I, J in match.pairs(1 << 20):
-        e = np.zeros(len(I), dtype=np.int64)
-        for v, idx in ((v1, I), (v2, J)):
-            if v in side_exponents:
-                e += side_exponents[v][idx]
-        if cross:
-            x, y = B.digits_of(I), B.digits_of(J)
-            for exps, c in cross:
-                left = B.pow(x, exps[v1])
-                if c != 1:
-                    left = B.scale(c, left)
-                e += B.pair_trace(left, B.pow(y, exps[v2]), b.trace_w)
-        hist += np.bincount(e % p, minlength=p)
-    return [int(v) for v in hist]
+    return roots, eqs, ineqs
 
 
 def _engine_hist(b: _Block):

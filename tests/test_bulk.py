@@ -60,7 +60,7 @@ def _check_against_scalar(F, count, slow_count, seed=0):
     twist = F.from_index(min(2, Q - 1))
     w = B.trace_weights(twist)
     assert B.linear_form(xs, w).tolist() == [trace_to_prime_int(twist * a) for a in Xs]
-    assert B.pair_trace(xs, ys, w).tolist() == [
+    assert B.linear_form(B.mul(xs, ys), w).tolist() == [
         trace_to_prime_int(twist * a * b) for a, b in zip(Xs, Ys)]
     assert B.eq(x, y).tolist() == [a == b for a, b in zip(X, Y)]
     assert B.eq(x, x).all() and B.eq(B.add(x, B.neg(x)), B.const(0, count)).all()
@@ -87,8 +87,6 @@ def _check_grid(B, x, y, X, Y, w, twist, R=7, T=11):
     assert B.eq(col, row).tolist() == grid(lambda a, b: a == b)
     assert B.eq(B.add(col, row), B.neg(col)).tolist() == grid(lambda a, b: a + b == -a)
     assert B.is_zero(B.add(col, row)).tolist() == grid(lambda a, b: (a + b).is_zero())
-    assert B.pair_trace(col, row, w).tolist() == grid(
-        lambda a, b: trace_to_prime_int(twist * a * b))
     assert B.linear_form(B.mul(col, row), w).tolist() == grid(
         lambda a, b: trace_to_prime_int(twist * a * b))
     for e in (0, 2, F.q):

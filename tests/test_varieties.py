@@ -1,7 +1,7 @@
 """Point counting, exponent histograms, and closed-point tallies.
 
 The fast counting paths (linearized monomials, quadratic diagonalization,
-quadratic fibers, separable two-variable matching) are cross-checked here
+fibers solved by a square root or a root table) are cross-checked here
 against a direct scalar enumeration, which is its own independent
 implementation, and each strategy against the chunked engine.
 """
@@ -248,8 +248,10 @@ def small_specs(draw):
 
 
 @settings(max_examples=15)
-# a separable equation with a cross term in f: pair matching over F_9
+# a separable equation with a cross term in f: a square root per x0 over F_9
 @example((affine(2, ["x0^3 - x0 + x1^2 - 1"], f="x0*x1 + x1^2"), 3, 1, 2))
+# a root table where u(x0) = 0, whose key on the table kernel is Q - 1
+@example((affine(2, ["x1^2"], f="x0*x1"), 2, 1, 1))
 @given(small_specs())
 def test_fast_paths_match_scalar_oracle_on_generated_specs(case):
     X, p, k, m = case
@@ -356,7 +358,7 @@ def test_production_paths_do_not_use_the_scalar_oracle(monkeypatch, F3, F4):
 
 @pytest.mark.parametrize("p", [131, 257])
 def test_pair_cross_terms_with_digits_above_127(p):
-    # digits >= 128 must not wrap in the pair path's cross terms
+    # digits >= 128 must not wrap in the root table's cross terms
     F = build_field(p, 1)
     X = affine(2, ["x0^3 + x1^3 - 1"], f="x0*x1")
     chi = character(F, F.from_index(1))
@@ -380,7 +382,15 @@ def _block(nv, p, k, m, eqs=(), ineqs=(), f=None):
                    trace_w=BulkField(b.E).trace_weights(twist))
 
 
-# blocks of up to about 10^6 candidate points, beyond the scalar oracle
+def _force_table(monkeypatch):
+    """Send every block with two or more variables to the root table, which
+    solves its first equation for its last variable."""
+    monkeypatch.setattr(varieties, "_fiber",
+                        lambda b: (varieties._table_roots, b.eqs[0], b.vs[-1]))
+
+
+# blocks of up to about 10^6 candidate points, beyond the scalar oracle; a
+# solver name stands for _fiber_hist with that solver, the table forced
 STRATEGY_CASES = [
     ("_full_space_hist", _block(2, 2, 10, 1)),
     ("_full_space_hist", _block(2, 2, 5, 2, f="x0^2 + x1^8 + x1")),
@@ -397,47 +407,62 @@ STRATEGY_CASES = [
     ("_univariate_hist", _block(1, 5, 1, 8, ineqs=["x0^5 - x0"], f="x0^2")),
     ("_univariate_hist", _block(1, 7, 1, 7, ["x0^7 - x0"], f="x0^3")),
     ("_univariate_hist", _block(1, 3, 1, 12, ["x0^2 + 1", "x0^2 + x0 + 2"], f="x0")),
-    ("_pair_hist", _block(2, 2, 10, 1, ["x0^3 + x1^5 + 1"])),
-    ("_pair_hist", _block(2, 3, 6, 1, ["x0^2 + x1^2 - 1"], ["x0"], f="x0*x1 + x1^2")),
-    ("_pair_hist", _block(2, 5, 2, 2, ["x0^3 - x1^2 - 1"], f="x0^2*x1")),
-    ("_pair_hist", _block(2, 7, 3, 1, ["x0^2 + 3*x1^3 - 2", "x0^3 - x1"])),
-    ("_pair_hist", _block(2, 7, 1, 3, ["x0^2 + 3*x1^3 - 2"], f="x0*x1^2 + x0")),
+    ("_table_roots", _block(2, 2, 10, 1, ["x0^3 + x1^5 + 1"])),
+    ("_table_roots", _block(2, 3, 6, 1, ["x0^2 + x1^2 - 1"], ["x0"], f="x0*x1 + x1^2")),
+    ("_table_roots", _block(2, 5, 2, 2, ["x0^3 - x1^2 - 1"], f="x0^2*x1")),
+    ("_table_roots", _block(2, 7, 3, 1, ["x0^2 + 3*x1^3 - 2", "x0^3 - x1"])),
+    ("_table_roots", _block(2, 7, 1, 3, ["x0^2 + 3*x1^3 - 2"], f="x0*x1^2 + x0")),
     # the circle: no y term, so the roots are +-s / 2a
-    ("_quadratic_hist", _block(2, 3, 2, 3, ["x0^2 + x1^2 - 1"], f="x0*x1")),
-    ("_quadratic_hist", _block(2, 3, 2, 3, ["x0^2 + x1^2 - 2"])),
+    ("_sqrt_roots", _block(2, 3, 2, 3, ["x0^2 + x1^2 - 1"], f="x0*x1")),
+    ("_sqrt_roots", _block(2, 3, 2, 3, ["x0^2 + x1^2 - 2"])),
     # a y term g(x) = x0 (the cubic of the zeta corpus), and a leading 3
-    ("_quadratic_hist", _block(2, 5, 1, 3, ["x1^2 + x0*x1 - x0^3 - 2"])),
-    ("_quadratic_hist", _block(2, 7, 1, 3, ["3*x1^2 + x0*x1 + x0^2 - 1"], f="x1^3 + x0")),
-    ("_quadratic_hist", _block(2, 7, 2, 1, ["x1^2 - x0^3 - 3*x0"], ["x1"], f="x0*x1")),
+    ("_sqrt_roots", _block(2, 5, 1, 3, ["x1^2 + x0*x1 - x0^3 - 2"])),
+    ("_sqrt_roots", _block(2, 7, 1, 3, ["3*x1^2 + x0*x1 + x0^2 - 1"], f="x1^3 + x0")),
+    ("_sqrt_roots", _block(2, 7, 2, 1, ["x1^2 - x0^3 - 3*x0"], ["x1"], f="x0*x1")),
     # y^2 = x0^2: a double root at x0 = 0
-    ("_quadratic_hist", _block(2, 3, 1, 5, ["x1^2 - x0^2"], f="x0 + x1^2")),
-    ("_quadratic_hist", _block(2, 3, 1, 5, ["x1^2 - x0^2"])),
+    ("_sqrt_roots", _block(2, 3, 1, 5, ["x1^2 - x0^2"], f="x0 + x1^2")),
+    ("_sqrt_roots", _block(2, 3, 1, 5, ["x1^2 - x0^2"])),
     # degree 1 in y, with y in an inequation and in f
-    ("_quadratic_hist", _block(2, 5, 2, 1, ["2*x1 + x0^3 - 1"], ["x0*x1 - 1"], f="x0*x1")),
+    ("_sqrt_roots", _block(2, 5, 2, 1, ["2*x1 + x0^3 - 1"], ["x0*x1 - 1"], f="x0*x1")),
     # three variables; y = x2 also in a second equation, an inequation and f
-    ("_quadratic_hist", _block(3, 3, 1, 3, ["x2^2 + x0*x2 + x1 - 1", "x0*x2 + x1^2 - x2"],
-                               ["x2 - x0"], f="x2^2*x1 + x0")),
-    ("_quadratic_hist", _block(3, 5, 2, 1, ["x0^2 + 2*x1^2 + 3*x2^2 - 1"], f="x0*x1*x2")),
-    ("_quadratic_hist", _block(3, 3, 2, 1, ["x0*x1 + x2^2 - x1*x2 - 1"], ["x0 + x2"])),
+    ("_sqrt_roots", _block(3, 3, 1, 3, ["x2^2 + x0*x2 + x1 - 1", "x0*x2 + x1^2 - x2"],
+                           ["x2 - x0"], f="x2^2*x1 + x0")),
+    ("_sqrt_roots", _block(3, 5, 2, 1, ["x0^2 + 2*x1^2 + 3*x2^2 - 1"], f="x0*x1*x2")),
+    ("_sqrt_roots", _block(3, 3, 2, 1, ["x0*x1 + x2^2 - x1*x2 - 1"], ["x0 + x2"])),
+    # an inequation in x0 and x1 together, left to the expanded points
+    ("_table_roots", _block(2, 5, 2, 1, ["x0^3 + x1^3 - 1"], ["x0*x1 - 1", "x0 + x1"],
+                            f="x0^2*x1")),
+    ("_table_roots", _block(2, 5, 2, 1, ["x0^3 + x1^3 - 1"], ["x0*x1 - 1", "x0 + x1"])),
 ]
 
 
 @pytest.mark.parametrize("name,block", STRATEGY_CASES)
-def test_strategy_matches_the_engine_on_the_same_block(name, block):
-    part = getattr(varieties, name)(block)
+def test_strategy_matches_the_engine_on_the_same_block(monkeypatch, name, block):
+    if name == "_table_roots":
+        _force_table(monkeypatch)
+    elif name == "_sqrt_roots":
+        assert varieties._fiber(block)[0] is varieties._sqrt_roots
+    strategy = varieties._fiber_hist if name.endswith("_roots") else getattr(varieties, name)
+    part = strategy(block)
     assert part is not None
     assert part == varieties._engine_hist(block)
     if block.f.is_zero():
         assert part[1:] == [0] * (block.F.p - 1)
 
 
-@pytest.mark.parametrize("block", [
-    _block(2, 2, 2, 1, ["x0^2 + x1^2 - 1"]),  # p = 2: no square-root formula
-    _block(2, 3, 1, 2, ["x0*x1^2 + x0^2*x1 - 1"]),  # leading x0 in x1, x1 in x0
-    _block(2, 5, 1, 1, ["x0^3 + x1^3 - 1"], f="x0*x1"),  # degree 3 in both
-], ids=["p2", "non-constant-lead", "cubic"])
-def test_quadratic_strategy_declines_blocks_without_a_quadratic_fiber(block):
-    assert varieties._quadratic_hist(block) is None
+@pytest.mark.parametrize("block,solver", [
+    (_block(2, 2, 2, 1, ["x0^2 + x1^2 - 1"]), "_table_roots"),  # p = 2: no square root
+    (_block(2, 5, 1, 1, ["x0^3 + x1^3 - 1"], f="x0*x1"), "_table_roots"),  # degree 3 in both
+    (_block(2, 3, 1, 2, ["x0*x1^2 + x0^2*x1 - 1"]), None),  # leading x0 in x1, x1 in x0
+    (_block(3, 5, 1, 1, ["x0^3 + x1^3 + x2^3 - 1"]), None),  # separable, but three variables
+], ids=["p2", "cubic", "non-constant-lead", "r3-cubic"])
+def test_quadratic_strategy_declines_blocks_without_a_quadratic_fiber(block, solver):
+    # the square root declines each block: two-variable separable ones go
+    # to the root table, the others to the engine
+    found = varieties._fiber(block)
+    assert (found and found[0].__name__) == solver
+    if solver is None:
+        assert varieties._fiber_hist(block) is None
 
 
 @pytest.mark.parametrize("split", ["R", "T"])
@@ -446,8 +471,19 @@ def test_quadratic_strategy_in_small_chunks(monkeypatch, split):
     block = _block(3, 3, 1, 3, ["x2^2 + x0*x2 + x1 - 1"], ["x2 - x0"], f="x2^2*x1 + x0")
     want = varieties._engine_hist(block)
     shapes = _walk_in_small_chunks(monkeypatch, 27, 3, split)
-    assert varieties._quadratic_hist(block) == want
+    assert varieties._fiber_hist(block) == want
     assert len(shapes) > 1
+
+
+def test_table_solver_in_small_chunks(monkeypatch):
+    # x^9 - x is F_9-linear, so each x0 has about 9 roots x1: the table walk,
+    # the x0 walk and each chunk's runs split into several pieces
+    block = _block(2, 3, 4, 1, ["x0^9 - x0 + x1^9 - x1"], ["x0 + x1 + 1"], f="x0*x1 + x1")
+    want = varieties._engine_hist(block)
+    shapes = _walk_in_small_chunks(monkeypatch, 81, 4, "T")
+    assert varieties._fiber(block)[0] is varieties._table_roots
+    assert varieties._fiber_hist(block) == want
+    assert len(shapes) == 4
 
 
 @pytest.mark.parametrize("block", [
@@ -460,7 +496,18 @@ def test_quadratic_strategy_on_the_convolution_kernel(monkeypatch, block):
     want = varieties._engine_hist(block)
     monkeypatch.setattr(bulk, "_TABLE_LIMIT", 0)
     assert isinstance(BulkField(block.E)._kernel, bulk._ConvKernel)
-    assert varieties._quadratic_hist(block) == want
+    assert varieties._fiber_hist(block) == want
+
+
+@pytest.mark.parametrize("f", [None, "x0*x1 + x1"])
+def test_table_solver_on_the_convolution_kernel(monkeypatch, f):
+    # digit rows as table keys: the key of zero is 0 there, not Q - 1
+    block = _block(2, 3, 5, 1, ["x0^4 + x1^4 - x0"], ["x1 - 1", "x0 - x1"], f=f)
+    want = varieties._engine_hist(block)
+    monkeypatch.setattr(bulk, "_TABLE_LIMIT", 0)
+    assert isinstance(BulkField(block.E)._kernel, bulk._ConvKernel)
+    assert varieties._fiber(block)[0] is varieties._table_roots
+    assert varieties._fiber_hist(block) == want
 
 
 # three separable equations over F_{3^7}; x1 = x0 and x1 = -x0 solve all
@@ -468,23 +515,21 @@ SEPARABLE = ["x0^3 - x0 - x1^3 + x1", "x0^2 - x1^2", "x0^4 - x1^4"]
 
 
 @pytest.mark.parametrize("f", [None, "x0*x1 + x1^2 + x0"])
-@pytest.mark.parametrize("neqs", [
-    1,  # key range 3^7: int32 keys, packed sort, bucket offsets
-    2,  # key range 3^14, over 4 buckets per y key: binary search
-    3,  # key range 3^21 >= 2^31: int64 keys, stable argsort
-], ids=["bucket", "search", "argsort"])
-def test_every_pair_match_path_matches_the_engine(neqs, f):
+@pytest.mark.parametrize("neqs", [1, 2, 3])
+def test_separable_equations_on_the_root_table_match_the_engine(monkeypatch, neqs, f):
     # with two or three equations x1 = ±x0, so x1^2 != 1 leaves x0 = ±1
-    # without a partner and every other x0 with one
+    # without a partner and every other x0 with one; the table solves the
+    # first equation, and the others are tested on its roots
+    _force_table(monkeypatch)
     block = _block(2, 3, 7, 1, SEPARABLE[:neqs], ["x0", "x1^2 - 1"], f=f)
-    part = varieties._pair_hist(block)
+    part = varieties._fiber_hist(block)
     assert part is not None
     assert part == varieties._engine_hist(block)
 
 
-def test_pair_match_offsets_are_bounded_by_the_y_keys():
-    # two separable equations over GF(2^14): a key range of 2^28 for 2^14
-    # y keys, whose bucket table alone would take 1 GB
+def test_root_table_memory_is_bounded_by_the_field():
+    # two separable equations over GF(2^14): one table for the first, of
+    # 2^14 keys, where joint keys of both would span 2^28
     F = build_field(2, 14)
     X = affine(2, ["x0^3 + x0 + x1^3 + x1", "x0^2 + x1^2"])  # x1 = x0
     bulk._cache.clear()
@@ -497,14 +542,15 @@ def test_pair_match_offsets_are_bounded_by_the_y_keys():
     assert peak < 8 << 20
 
 
-def _circle_peak(strategy, f, m):
-    """Traced peak of one strategy on the circle block over F_{9^m}, the
-    field's tables included."""
-    block = _block(2, 3, 2, m, ["x0^2 + x1^2 - 1"], f=f)
+def _fiber_peak(equation, solver, f, m):
+    """Traced peak of _fiber_hist on a block of one equation over F_{9^m},
+    the field's tables included."""
+    block = _block(2, 3, 2, m, [equation], f=f)
+    assert varieties._fiber(block)[0] is solver
     bulk._cache.clear()
     tracemalloc.start()
     try:
-        assert strategy(block) is not None
+        assert varieties._fiber_hist(block) is not None
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -512,20 +558,23 @@ def _circle_peak(strategy, f, m):
 
 @pytest.mark.parametrize("f", [None, "x0*x1"])
 def test_pair_strategy_memory_grows_by_a_bounded_amount_per_element(f):
-    # the circle over F_9 as a pair block over F_{3^(2m)}: its traced peak
-    # may grow by at most 70 bytes per extra element from Q = 3^12 (m = 6)
+    # x0^4 + x1^4 = 1 on the root table over F_{3^(2m)}: its traced peak
+    # may grow by at most 48 bytes per extra element from Q = 3^12 (m = 6)
     # to Q = 3^14 (m = 7)
-    grow = _circle_peak(varieties._pair_hist, f, 7) - _circle_peak(varieties._pair_hist, f, 6)
-    assert grow / (3**14 - 3**12) <= 70
+    def peak(m):
+        return _fiber_peak("x0^4 + x1^4 - 1", varieties._table_roots, f, m)
+
+    assert (peak(7) - peak(6)) / (3**14 - 3**12) <= 48
 
 
 @pytest.mark.parametrize("f", [None, "x0*x1"])
 def test_quadratic_strategy_memory_grows_by_a_bounded_amount_per_element(f):
-    # the same circle through the quadratic-fiber strategy: chunks of x0
-    # and their roots x1, so little beyond the tables' 13 bytes per element
-    grow = (_circle_peak(varieties._quadratic_hist, f, 7)
-            - _circle_peak(varieties._quadratic_hist, f, 6))
-    assert grow / (3**14 - 3**12) <= 24
+    # the circle by a square root: chunks of x0 and their roots x1, so
+    # little beyond the tables' 13 bytes per element
+    def peak(m):
+        return _fiber_peak("x0^2 + x1^2 - 1", varieties._sqrt_roots, f, m)
+
+    assert (peak(7) - peak(6)) / (3**14 - 3**12) <= 24
 
 
 @pytest.mark.parametrize("X", [
@@ -540,7 +589,7 @@ def test_count_and_histogram_stop_at_the_same_empty_block(X):
 
 
 def test_counts_never_expand_pairs(monkeypatch, F3):
-    monkeypatch.setattr(varieties._PairMatch, "pairs", None)
+    monkeypatch.setattr(varieties._Chunk, "select", None)
     X = affine(2, ["x0^2187 - x0 + x1^2187 - x1"], f="x0*x1")
     assert count_points_ff(X, F3, 7, budget=10**5) == 2187**2
     # a trivial character is a count as well: f is never evaluated
