@@ -11,11 +11,15 @@ representations, chosen once from the field size Q = p^n:
   index arithmetic mod Q - 1; addition goes through Zech's logarithm
   zech[k] = log(1 + g^k) (Huber, "Some comments on Zech's logarithms",
   IEEE Trans. IT 1990); a trace is one gather from a Q-entry table.  The
-  antilog, log and Zech tables take 12 bytes per field element (about
-  805 MB at the limit), and each trace table 1 byte per element for
-  p < 256.  They are built on first use, one small matmul mod p per
-  fixed-size block of powers of g, and kept per field in a cache bounded
-  in bytes.
+  antilog, log and Zech tables and the trace table of 1, T1[k] = Tr(g^k),
+  take 13 bytes per field element for p < 256 (about 872 MB at the
+  limit).  They are built on first use, one small matmul mod p per
+  fixed-size block of powers of g; each block also scatters its logs and
+  its traces, and a second blocked pass gathers Zech's logarithms, so the
+  build allocates nothing of size Q beyond the tables.  Since
+  Tr(c g^k) = T1[(k + log c) mod (Q - 1)], a twisted trace table is T1
+  rotated by log c: one copy, 1 byte per element for p < 256, with no
+  gather.  The tables are kept per field in a cache bounded in bytes.
 * Otherwise the convolution kernel.  A row is the digit vector over
   GF(p) in the basis 1, x, ..., x^(n-1), the scalar layer's basis.
   Multiplication is a convolution followed by a linear reduction whose
@@ -39,7 +43,7 @@ from collections import OrderedDict
 import numpy as np
 
 from . import gfpoly
-from .cyclofield import FieldSpec
+from .cyclofield import FieldSpec, _solve_mod_p
 
 # fields up to this size use the table kernel
 _TABLE_LIMIT = 1 << 26
@@ -47,7 +51,7 @@ _TABLE_LIMIT = 1 << 26
 _CACHE_BYTES = 1 << 28
 # rows per block when building the antilog table
 _BUILD_ROWS = 1 << 12
-# trace tables kept per field
+# twisted trace tables kept per field
 _TRACE_TABLES = 4
 # _mod_p is exact on float64 integers below _FLOAT_EXACT, float32 below
 # _FLOAT32_EXACT
@@ -415,15 +419,19 @@ class _TableKernel:
 
 class _LogTables:
     """antilog[k] = index of g^k (antilog[Q-1] = 0), its inverse log
-    (log[0] = Q-1), zech[k] = log(1 + g^k), and trace tables by weights."""
+    (log[0] = Q-1), zech[k] = log(1 + g^k), trace1[k] = Tr(g^k) (trace1[Q-1]
+    = 0), and twisted trace tables by weights, each a rotation of trace1."""
 
     def __init__(self, spec: FieldSpec):
         p, n, Q = spec.p, spec.k, spec.q
         M = Q - 1
         self.p = p
         g = _primitive_root(spec)
+        field = BulkField(spec)
+        # gram[s][t] = Tr(x^s x^t); its row 0 holds the trace weights of 1
+        self.gram = field.trace_gram(field.trace_weights(spec.one()))
 
-        bound = n * (p - 1) ** 2  # digit rows times a digit matrix
+        bound = n * (p - 1) ** 2  # digit rows times a digit matrix or vector
         # float32 halves the cost of the block products where it is exact
         dtype = np.float32 if bound < _FLOAT32_EXACT else np.float64
 
@@ -432,7 +440,9 @@ class _LogTables:
                             dtype=dtype)
 
         # digits of g^0, ..., g^(S-1) by doubling; then each block of S
-        # powers is the previous one times g^S
+        # powers is the previous one times g^S.  Each block also scatters
+        # its logs and its traces, so nothing of size Q is allocated beyond
+        # the tables kept.
         S = min(_BUILD_ROWS, M)
         block = np.zeros((1, n), dtype=dtype)
         block[0, 0] = 1
@@ -441,42 +451,57 @@ class _LogTables:
             block = np.vstack([block, _mod_p(prod, p, bound, prod)])[:S]
         step = times(g**S)
         place = np.power(float(p), np.arange(n))  # float64: indices pass 2^24
+        one = np.array(self.gram[0], dtype=dtype)
         prod = np.empty_like(block)
+        tr = np.empty(S, dtype=dtype)
         self.antilog = np.empty(Q, dtype=np.int32)
         self.antilog[M] = 0
+        self.log = np.empty(Q, dtype=np.int32)
+        self.log[0] = M
+        self.trace1 = np.empty(Q, dtype=np.uint8 if p <= 256 else
+                               np.uint16 if p <= 1 << 16 else np.int32)
+        self.trace1[M] = 0
         for start in range(0, M, S):
             rows = min(S, M - start)
-            self.antilog[start:start + rows] = block[:rows] @ place
+            part = self.antilog[start:start + rows]
+            part[:] = block[:rows] @ place
+            self.log[part] = np.arange(start, start + rows, dtype=np.int32)
+            self.trace1[start:start + rows] = _mod_p(np.matmul(block, one, out=tr),
+                                                     p, bound, tr)[:rows]
             _mod_p(np.matmul(block, step, out=prod), p, bound, block)
-        self.log = np.empty(Q, dtype=np.int32)
-        self.log[self.antilog[:M]] = np.arange(M, dtype=np.int32)
-        self.log[0] = M
-        # index of 1 + y: the constant digit of y's index steps up mod p
-        plus_one = self.antilog[:M] + 1
-        plus_one[plus_one % p == 0] -= p
         self.zech = np.empty(Q, dtype=np.int32)
-        self.zech[:M] = self.log[plus_one]
         self.zech[M] = M  # unused: sums with zero bypass the table
+        # index of 1 + y: the constant digit of y's index steps up mod p
+        for start in range(0, M, S):
+            plus_one = self.antilog[start:min(start + S, M)] + 1
+            plus_one[plus_one % p == 0] -= p
+            self.zech[start:start + len(plus_one)] = self.log[plus_one]
         self._traces = OrderedDict()
 
     @property
     def nbytes(self):
-        return sum(a.nbytes for a in (self.antilog, self.log, self.zech,
-                                      *self._traces.values()))
+        twisted = [t for t in self._traces.values() if t is not self.trace1]
+        return sum(a.nbytes for a in (self.antilog, self.log, self.zech, self.trace1,
+                                      *twisted))
 
     def trace_table(self, w):
-        """T[k] = digits(g^k) . w mod p, and T[Q-1] = 0."""
+        """T[k] = digits(g^k) . w mod p, and T[Q-1] = 0.
+
+        w = trace_weights(c) for the c with gram c = w, and Tr(c g^k) =
+        trace1[(k + log c) mod (Q - 1)], so T is trace1 rotated by log c
+        (all zeros for c = 0)."""
         p = self.p
         key = tuple(int(v) % p for v in w)
         table = self._traces.pop(key, None)
         if table is None:
-            # by index first: digit j of the index has place value p^j
-            by_index = np.zeros(1, dtype=np.int32)
-            for wj in reversed(key):
-                digit = (wj * np.arange(p, dtype=np.int64) % p).astype(np.int32)
-                by_index = ((by_index[:, None] + digit) % p).ravel()
-            dtype = np.uint8 if p <= 256 else np.uint16 if p <= 1 << 16 else np.int32
-            table = by_index.astype(dtype)[self.antilog]
+            c = _solve_mod_p(self.gram, list(key), p)  # gram is symmetric
+            index = sum(d * p**j for j, d in enumerate(c))
+            M = len(self.trace1) - 1
+            shift = int(self.log[index])
+            table = self.trace1 if shift == 0 else np.zeros_like(self.trace1)
+            if 0 < shift < M:
+                table[:M - shift] = self.trace1[shift:M]
+                table[M - shift:M] = self.trace1[:shift]
             while len(self._traces) >= _TRACE_TABLES:
                 self._traces.popitem(last=False)
         self._traces[key] = table

@@ -11,8 +11,11 @@ per leading coordinate, and bins every point of X by max|x_i| with no
 gcd test.  Each such point is g times a unique normalized point and the
 conditions of X must be homogeneous, so the histogram is 1 * P for the
 normalized counts P, which Moebius inversion recovers: P = mu *
-histogram.  Everything downstream (abscissa estimates, asymptotic fits,
-accumulation classification) works off exact count tables.
+histogram.  A count N(B) is the cumulative sum of P up to the largest
+height H with H^m <= B, so no per-point array is built except where
+`point_heights` asks for the sorted heights.  Everything downstream
+(abscissa estimates, asymptotic fits, accumulation classification) works
+off exact count tables.
 """
 
 from __future__ import annotations
@@ -155,9 +158,10 @@ class _Integers:
 
 
 def _box_heights(X: VarietySpec, m: int, B, budget, within=None):
-    """The box scan: sorted max|x_i| over the normalized points of X with
-    h_{O(m)} <= B.  With within=U, each of those points must also satisfy
-    U's conditions, and NotASubvariety names the first one that does not.
+    """The box scan: P[h] counts the normalized points of X with max|x_i|
+    = h, for h = 0 .. H, the largest H with H^m <= B.  With within=U,
+    each of those points must also satisfy U's conditions, and
+    NotASubvariety names the first one that does not.
 
     Only the half box is walked (first nonzero coordinate positive), and
     without gcds: A[h] counts every such point of X with max|x_i| = h.
@@ -179,8 +183,7 @@ def _box_heights(X: VarietySpec, m: int, B, budget, within=None):
     prim = _mobius_inversion(hist)
     if prim.min() < 0:
         raise AssertionError("negative primitive count")
-    heights = np.flatnonzero(prim)
-    return np.repeat(heights, prim[heights])
+    return prim
 
 
 def _scan_slab(X, within, ring, lead, hist, budget):
@@ -262,13 +265,14 @@ def _mobius_inversion(A):
 
 def point_heights(X: VarietySpec, m: int, B, budget=None):
     """Sorted max|x_i| values over the normalized points of X with height
-    h_{O(m)} <= B; the basis for every count below."""
-    return _box_heights(X, m, B, budget)
+    h_{O(m)} <= B, one per point."""
+    counts = _box_heights(X, m, B, budget)
+    return np.repeat(np.arange(len(counts)), counts)
 
 
 def count_points(X: VarietySpec, m: int, B, budget=None) -> int:
     """Number of rational points of X with h_{O(m)} <= B, exactly."""
-    return int(len(point_heights(X, m, B, budget)))
+    return int(_box_heights(X, m, B, budget).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +305,14 @@ def height_count_table(X: VarietySpec, m: int, bounds, budget=None,
                        name="variety") -> HeightCountTable:
     """Exact N(B) for each bound, from one enumeration at the largest."""
     bounds = sorted(bounds)
-    return _count_table(point_heights(X, m, bounds[-1], budget), m, bounds, name)
+    return _count_table(_box_heights(X, m, bounds[-1], budget), m, bounds, name)
 
 
-def _count_table(hs, m, bounds, name):
-    """Counts from sorted max|x_i| values: h^m <= b iff h <= root(b, m)."""
-    roots = np.array([_height_root(b, m) for b in bounds], dtype=np.int64)
-    counts = tuple(int(c) for c in np.searchsorted(hs, roots, side="right"))
+def _count_table(prim, m, bounds, name):
+    """Counts from the normalized counts per height of a scan at a bound
+    at least max(bounds): h^m <= b iff h <= root(b, m)."""
+    total = np.cumsum(prim)
+    counts = tuple(int(total[_height_root(b, m)]) for b in bounds)
     return HeightCountTable(name, m, tuple(bounds), counts)
 
 
@@ -415,8 +420,8 @@ def accumulation_test(V: VarietySpec, U: VarietySpec, m: int, bounds,
 def _check_subvariety(V, U, m, B, budget):
     """Every counted point of V must satisfy U's defining conditions.
 
-    Returns V's sorted heights from the same scan, so V's box is scanned
-    once when its counts are needed too.
+    Returns V's normalized counts per height from the same scan, so V's
+    box is scanned once when its counts are needed too.
     """
     if V.nvars != U.nvars:
         raise NotASubvariety("ambient dimension mismatch")

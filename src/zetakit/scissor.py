@@ -256,15 +256,15 @@ def stratify(U: VarietySpec, candidates, m, bounds, margin=0.25, budget=None,
         options = []  # ((-drop, points at the top bound), name), in candidate order
         for nm, cand in remaining.items():
             try:
-                hs = heights._check_subvariety(cand, current, m, bounds[-1], budget)
+                prim = heights._check_subvariety(cand, current, m, bounds[-1], budget)
             except NotASubvariety:
                 continue
             if nm not in sigma:
                 sigma[nm] = heights.abscissa_estimate(
-                    heights._count_table(hs, m, bounds, nm))
+                    heights._count_table(prim, m, bounds, nm))
             drop = sigma[current_name] - sigma[nm]
             if drop >= margin:
-                options.append(((-drop, len(hs)), nm))
+                options.append(((-drop, int(prim.sum())), nm))
         if not options:
             break
         nm = min(options, key=lambda o: o[0])[1]

@@ -5,6 +5,8 @@ runs on the digit-convolution kernel.  Each test draws random rows plus the
 edge elements 0, 1 and -1.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,47 @@ def test_antilog_is_a_permutation_of_the_nonzero_indices(p, k):
     assert np.array_equal(np.sort(t.antilog[:Q - 1]), np.arange(1, Q))
     assert t.antilog[Q - 1] == 0 and t.log[0] == Q - 1
     assert np.array_equal(t.log[t.antilog], np.arange(Q))
+
+
+@pytest.mark.parametrize("p,k", [f for f in TABLE_FIELDS if f[0] in (2, 3, 131)])
+def test_twisted_trace_tables_match_scalar_traces(p, k):
+    # each twisted table is the trace table of 1 rotated by the twist's log
+    F = build_field(p, k)
+    B = BulkField(F)
+    Q = F.q
+    t = bulk._log_tables(F)
+    rng = np.random.default_rng(Q)
+    twists = [F.zero(), F.one(), F.element(-1), F.from_index(int(t.antilog[Q - 2])),
+              *(F.from_index(int(i)) for i in rng.integers(1, Q, 2))]
+    every = np.arange(Q, dtype=np.int64)
+    elems = [F.from_index(i) for i in range(Q)]
+    traces = [trace_to_prime_int(a) for a in elems]  # by element index
+    for twist in twists:
+        got = B.linear_form(B.digits_of(every), B.trace_weights(twist))
+        assert got.tolist() == [traces[(twist * a).index()] for a in elems]
+
+
+def _peak_above(build):
+    """(result, peak bytes traced while building it above what was held
+    before)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_build_allocates_only_the_tables_it_keeps():
+    F = build_field(2, 20)
+    tables, peak = _peak_above(lambda: bulk._LogTables(F))
+    assert peak - tables.nbytes <= 2 << 20
+    # a twisted trace table is a rotated copy, with no temporary of size Q
+    w = BulkField(F).trace_weights(F.from_index(12345))
+    table, peak = _peak_above(lambda: tables.trace_table(w))
+    assert table.nbytes == F.q and peak <= table.nbytes + (64 << 10)
 
 
 @pytest.mark.parametrize("p,k", [(2, 6), (3, 5), (5, 3), (7, 1), (131, 2), (3, 16)])

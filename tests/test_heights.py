@@ -182,6 +182,11 @@ def _oracle_scan(X, m, B, within=None):
     return sorted(found), None
 
 
+def _expand(counts):
+    """Sorted heights, one per point, from the box scan's counts per height."""
+    return np.repeat(np.arange(len(counts)), counts).tolist()
+
+
 @st.composite
 def _homogeneous_poly(draw, nv):
     degree = draw(st.integers(1, 3))
@@ -215,7 +220,7 @@ def test_point_heights_match_scalar_oracle(case):
     assert heights.point_heights(X, m, B).tolist() == expected
     _, witness = _oracle_scan(X, m, B, within=U)
     if witness is None:
-        assert heights._box_heights(X, m, B, None, within=U).tolist() == expected
+        assert _expand(heights._box_heights(X, m, B, None, within=U)) == expected
     else:
         with pytest.raises(NotASubvariety) as exc:
             heights._box_heights(X, m, B, None, within=U)
@@ -233,6 +238,24 @@ def test_point_heights_match_scalar_oracle(case):
 ])
 def test_point_heights_fixed_cases(X, m, B):
     assert heights.point_heights(X, m, B).tolist() == _oracle_scan(X, m, B)[0]
+
+
+@pytest.mark.parametrize("X", [
+    projective(2, equations=["x2*(x0*x2 - x1^2)"]),  # the union curve
+    projective(2, equations=["x2"]),  # its line
+    projective_space(2),
+], ids=["union", "line", "P2"])
+@pytest.mark.parametrize("m, bounds", [
+    (1, (-1, 0, 0.5, 1, 2, 3, 7, 12)),
+    (2, (0, 0.5, 1, 2, 3, 4, 5, 8, 9, 10, 26, 99, 144)),  # non-squares too
+])
+def test_count_tables_match_the_point_heights(X, m, bounds):
+    hs = heights.point_heights(X, m, bounds[-1])
+    want = [sum(1 for h in hs.tolist() if h**m <= b) for b in bounds]
+    assert want == np.searchsorted(hs, [heights._height_root(b, m) for b in bounds],
+                                   side="right").tolist()
+    assert list(heights.height_count_table(X, m, bounds).counts) == want
+    assert [heights.count_points(X, m, b) for b in bounds] == want
 
 
 def test_within_witness_is_first_violating_point():
@@ -271,7 +294,7 @@ def test_box_scan_matches_scalar_oracle_in_small_chunks(monkeypatch, X, U, m, B,
     _, witness = _oracle_scan(X, m, B, within=U)
     assert heights.point_heights(X, m, B).tolist() == expected
     if witness is None:
-        assert heights._box_heights(X, m, B, None, within=U).tolist() == expected
+        assert _expand(heights._box_heights(X, m, B, None, within=U)) == expected
     else:
         with pytest.raises(NotASubvariety) as exc:
             heights._box_heights(X, m, B, None, within=U)
