@@ -38,6 +38,7 @@ indices (digits_of) and go back to them (index_of) or to matching keys
 from __future__ import annotations
 
 import functools
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -108,9 +109,10 @@ class BulkField:
         return self._kernel.index_of(a)
 
     def key_of(self, a):
-        """An int64 injection of rows into [0, Q): equal keys mean equal
-        elements.  On the table kernel it is the row itself, with no
-        gather, so it suits matching but not element order."""
+        """An integer injection of rows into [0, Q): equal keys mean equal
+        elements.  On the table kernel it is the int32 row itself, with no
+        gather or copy, so it suits matching but not element order; on the
+        convolution kernel it is the int64 element index."""
         return self._kernel.key_of(a)
 
     def coefficient(self, c):
@@ -354,7 +356,7 @@ class _TableKernel:
         return self.t.antilog[a].astype(np.int64)
 
     def key_of(self, a):
-        return a.astype(np.int64)
+        return a
 
     def _reduce(self, s):
         """s mod M in place, for int32 s in [0, 2M].  As uint32, s - M wraps
@@ -477,10 +479,12 @@ class _LogTables:
             plus_one[plus_one % p == 0] -= p
             self.zech[start:start + len(plus_one)] = self.log[plus_one]
         self._traces = OrderedDict()
+        self._lock = threading.Lock()  # guards _traces across chunk threads
 
     @property
     def nbytes(self):
-        twisted = [t for t in self._traces.values() if t is not self.trace1]
+        with self._lock:
+            twisted = [t for t in self._traces.values() if t is not self.trace1]
         return sum(a.nbytes for a in (self.antilog, self.log, self.zech, self.trace1,
                                       *twisted))
 
@@ -492,19 +496,20 @@ class _LogTables:
         (all zeros for c = 0)."""
         p = self.p
         key = tuple(int(v) % p for v in w)
-        table = self._traces.pop(key, None)
-        if table is None:
-            c = _solve_mod_p(self.gram, list(key), p)  # gram is symmetric
-            index = sum(d * p**j for j, d in enumerate(c))
-            M = len(self.trace1) - 1
-            shift = int(self.log[index])
-            table = self.trace1 if shift == 0 else np.zeros_like(self.trace1)
-            if 0 < shift < M:
-                table[:M - shift] = self.trace1[shift:M]
-                table[M - shift:M] = self.trace1[:shift]
-            while len(self._traces) >= _TRACE_TABLES:
-                self._traces.popitem(last=False)
-        self._traces[key] = table
+        with self._lock:
+            table = self._traces.pop(key, None)
+            if table is None:
+                c = _solve_mod_p(self.gram, list(key), p)  # gram is symmetric
+                index = sum(d * p**j for j, d in enumerate(c))
+                M = len(self.trace1) - 1
+                shift = int(self.log[index])
+                table = self.trace1 if shift == 0 else np.zeros_like(self.trace1)
+                if 0 < shift < M:
+                    table[:M - shift] = self.trace1[shift:M]
+                    table[M - shift:M] = self.trace1[:shift]
+                while len(self._traces) >= _TRACE_TABLES:
+                    self._traces.popitem(last=False)
+            self._traces[key] = table
         return table
 
 

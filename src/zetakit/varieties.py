@@ -34,16 +34,31 @@ are evaluated at their smallest broadcast shape, an equation is tested
 as "terms with the last variable = minus the others", and the trace of
 f is the sum of its terms' traces, so only mixed monomials are computed
 on the full grid.
+
+Walks that only add up tallies, the engine's (`_enumerate_block`) and
+the fiber strategy's (`_fiber_hist`, both root solvers), go through
+`_sum_chunks`: a walk of more than one chunk runs its chunks on a pool
+of one thread per usable CPU, which NumPy's GIL-free kernels keep
+busy, and adds their tallies in walk order.  The walk itself, with its
+budget charge, stays on the caller's thread, and a walk of one chunk
+runs there too.  The height box scan and `membership_walk` stay
+sequential: a height chunk holds up to about 36 MB of temporaries, and
+the subvariety and cover checks built on them name the first failing
+point in walk order.
+
 `PointEnumeration` is the scalar reference that the tests compare them
 against; no production path uses it.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -469,11 +484,12 @@ class _Chunk:
     leading ones reach the full grid.
     """
 
-    def __init__(self, B, elems, last, shape):
+    def __init__(self, B, elems, last, shape, start=0):
         self.bulk = B
         self.last = last  # None for a block without variables
         self.elems = elems  # variable -> rows, the last variable last
         self.shape = shape
+        self.start = start  # flat position of the first point in the walk
         self.rows = shape[0] * shape[1]
         self.powers = {v: {1: d} for v, d in elems.items()}
 
@@ -537,24 +553,36 @@ class _Chunk:
         return B.eq(inner, B.neg(outer))
 
     def mask(self, eqs, ineqs):
-        """Flat rows where every equation vanishes and no inequation does."""
-        mask = np.ones(self.shape, dtype=bool)
-        for e in eqs:
-            mask &= self._vanishes(e)
-        for h in ineqs:
-            mask &= ~self._vanishes(h)
-        return mask.ravel()
+        """Flat rows where every equation vanishes and no inequation does.
+        The first condition's own array collects the others, so the full
+        grid is allocated only when some condition spans it."""
+        conds = itertools.chain((self._vanishes(e) for e in eqs),
+                                (~self._vanishes(h) for h in ineqs))
+        mask = next(conds, None)
+        if mask is None:
+            mask = np.ones((1, 1), dtype=bool)
+        for cond in conds:
+            if np.broadcast_shapes(mask.shape, cond.shape) == mask.shape:
+                mask &= cond
+            else:
+                mask = mask & cond
+        return np.broadcast_to(mask, self.shape).ravel()
 
     def trace(self, poly, w):
         """Flat Tr(twist * poly) mod p at every point, for w the trace
         weights of twist: the sum of each term's linear_form, since the
-        trace is additive."""
+        trace is additive; one term's linear_form is already reduced."""
         p = self.bulk.p
-        dtype = np.int32 if (len(poly.terms) + 1) * p < 1 << 31 else np.int64
-        code = np.zeros((1, 1), dtype=dtype)
-        for _has_last, val in self._terms(poly):
-            code = code + self.bulk.linear_form(val, w)
-        return np.broadcast_to(code % p, self.shape).ravel()
+        terms = self._terms(poly)
+        if len(terms) == 1:
+            code = self.bulk.linear_form(terms[0][1], w)
+        else:
+            dtype = np.int32 if (len(terms) + 1) * p < 1 << 31 else np.int64
+            code = np.zeros((1, 1), dtype=dtype)
+            for _has_last, val in terms:
+                code = code + self.bulk.linear_form(val, w)
+            code %= p
+        return np.broadcast_to(code, self.shape).ravel()
 
     def select(self, rows):
         """The chunk of the given flat rows, in that order, as one (1, k)
@@ -605,7 +633,61 @@ def _chunks(B, vs, budget, ranges=None):
         for t in range(lo, hi, T):
             if row is None or T < size:
                 row = B.digits_of(np.arange(t, min(t + T, hi), dtype=np.int64))[None]
-            yield _Chunk(B, {**cols, last: row}, last, (len(idx), row.shape[1]))
+            yield _Chunk(B, {**cols, last: row}, last, (len(idx), row.shape[1]),
+                         start * size + t - lo)
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=1)
+def _pool(workers):
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="zetakit-chunk")
+
+
+def _sum_chunks(chunks, fn, length):
+    """The int64 sum, of the given length, of fn(chunk) over a _chunks
+    walk; fn returns an int64 array of that length, or 0.
+
+    The walk stays on the caller's thread, and with it the budget charge
+    and the first build of a field's tables.  A walk of one chunk, or a
+    process with one usable CPU, runs fn there too; a longer walk runs fn
+    on a pool of one thread per usable CPU (NumPy releases the GIL in its
+    kernels), with at most workers + 1 chunks in flight.  Results are
+    added in walk order.  Once a chunk has raised, no further chunk is
+    submitted; those in flight are waited for, and the first exception in
+    walk order is raised.
+    """
+    total = np.zeros(length, dtype=np.int64)
+    workers = _usable_cpus()
+    walk = iter(chunks)
+    head = list(itertools.islice(walk, 2 if workers > 1 else 0))
+    if len(head) < 2:
+        for chunk in itertools.chain(head, walk):
+            total += fn(chunk)
+        return total
+    from concurrent import futures  # about 4 ms, so only walks on the pool pay for it
+
+    pool = _pool(workers)
+    pending = collections.deque()
+    try:
+        for chunk in itertools.chain(head, walk):
+            pending.append(pool.submit(fn, chunk))
+            if len(pending) > workers:
+                total += pending.popleft().result()
+            if any(f.done() and f.exception() is not None for f in pending):
+                break
+    finally:
+        futures.wait(pending)
+    for f in pending:
+        total += f.result()
+    return total
 
 
 def _enumerate_block(vs, eqs, ineqs, f, trace_w, E: FieldSpec, budget,
@@ -619,11 +701,12 @@ def _enumerate_block(vs, eqs, ineqs, f, trace_w, E: FieldSpec, budget,
     """
     B = BulkField(E)
     p, Q = E.p, E.q
-    tally = np.zeros(Q ** len(keys) * p, dtype=np.int64)
-    for chunk in _chunks(B, vs, budget):
+    length = Q ** len(keys) * p
+
+    def tally(chunk):
         mask = chunk.mask(eqs, ineqs)
         if not mask.any():
-            continue
+            return 0
         if f is None:
             code = np.zeros(int(mask.sum()), dtype=np.int64)
         else:
@@ -631,8 +714,9 @@ def _enumerate_block(vs, eqs, ineqs, f, trace_w, E: FieldSpec, budget,
         key = 0
         for u in keys:
             key = key * Q + B.index_of(chunk.eval(u)[mask])
-        tally += np.bincount(key * p + code, minlength=len(tally))
-    return tally
+        return np.bincount(key * p + code, minlength=length)
+
+    return _sum_chunks(_chunks(B, vs, budget), tally, length)
 
 
 def fiber_histograms(X: VarietySpec, chi: AdditiveCharacter, budget=None):
@@ -962,12 +1046,13 @@ def _fiber_hist(b: _Block):
     p, B = b.F.p, BulkField(b.E)
     roots, eqs, ineqs = solver(b, B, e, y, [q for q in b.eqs if q is not e], b.ineqs)
     count = b.f.is_zero() and not eqs and not ineqs
-    hist = np.zeros(p, dtype=np.int64)
-    for chunk in _chunks(B, [v for v in b.vs if v != y], b.budget):
+
+    def chunk_hist(chunk):
         n, batches = roots(chunk)
+        hist = np.zeros(p, dtype=np.int64)
         if count:
-            hist[0] += n
-            continue
+            hist[0] = n
+            return hist
         for rows, ys in batches:
             pts = chunk.select(rows)
             pts = _Chunk(B, {**pts.elems, y: ys[None]}, y, pts.shape)
@@ -975,6 +1060,9 @@ def _fiber_hist(b: _Block):
             if eqs or ineqs:
                 code = code[pts.mask(eqs, ineqs)]
             hist += np.bincount(code, minlength=p)
+        return hist
+
+    hist = _sum_chunks(_chunks(B, [v for v in b.vs if v != y], b.budget), chunk_hist, p)
     return [int(v) for v in hist]
 
 
@@ -1028,7 +1116,7 @@ def _table_roots(b: _Block, B, e, y, eqs, ineqs):
     the run lengths; runs are expanded by np.repeat, about _CHUNK points
     at a time, and charged against the budget.  The conditions on x and
     y together are left to the points.
-    Memory per field element, beyond the tables' 12: 4 of x keys, 8 of y
+    Memory per field element, beyond the tables' 13: 4 of x keys, 8 of y
     keys packed and sorted, 4 of sorted indices and 4 of offsets.
     """
     x, = (v for v in b.vs if v != y)
@@ -1041,18 +1129,16 @@ def _table_roots(b: _Block, B, e, y, eqs, ineqs):
     on_y = [[q.rename({y: x}, q.nvars) for q in c if x not in q.variables()] for c in conds]
     eqs, ineqs = ([q for q in c if len(q.variables()) == 2] for c in conds)
 
-    def keys(chunk, poly, conds):  # Q, past every key, where a condition fails
-        k = B.key_of(chunk.eval(poly)).astype(np.int32)
-        if any(conds):
-            k[~chunk.mask(*conds)] = Q
-        return k
-
-    ykeys, xkeys = [], []  # per chunk of the walk
+    # the keys of -w(t) and of u(t) by position in the walk; Q, past
+    # every key, where a condition fails
+    packed = np.empty(Q, dtype=np.int64)
+    xkeys = np.empty(Q, dtype=np.int32)
     for chunk in _chunks(B, [x], b.budget):
-        ykeys.append(keys(chunk, minus_w, on_y))
-        xkeys.append(keys(chunk, u, on_x))
-    packed = np.concatenate(ykeys, dtype=np.int64)
-    del ykeys
+        at = slice(chunk.start, chunk.start + chunk.rows)
+        for out, poly, conds in ((packed, minus_w, on_y), (xkeys, u, on_x)):
+            out[at] = B.key_of(chunk.eval(poly))
+            if any(conds):
+                out[at][~chunk.mask(*conds)] = Q
     packed <<= 32
     packed |= np.arange(Q, dtype=np.int32)
     packed.sort()
@@ -1066,13 +1152,15 @@ def _table_roots(b: _Block, B, e, y, eqs, ineqs):
         offsets[seg[0] + 1:seg[0] + 1 + len(counts)] += counts
     del packed
     np.cumsum(offsets, out=offsets)
-    xkeys = iter(xkeys)
     expanded = 0
+    lock = threading.Lock()  # chunks may expand on several threads
 
     def expand(lo, hi, n):
         nonlocal expanded
-        expanded += n
-        _check_budget(expanded, b.budget)
+        with lock:
+            expanded += n
+            total = expanded
+        _check_budget(total, b.budget)
         starts = np.zeros(len(lo) + 1, dtype=np.int64)
         np.cumsum(hi - lo, out=starts[1:])
         # whole runs per batch, cut where a run starts at or past k * _CHUNK
@@ -1084,8 +1172,9 @@ def _table_roots(b: _Block, B, e, y, eqs, ineqs):
             at += np.arange(starts[r], starts[end])
             yield rows, B.digits_of(table[at])
 
-    def roots(chunk):  # the x walk repeats the table walk's chunks, in order
-        k = next(xkeys)  # a key of Q clips to the empty run offsets[Q]:offsets[Q]
+    def roots(chunk):  # the x walk repeats the table walk's positions
+        # a key of Q clips to the empty run offsets[Q]:offsets[Q]
+        k = xkeys[chunk.start:chunk.start + chunk.rows]
         lo, hi = np.take(offsets, k), np.take(offsets[1:], k, mode="clip")
         n = int(hi.sum(dtype=np.int64) - lo.sum(dtype=np.int64))
         return n, expand(lo, hi, n)

@@ -39,9 +39,12 @@ def _check_against_scalar(F, count, slow_count, seed=0):
         assert B.index_of(rows).tolist() == [e.index() for e in elems]
 
     same(x, X)
-    # key_of: int64 keys in [0, Q), one per element
+    # key_of: keys in [0, Q), one per element; the int32 rows themselves on
+    # the table kernel, int64 indices on the convolution kernel
     keys = B.key_of(x)
-    assert keys.dtype == np.int64 and 0 <= keys.min() and keys.max() < F.q
+    table = isinstance(B._kernel, bulk._TableKernel)
+    assert keys.dtype == (np.int32 if table else np.int64)
+    assert 0 <= keys.min() and keys.max() < F.q
     pairs = set(zip(keys.tolist(), I.tolist()))
     assert len(pairs) == len(set(keys.tolist())) == len(set(I.tolist()))
     same(B.add(x, y), [a + b for a, b in zip(X, Y)])

@@ -7,7 +7,11 @@ implementation, and each strategy against the chunked engine.
 """
 
 import itertools
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent import futures
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 
 from zetakit import bulk, kexp, scissor, varieties
 from zetakit.bulk import BulkField
-from zetakit.cyclofield import build_field, character, embedding
+from zetakit.cyclofield import build_field, character, embedding, trace_to_prime_int
 from zetakit.cyclotomic import Cyclotomic
 from zetakit.errors import (
     BudgetExceeded,
@@ -382,6 +386,12 @@ def _block(nv, p, k, m, eqs=(), ineqs=(), f=None):
                    trace_w=BulkField(b.E).trace_weights(twist))
 
 
+def _use_workers(monkeypatch, workers):
+    """Run multi-chunk walks as if the process had this many CPUs: inline
+    for 1, else on a pool of that many threads."""
+    monkeypatch.setattr(varieties, "_usable_cpus", lambda: workers)
+
+
 def _force_table(monkeypatch):
     """Send every block with two or more variables to the root table, which
     solves its first equation for its last variable."""
@@ -448,6 +458,11 @@ def test_strategy_matches_the_engine_on_the_same_block(monkeypatch, name, block)
     assert part == varieties._engine_hist(block)
     if block.f.is_zero():
         assert part[1:] == [0] * (block.F.p - 1)
+    # the same in small chunks, inline and on a pool of two threads
+    _walk_in_small_chunks(monkeypatch, block.F.q ** block.m, block.F.k * block.m, "T")
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        assert strategy(block) == part
 
 
 @pytest.mark.parametrize("block,solver", [
@@ -471,7 +486,9 @@ def test_quadratic_strategy_in_small_chunks(monkeypatch, split):
     block = _block(3, 3, 1, 3, ["x2^2 + x0*x2 + x1 - 1"], ["x2 - x0"], f="x2^2*x1 + x0")
     want = varieties._engine_hist(block)
     shapes = _walk_in_small_chunks(monkeypatch, 27, 3, split)
-    assert varieties._fiber_hist(block) == want
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        assert varieties._fiber_hist(block) == want
     assert len(shapes) > 1
 
 
@@ -482,8 +499,113 @@ def test_table_solver_in_small_chunks(monkeypatch):
     want = varieties._engine_hist(block)
     shapes = _walk_in_small_chunks(monkeypatch, 81, 4, "T")
     assert varieties._fiber(block)[0] is varieties._table_roots
-    assert varieties._fiber_hist(block) == want
-    assert len(shapes) == 4
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        assert varieties._fiber_hist(block) == want
+    assert len(shapes) == 8  # two walks of two chunks per worker count
+
+
+def test_expansion_budget_is_exact_on_worker_threads(monkeypatch):
+    # 9 roots per x0, 729 in all, expanded in 21 chunks of 4 points on four
+    # threads that switch often: the walks of 81 points pass, a budget of
+    # 729 is met exactly, and 728 raises from a worker with no chunk left
+    # running
+    block = _block(2, 3, 4, 1, ["x0^9 - x0 + x1^9 - x1"], ["x0 + x1 + 1"], f="x0*x1 + x1")
+    want = varieties._engine_hist(block)
+    monkeypatch.setattr(varieties, "_CHUNK", 4 * 4)
+    _use_workers(monkeypatch, 4)
+    lock = threading.Lock()
+    running, raised_on = 0, []
+    sum_chunks = varieties._sum_chunks
+
+    def spy(chunks, fn, length):
+        def watched(chunk):
+            nonlocal running
+            with lock:
+                running += 1
+            try:
+                return fn(chunk)
+            except BudgetExceeded:
+                raised_on.append(threading.current_thread())
+                raise
+            finally:
+                with lock:
+                    running -= 1
+
+        return sum_chunks(chunks, watched, length)
+
+    monkeypatch.setattr(varieties, "_sum_chunks", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert varieties._fiber_hist(replace(block, budget=729)) == want
+            with pytest.raises(BudgetExceeded):
+                varieties._fiber_hist(replace(block, budget=728))
+            assert running == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert raised_on and threading.main_thread() not in raised_on
+
+
+def test_one_chunk_walks_run_on_the_callers_thread(monkeypatch):
+    _use_workers(monkeypatch, 2)
+    monkeypatch.setattr(varieties, "_pool", None)  # a pool would fail here
+    threads = []
+
+    def fn(i):
+        threads.append(threading.current_thread())
+        return np.ones(1, dtype=np.int64)
+
+    assert varieties._sum_chunks(range(1), fn, 1).tolist() == [1]
+    assert threads == [threading.current_thread()]
+
+
+def test_chunk_pool_raises_the_first_failure_in_walk_order(monkeypatch):
+    # three threads: chunk 2 fails at once, chunk 1 later, chunk 3 is still
+    # running when the failures are seen, and chunk 0 holds the walk until
+    # then; chunk 4 would be submitted only after chunk 0 is added
+    _use_workers(monkeypatch, 3)
+    started, finished = [], []
+    plan = {0: (0.3, None), 1: (0.1, ValueError(1)), 2: (0, ValueError(2)), 3: (0.6, None)}
+
+    def fn(i):
+        started.append(i)
+        delay, error = plan.get(i, (0, None))
+        time.sleep(delay)
+        finished.append(i)
+        if error is not None:
+            raise error
+        return np.ones(1, dtype=np.int64)
+
+    with pytest.raises(ValueError) as caught:
+        varieties._sum_chunks(range(20), fn, 1)
+    assert caught.value.args == (1,)
+    assert sorted(finished) == sorted(started) == [0, 1, 2, 3]
+
+
+def test_concurrent_trace_tables_match_scalar_traces():
+    # five twists, one more than a field keeps tables for, so the threads
+    # evict and rebuild one another's tables
+    F = build_field(3, 5)
+    B = BulkField(F)
+    tables = bulk._log_tables(F)
+    powers = [F.from_index(int(i)) for i in tables.antilog[:-1]]  # g^k
+    twists = [F.from_index(i) for i in (1, 2, 7, 100, 242)]
+    want = {}
+    for i, c in enumerate(twists):
+        want[i] = [trace_to_prime_int(c * x) for x in powers] + [0]
+    weights = [B.trace_weights(c) for c in twists]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with futures.ThreadPoolExecutor(4) as pool:
+            got = pool.map(lambda i: (i % 5, tables.trace_table(weights[i % 5]).tolist()),
+                           range(200))
+            for i, table in got:
+                assert table == want[i]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("block", [
@@ -673,7 +795,9 @@ def test_fiber_histograms_match_scalar_oracle_in_small_chunks(monkeypatch, X, sp
             s = s * F.q + u.eval_ff(x).index()
         want[s, chi.exponent(X.f.eval_ff(x))] += 1
     _walk_in_small_chunks(monkeypatch, F.q, 1, split)
-    assert np.array_equal(varieties.fiber_histograms(X, chi), want)
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        assert np.array_equal(varieties.fiber_histograms(X, chi), want)
 
 
 @pytest.mark.parametrize("split", ["R", "T"])
