@@ -91,7 +91,13 @@ def build_parser():
 # Subcommands
 
 
+def _require_order(args):
+    if args.order < 0:
+        raise ParseError(f"--order must be at least 0, got {args.order}")
+
+
 def _cmd_zeta(args):
+    _require_order(args)
     X = varieties.load_spec(args.spec)
     F = build_field(args.p, args.k)
     series = zetas.hw_zeta(X, F, args.order, args.budget)
@@ -107,6 +113,7 @@ def _cmd_zeta(args):
 
 
 def _cmd_expzeta(args):
+    _require_order(args)
     X = varieties.load_spec(args.spec)
     F = build_field(args.p, args.k)
     chi = _character(F, args.twist)
@@ -138,6 +145,7 @@ def _cmd_heights(args):
 
 
 def _cmd_witt(args):
+    _require_order(args)
     X = varieties.load_spec(args.spec)
     F = build_field(args.p, args.k)
     series = zetas.hw_zeta(X, F, args.order, args.budget)
@@ -174,16 +182,18 @@ def _character(F, twist):
 
 
 def _job_field(data, key, kind, default=None, least=None):
-    """data[key] (default when absent), checked to be a `kind` (bools are
-    not ints) and at least `least`; ParseError otherwise."""
+    """data[key] (default when absent), checked to be a `kind`, a type or
+    a tuple of types (bools are not ints), and at least `least`;
+    ParseError otherwise."""
     if not isinstance(data, dict):
         raise ParseError(f"job entries must be objects, got {data!r}")
     value = data.get(key, default)
     if (not isinstance(value, kind) or isinstance(value, bool)
             or least is not None and value < least):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        names = " or ".join(k.__name__ for k in kinds)
         at_least = "" if least is None else f" >= {least}"
-        raise ParseError(f"job field {key!r} must be a {kind.__name__}{at_least}, "
-                         f"got {value!r}")
+        raise ParseError(f"job field {key!r} must be a {names}{at_least}, got {value!r}")
     return value
 
 
@@ -251,7 +261,7 @@ def _cmd_stratify(args):
               else heights.dyadic_bounds(_job_field(job, "bound", int, 60, least=1)))
     result = scissor.stratify(
         target, candidates, _job_field(job, "degree", int, 1, least=1), bounds,
-        margin=job.get("margin", 0.25), budget=args.budget)
+        margin=_job_field(job, "margin", (int, float), 0.25), budget=args.budget)
     report = {
         "job": _job_echo(args),
         "chain": result["chain"],
@@ -330,7 +340,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParseError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ZetakitError as exc:

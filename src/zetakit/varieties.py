@@ -11,19 +11,20 @@ which keeps product varieties inside the budget.  Each block goes to the
 first strategy of one ordered tuple that takes it:
   1. no constraints: a power of the field size; for linearized or (odd p)
      quadratic f, an exact histogram without enumeration;
-  2. one variable, f = 0: roots via gcd with x^Q - x;
-  3. one variable, f != 0: those roots walked over the base field when
-     they all lie there;
-  4. two or more variables, an equation e solved for one variable y at
+  2. one variable: roots via gcd with x^Q - x, which give a count
+     directly; for f != 0, one walk over the base field, when the roots
+     that decide the histogram all lie there, checked against the gcd
+     count;
+  3. two or more variables, an equation e solved for one variable y at
      each point of the others: by a square root when e has degree 1 or
      (odd p) 2 in y with a constant leading coefficient, Q^(r-1)
      candidates; else, for two variables and e = u(x) + w(y), from a
      table of every y sorted by w(y), 2Q candidates plus the roots
      expanded;
-  5. the chunked engine, under a candidate budget.
+  4. the chunked engine, under a candidate budget.
 
 Every point walk goes through one chunk loop (`_chunks`) and one
-evaluator (`_Chunk`): block tallies, the walks of strategy 4 and its
+evaluator (`_Chunk`): block tallies, the walks of strategy 3 and its
 root table, fiber histograms over a base map, the membership walks
 behind cover checks and, over the exact integers of `heights._Integers`,
 the height box.  A chunk is a grid of prefixes of the leading
@@ -432,8 +433,7 @@ def _block_histogram(b: _Block):
     chunked engine takes every block.
     """
     # names looked up per call, so a test can stand in for one strategy
-    for strategy in (_full_space_hist, _count_univariate, _univariate_hist,
-                     _fiber_hist, _engine_hist):
+    for strategy in (_full_space_hist, _univariate_hist, _fiber_hist, _engine_hist):
         part = strategy(b)
         if part is not None:
             return part
@@ -899,95 +899,57 @@ def _diagonalize_symmetric(A, p):
     return A, P
 
 
-def _count_univariate(b: _Block):
-    """Roots in F_Q of a one-variable block's equations minus the inequation
-    loci, by gcds with x^Q - x; counts only."""
-    if len(b.vs) != 1 or not b.f.is_zero():
-        return None
-    var, p, n = b.vs[0], b.F.p, b.F.k * b.m
-    bad = _univariate_product(b.ineqs, var, p)
-    if bad is None:
-        return [0] * p
-    g = _univariate_gcd(b.eqs, var, p)
-    if g:
-        roots = gfpoly.distinct_roots(g, p, n)
-        count = gfpoly.deg(roots) - gfpoly.deg(gfpoly.gcd(roots, bad, p))
-    else:  # no equations: F_Q minus the inequation roots
-        count = p**n - gfpoly.deg(gfpoly.distinct_roots(bad, p, n))
-    return [count] + [0] * (p - 1)
-
-
-def _univariate_gcd(eqs, var, p):
-    """gcd of the equations as polynomials in var over GF(p); None if none."""
-    g = None
-    for e in eqs:
-        u = e.to_univariate(var, p)
-        g = u if g is None else gfpoly.gcd(g, u, p)
-    return g
-
-
-def _univariate_product(ineqs, var, p):
-    """Product of the inequations in var over GF(p); None when one of them
-    vanishes identically."""
-    prod = (1,)
-    for h in ineqs:
-        hu = h.to_univariate(var, p)
-        if not hu:
-            return None
-        prod = gfpoly.mul(prod, hu, p)
-    return prod
-
-
 def _univariate_hist(b: _Block):
-    """Exact histogram for a one-variable block with f != 0 whose constraint
-    roots all lie in the base field; None when that cannot be certified
-    cheaply.
+    """Exact histogram for a one-variable block from its roots in
+    F_Q = F_{q^m}, by gcds with x^Q - x; None when f != 0 and one walk over
+    the base field cannot give it.
 
-    For rho in the base field F_q inside F_Q = F_{q^m},
-    Tr_{F_Q/F_p}(c f(rho)) = Tr_{F_q/F_p}(m * c * f(rho)), so the roots are
-    walked by the engine over F_q with the trace weights of m * c.  A walk
-    whose root count differs from the gcd's raises RouteMismatch.
+    The finite side is the roots of the gcd of the equations that no
+    inequation vanishes at, or, with no equations, the roots of the
+    product of the inequations.  A count is the size of the first, or Q
+    minus the size of the second, and nothing is walked.  For f != 0 the
+    finite side must lie in the base field F_q, q <= 4096: for rho in F_q,
+    Tr_{F_Q/F_p}(c f(rho)) = Tr_{F_q/F_p}(m * c * f(rho)), so the engine
+    walks F_q once with the trace weights of m * c, over the block's
+    conditions or, with no equations, the product of the inequations as
+    the only equation.  A walk whose point count differs from the gcd
+    count raises RouteMismatch, so the histogram returned is the one
+    checked.
     """
-    F, p = b.F, b.F.p
-    if len(b.vs) != 1 or b.f.is_zero() or F.q > 4096:
+    if len(b.vs) != 1:
         return None
-    var = b.vs[0]
-    weights = BulkField(F).trace_weights(F.element(b.m) * b.c)
-
-    def base_hist(eqs, ineqs):
-        return _enumerate_block([var], eqs, ineqs, b.f, weights, F, b.budget)
-
-    def in_base(R):
-        return gfpoly.deg(gfpoly.distinct_roots(R, p, F.k)) == gfpoly.deg(R)
-
-    def check_roots(walked, R):
-        if walked != gfpoly.deg(R):
-            raise RouteMismatch(f"walk over F_{F.q}: {walked} roots, gcd: {gfpoly.deg(R)}")
-
+    F, p, var = b.F, b.F.p, b.vs[0]
+    n = F.k * b.m
+    bad = (1,)
+    for h in b.ineqs:
+        bad = gfpoly.mul(bad, h.to_univariate(var, p), p)
     if b.eqs:
-        R = gfpoly.distinct_roots(_univariate_gcd(b.eqs, var, p), p, F.k * b.m)
-        if gfpoly.deg(R) <= 0:
-            return [0] * p
-        if not in_base(R):
+        g = functools.reduce(lambda a, u: gfpoly.gcd(a, u, p),
+                             (e.to_univariate(var, p) for e in b.eqs))
+        roots = gfpoly.distinct_roots(g, p, n)
+        finite = gfpoly.divmod_(roots, gfpoly.gcd(roots, bad, p), p)[0]
+        count = gfpoly.deg(finite)
+    else:
+        finite = gfpoly.distinct_roots(bad, p, n)
+        count = p**n - gfpoly.deg(finite)
+    if b.f.is_zero() or not count:
+        return [count] + [0] * (p - 1)
+    if F.q > 4096 or gfpoly.deg(gfpoly.distinct_roots(finite, p, F.k)) != gfpoly.deg(finite):
+        return None
+    if b.eqs:
+        full, eqs, ineqs = [0] * p, b.eqs, b.ineqs
+    else:
+        full = _full_space_hist(replace(b, ineqs=[]))
+        if full is None:
             return None
-        check_roots(int(base_hist(b.eqs, []).sum()), R)
-        return [int(v) for v in base_hist(b.eqs, b.ineqs)]
-
-    # no equations: full line minus the inequation root loci
-    full = _full_space_hist(replace(b, ineqs=[]))
-    if full is None:
-        return None
-    H = _univariate_product(b.ineqs, var, p)
-    if H is None:
-        return [0] * p  # an inequation is identically zero mod p
-    R = gfpoly.distinct_roots(H, p, F.k * b.m)
-    if gfpoly.deg(R) <= 0:
-        return full
-    if not in_base(R):
-        return None
-    bad = base_hist([], []) - base_hist([], b.ineqs)
-    check_roots(int(bad.sum()), R)
-    return [a - int(c) for a, c in zip(full, bad)]
+        eqs, ineqs = [math.prod(b.ineqs, start=Poly.constant(b.f.nvars, 1))], []
+    weights = BulkField(F).trace_weights(F.element(b.m) * b.c)
+    walked = _enumerate_block([var], eqs, ineqs, b.f, weights, F, b.budget)
+    if int(walked.sum()) != gfpoly.deg(finite):
+        raise RouteMismatch(f"walk over F_{F.q}: {walked.sum()} points, "
+                            f"gcd: {gfpoly.deg(finite)}")
+    sign = 1 if b.eqs else -1
+    return [a + sign * int(v) for a, v in zip(full, walked)]
 
 
 def _y_coefficients(e, y):

@@ -154,6 +154,23 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_unreadable_spec_path_exits_2(specs, capsys):
+    code = main(["zeta", "--spec", specs["dir"], "--p", "3", "--order", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["zeta", "expzeta", "witt"])
+def test_negative_order_exits_2(specs, capsys, command):
+    code = main([command, "--spec", specs["gm"], "--p", "3", "--order", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--order" in captured.err
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -296,6 +313,8 @@ def test_expzeta_enumerates_each_degree_once(specs, capsys, monkeypatch):
     ("stratify", {"target": projective_space(2).to_json(), "bounds": [0, 8]}),
     ("stratify", {"target": projective_space(2).to_json(), "bound": "60"}),
     ("stratify", {"target": projective_space(2).to_json(), "degree": 0}),
+    ("stratify", {"target": projective_space(2).to_json(), "margin": "x"}),
+    ("stratify", {"target": projective_space(2).to_json(), "margin": True}),
 ], ids=["no-classes", "list-classes", "no-realizations", "dict-realizations",
         "no-relations", "no-type", "int-type", "no-p", "string-p", "no-bounds",
         "list-realization", "relation-without-left", "not-an-object",
@@ -304,7 +323,7 @@ def test_expzeta_enumerates_each_degree_once(specs, capsys, monkeypatch):
         "string-realization-bounds", "decreasing-realization-bounds",
         "no-target", "string-target", "list-candidates", "string-bounds",
         "repeated-bounds", "zero-bound-in-bounds", "string-bound",
-        "zero-stratify-degree"])
+        "zero-stratify-degree", "string-margin", "bool-margin"])
 def test_malformed_job_file_exits_2(tmp_path, capsys, command, job):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))

@@ -332,9 +332,10 @@ def test_production_paths_do_not_use_the_scalar_oracle(monkeypatch, F3, F4):
     taken = []
     univariate = varieties._univariate_hist
 
-    def spy(*args):
-        part = univariate(*args)
-        taken.append(part is not None)
+    def spy(b):  # counts go through the same strategy; record histograms only
+        part = univariate(b)
+        if not b.f.is_zero():
+            taken.append(part is not None)
         return part
 
     monkeypatch.setattr(varieties, "_univariate_hist", spy)
@@ -407,11 +408,11 @@ STRATEGY_CASES = [
     ("_full_space_hist", _block(2, 5, 4, 1, f="x0^2 + 3*x0*x1 + 2*x1")),
     ("_full_space_hist", _block(1, 3, 1, 12, f="x0^3 + x0^9")),
     ("_full_space_hist", _block(1, 7, 7, 1, f="3*x0^2 + x0")),
-    ("_count_univariate", _block(1, 7, 1, 7, ["x0^49 - x0"], ["x0 - 1"])),
-    ("_count_univariate", _block(1, 3, 12, 1, ineqs=["x0^2 + 1"])),
-    ("_count_univariate", _block(1, 2, 20, 1, ["x0^3 - 1"])),
-    ("_count_univariate", _block(1, 5, 8, 1, ["x0^25 - x0", "x0^5 - x0^2"])),
-    ("_count_univariate", _block(1, 3, 4, 3, ["x0^2 + 1", "x0^2 + x0 + 2"])),
+    ("_univariate_hist", _block(1, 7, 1, 7, ["x0^49 - x0"], ["x0 - 1"])),
+    ("_univariate_hist", _block(1, 3, 12, 1, ineqs=["x0^2 + 1"])),
+    ("_univariate_hist", _block(1, 2, 20, 1, ["x0^3 - 1"])),
+    ("_univariate_hist", _block(1, 5, 8, 1, ["x0^25 - x0", "x0^5 - x0^2"])),
+    ("_univariate_hist", _block(1, 3, 4, 3, ["x0^2 + 1", "x0^2 + x0 + 2"])),
     ("_univariate_hist", _block(1, 3, 2, 6, ["x0^9 - x0"], ["x0 - 1"], f="x0^2 + x0^5")),
     ("_univariate_hist", _block(1, 2, 4, 5, ineqs=["x0^4 - x0"], f="x0 + x0^4")),
     ("_univariate_hist", _block(1, 5, 1, 8, ineqs=["x0^5 - x0"], f="x0^2")),
@@ -562,26 +563,42 @@ def test_one_chunk_walks_run_on_the_callers_thread(monkeypatch):
 
 
 def test_chunk_pool_raises_the_first_failure_in_walk_order(monkeypatch):
-    # three threads: chunk 2 fails at once, chunk 1 later, chunk 3 is still
-    # running when the failures are seen, and chunk 0 holds the walk until
-    # then; chunk 4 would be submitted only after chunk 0 is added
+    # three threads: once chunk 3 is submitted, chunk 2 fails, then chunk
+    # 1, while chunk 3 is still running and chunk 0 holds the walk until
+    # both have failed; chunk 4 would be submitted only after chunk 0 is
+    # added.  Waits on the futures set this order, not timing.
     _use_workers(monkeypatch, 3)
-    started, finished = [], []
-    plan = {0: (0.3, None), 1: (0.1, ValueError(1)), 2: (0, ValueError(2)), 3: (0.6, None)}
+    started, finished, submitted = [], [], []
+    four_submitted = threading.Event()
+
+    class Recording(futures.ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            future = super().submit(fn, *args)
+            submitted.append(future)
+            if len(submitted) == 4:
+                four_submitted.set()
+            return future
+
+    pool = Recording(3)
+    monkeypatch.setattr(varieties, "_pool", lambda workers: pool)
 
     def fn(i):
         started.append(i)
-        delay, error = plan.get(i, (0, None))
-        time.sleep(delay)
+        if i < 3:  # chunk i waits for the chunks after it, up to chunk 2
+            four_submitted.wait(10)
+            futures.wait(submitted[i + 1:3], timeout=10)
+        else:
+            time.sleep(0.3)
         finished.append(i)
-        if error is not None:
-            raise error
+        if i in (1, 2):
+            raise ValueError(i)
         return np.ones(1, dtype=np.int64)
 
     with pytest.raises(ValueError) as caught:
         varieties._sum_chunks(range(20), fn, 1)
     assert caught.value.args == (1,)
     assert sorted(finished) == sorted(started) == [0, 1, 2, 3]
+    pool.shutdown()
 
 
 def test_concurrent_trace_tables_match_scalar_traces():
@@ -728,22 +745,37 @@ def test_projective_spec_with_f_is_refused(F3):
             closed_point_tally(X, chi, 2)
 
 
-@pytest.mark.parametrize("ineqs", [[], ["x0 - 1"]])
-def test_univariate_walk_that_misses_a_root_is_a_route_mismatch(monkeypatch, ineqs):
+# the engine misses a point on every walk, or only on walks given
+# inequations, which a check walk made without them would not see
+@pytest.mark.parametrize("ineqs,only_with_ineqs", [
+    ([], False), (["x0 - 1"], False), (["x0 - 1"], True),
+], ids=["ineqs0", "ineqs1", "ineqs1-only-with-inequations"])
+def test_univariate_walk_that_misses_a_root_is_a_route_mismatch(monkeypatch, ineqs,
+                                                                 only_with_ineqs):
     engine = varieties._enumerate_block
 
-    def drop_one_point(*args, **kwargs):
-        tally = engine(*args, **kwargs)
-        tally[tally.nonzero()[0][:1]] -= 1
+    def faulty(vs, eqs, ineqs, *args, **kwargs):
+        tally = engine(vs, eqs, ineqs, *args, **kwargs)
+        if ineqs or not only_with_ineqs:
+            tally[tally.nonzero()[0][:1]] -= 1
         return tally
 
-    monkeypatch.setattr(varieties, "_enumerate_block", drop_one_point)
+    monkeypatch.setattr(varieties, "_enumerate_block", faulty)
     # with equations: x^3 - x; without: the inequation locus of x^3 - x
     eqs, ineqs = (["x0^3 - x0"], ineqs) if ineqs else ([], ["x0^3 - x0"])
     block = _block(1, 3, 1, 2, eqs, ineqs, f="x0^2")
     with pytest.raises(RouteMismatch):
         varieties._univariate_hist(block)
 
+
+
+@pytest.mark.parametrize("eqs,ineqs", [(["x0^2 + 1"], []), ([], ["x0^2 + 1"])])
+def test_univariate_roots_outside_the_base_field_go_to_the_engine(F3, eqs, ineqs):
+    # x^2 + 1 has its roots in F_9, not F_3, so a walk over F_3 cannot see them
+    assert varieties._univariate_hist(_block(1, 3, 1, 2, eqs, ineqs, f="x0^2")) is None
+    X = affine(1, eqs, ineqs, f="x0^2")
+    chi = character(F3, F3.from_index(2))
+    assert list(exponent_histogram(X, chi, 2)) == brute_histogram(X, chi, 2)
 
 # -- the engine's grid layout against the scalar oracle -------------------------
 
