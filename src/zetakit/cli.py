@@ -16,7 +16,7 @@ import sys
 
 from . import __version__, heights, kexp, scissor, varieties, witt, zetas
 from .cyclofield import build_field, character
-from .errors import ParseError, ZetakitError
+from .errors import DegreeZero, NotPrime, ParseError, ZetakitError
 from .series import SeriesTrunc
 
 
@@ -96,10 +96,27 @@ def _require_order(args):
         raise ParseError(f"--order must be at least 0, got {args.order}")
 
 
+def _field(p, k):
+    """build_field(p, k), with a characteristic that is not a prime or a
+    degree below 1 a ParseError; a field too large stays BudgetExceeded."""
+    try:
+        return build_field(p, k)
+    except (NotPrime, DegreeZero) as exc:
+        raise ParseError(f"{type(exc).__name__}: {exc}") from None
+
+
+def _require_budget(args):
+    """--budget, or without it ZETAKIT_BUDGET, must be at least 1; checked
+    before the job runs, since a job that enumerates nothing never reads it."""
+    budget = varieties.default_budget() if args.budget is None else args.budget
+    if budget < 1:
+        raise ParseError(f"--budget must be at least 1, got {budget}")
+
+
 def _cmd_zeta(args):
     _require_order(args)
     X = varieties.load_spec(args.spec)
-    F = build_field(args.p, args.k)
+    F = _field(args.p, args.k)
     series = zetas.hw_zeta(X, F, args.order, args.budget)
     report = {"job": _job_echo(args), "verdict": "pass",
               "series": series.to_json(), "q": F.q}
@@ -115,7 +132,7 @@ def _cmd_zeta(args):
 def _cmd_expzeta(args):
     _require_order(args)
     X = varieties.load_spec(args.spec)
-    F = build_field(args.p, args.k)
+    F = _field(args.p, args.k)
     chi = _character(F, args.twist)
     tally = varieties.closed_point_tally(X, chi, args.order, args.budget)
     series = zetas.exp_zeta_from_tally(tally, args.order)
@@ -128,6 +145,8 @@ def _cmd_expzeta(args):
 def _cmd_heights(args):
     if args.degree < 1:
         raise ParseError(f"--degree must be at least 1, got {args.degree}")
+    if args.bound < 1:
+        raise ParseError(f"--bound must be at least 1, got {args.bound}")
     X = varieties.load_spec(args.spec)
     bounds = heights.dyadic_bounds(args.bound)
     tbl = heights.height_count_table(X, args.degree, bounds, args.budget)
@@ -147,7 +166,7 @@ def _cmd_heights(args):
 def _cmd_witt(args):
     _require_order(args)
     X = varieties.load_spec(args.spec)
-    F = build_field(args.p, args.k)
+    F = _field(args.p, args.k)
     series = zetas.hw_zeta(X, F, args.order, args.budget)
     cls = witt.lift_roundtrip(series, (args.order - 2) // 2)
     report = {"job": _job_echo(args), "verdict": "pass",
@@ -160,7 +179,7 @@ def _cmd_fourier(args):
     X = varieties.load_spec(args.spec)
     if X.base_map is None:
         raise ParseError("fourier needs a spec with a base_map", 0)
-    F = build_field(args.p, args.k)
+    F = _field(args.p, args.k)
     cls = kexp.KExpClass.generator(X)
     results = []
     for t in range(1, F.q):
@@ -243,7 +262,7 @@ def _realization_from_json(data):
             _job_field(data, "degree", int, 1, least=1), _job_bounds(data))
     if kind not in ("point-count", "exp-sum"):
         raise ParseError(f"unknown realization type {kind!r}", 0)
-    F = build_field(_job_field(data, "p", int), _job_field(data, "k", int, 1, least=1))
+    F = _field(_job_field(data, "p", int), _job_field(data, "k", int, 1, least=1))
     m = _job_field(data, "m", int, 1, least=1)
     if kind == "point-count":
         return scissor.PointCountRealization(F, m)
@@ -339,6 +358,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _require_budget(args)
         return _COMMANDS[args.command](args)
     except (ParseError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

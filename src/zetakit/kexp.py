@@ -10,7 +10,11 @@ are checked against each other exactly.
 Fiberwise realization is one pass of the chunked engine of `varieties`
 per generator.  The realized transform and finite Poisson summation stay
 scalar sums over the base table: a route independent of the symbolic
-transform they are checked against.
+transform they are checked against.  Both read the pairing chi(<s, y>)
+from one q x q table of the exponents of chi(a * b), built with scalar
+field products; chi is additive, so the exponent of chi(<s, y>) is the
+sum of the table entries at (s_i, y_i), mod p.  Poisson summation takes
+the transform only at the points of H-perp.
 """
 
 from __future__ import annotations
@@ -244,26 +248,30 @@ def fourier_symbolic(c: KExpClass) -> KExpClass:
     return out
 
 
-def fourier_realized(psi: MotFunction) -> MotFunction:
-    """Psi-hat(y) = sum_s Psi(s) chi(<s, y>), exact on the full table."""
-    F, chi, d = psi.field, psi.chi, psi.d
-    expected = F.q**d
+def _pairing(chi: AdditiveCharacter):
+    """pair(s, y): the exponent of chi(<s, y>) at index tuples s, y, read
+    from one q x q table of the exponents of chi(a * b): chi is additive."""
+    elems = [chi.field.from_index(i) for i in range(chi.field.q)]
+    T = [[chi.exponent(a * b) for b in elems] for a in elems]
+    return lambda s, y: sum(T[a][b] for a, b in zip(s, y)) % chi.p
+
+
+def _transform_at(psi: MotFunction, ys, pair) -> dict:
+    """{y: Psi-hat(y) = sum_s Psi(s) chi(<s, y>)} at the base points ys."""
+    expected = psi.field.q**psi.d
     if len(psi.table) != expected:
         raise IncompleteTable(f"{len(psi.table)} of {expected} base points")
-    points = [tuple(s) for s in _base_points(F, d)]
-    elems = {i: F.from_index(i) for i in range(F.q)}
-    table = {}
-    for y in points:
-        acc = Cyclotomic.integer(chi.p, 0)
-        for s, v in psi.table.items():
-            if v.is_zero():
-                continue
-            pairing = F.zero()
-            for si, yi in zip(s, y):
-                pairing = pairing + elems[si] * elems[yi]
-            acc = acc + v * Cyclotomic.zeta_power(chi.p, chi.exponent(pairing))
-        table[y] = acc
-    return MotFunction(F, chi, d, table)
+    p = psi.chi.p
+    support = [(s, v) for s, v in psi.table.items() if not v.is_zero()]
+    return {y: sum((v * Cyclotomic.zeta_power(p, pair(s, y)) for s, v in support),
+                   Cyclotomic.integer(p, 0))
+            for y in ys}
+
+
+def fourier_realized(psi: MotFunction) -> MotFunction:
+    """Psi-hat(y) = sum_s Psi(s) chi(<s, y>), exact on the full table."""
+    table = _transform_at(psi, _base_points(psi.field, psi.d), _pairing(psi.chi))
+    return MotFunction(psi.field, psi.chi, psi.d, table)
 
 
 def delta_class(s0) -> KExpClass:
@@ -298,8 +306,9 @@ def inversion_check(c: KExpClass, chi: AdditiveCharacter, budget=None) -> dict:
 def poisson_finite_check(psi: MotFunction, h_equations) -> dict:
     """|H-perp| * sum_H Psi == sum_{H-perp} Psi-hat, exactly.
 
-    H is the common zero set of linear forms on V = F_q^d; H-perp is cut
-    out by the character pairing, found by exhaustive search (V is tiny).
+    H is the common zero set of linear forms on V = F_q^d; H-perp, cut out
+    by the pairing table, is found by exhaustive search (V is tiny), and
+    Psi-hat is taken on H-perp only.
     """
     F, chi, d = psi.field, psi.chi, psi.d
     eqs = [Poly.parse(e, d) if isinstance(e, str) else e for e in h_equations]
@@ -307,32 +316,14 @@ def poisson_finite_check(psi: MotFunction, h_equations) -> dict:
         if not e.is_linear_form():
             raise NotASubgroup(f"{e!r} is not a linear form")
     elems = [F.from_index(i) for i in range(F.q)]
-    points = [tuple(s) for s in _base_points(F, d)]
-
-    def in_H(s):
-        x = tuple(elems[i] for i in s)
-        return all(e.eval_ff(x).is_zero() for e in eqs) if eqs else True
-
-    H = [s for s in points if in_H(s)]
-
-    def perp(y):
-        ye = tuple(elems[i] for i in y)
-        for s in H:
-            pairing = F.zero()
-            for si, yi in zip(s, ye):
-                pairing = pairing + elems[si] * yi
-            if chi.exponent(pairing) != 0:
-                return False
-        return True
-
-    Hperp = [y for y in points if perp(y)]
-    psihat = fourier_realized(psi)
-    lhs = Cyclotomic.integer(chi.p, 0)
-    for s in H:
-        lhs = lhs + psi.table[s]
-    rhs = Cyclotomic.integer(chi.p, 0)
-    for y in Hperp:
-        rhs = rhs + psihat.table[y]
+    points = list(_base_points(F, d))
+    H = [s for s in points
+         if all(e.eval_ff(tuple(elems[i] for i in s)).is_zero() for e in eqs)]
+    pair = _pairing(chi)
+    Hperp = [y for y in points if all(pair(s, y) == 0 for s in H)]
+    zero = Cyclotomic.integer(chi.p, 0)
+    rhs = sum(_transform_at(psi, Hperp, pair).values(), zero)
+    lhs = sum((psi.table[s] for s in H), zero)
     if len(Hperp) * lhs != rhs:
         raise CoefficientMismatch("poisson", len(Hperp) * lhs, rhs)
     return {"verdict": "pass", "H_size": len(H), "Hperp_size": len(Hperp)}

@@ -93,9 +93,12 @@ def default_budget():
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        raise ParseError(f"ZETAKIT_BUDGET must be an integer, got {raw!r}") from None
+        budget = None
+    if budget is None or budget < 1:
+        raise ParseError(f"ZETAKIT_BUDGET must be an integer >= 1, got {raw!r}")
+    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -908,7 +911,8 @@ def _univariate_hist(b: _Block):
     inequation vanishes at, or, with no equations, the roots of the
     product of the inequations.  A count is the size of the first, or Q
     minus the size of the second, and nothing is walked.  For f != 0 the
-    finite side must lie in the base field F_q, q <= 4096: for rho in F_q,
+    finite side must lie in the base field F_q, of any size, since the
+    walk charges q where the engine would charge Q: for rho in F_q,
     Tr_{F_Q/F_p}(c f(rho)) = Tr_{F_q/F_p}(m * c * f(rho)), so the engine
     walks F_q once with the trace weights of m * c, over the block's
     conditions or, with no equations, the product of the inequations as
@@ -934,7 +938,7 @@ def _univariate_hist(b: _Block):
         count = p**n - gfpoly.deg(finite)
     if b.f.is_zero() or not count:
         return [count] + [0] * (p - 1)
-    if F.q > 4096 or gfpoly.deg(gfpoly.distinct_roots(finite, p, F.k)) != gfpoly.deg(finite):
+    if gfpoly.deg(gfpoly.distinct_roots(finite, p, F.k)) != gfpoly.deg(finite):
         return None
     if b.eqs:
         full, eqs, ineqs = [0] * p, b.eqs, b.ineqs

@@ -171,6 +171,84 @@ def test_negative_order_exits_2(specs, capsys, command):
     assert captured.err.startswith("error: ") and "--order" in captured.err
 
 
+def usage_error(argv, capsys):
+    """Assert that argv exits 2 with an empty stdout; returns stderr."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    return captured.err
+
+
+@pytest.mark.parametrize("command, spec, field", [
+    ("zeta", "gm", ["--p", "4", "--order", "3"]),
+    ("zeta", "gm", ["--p", "3", "--k", "0", "--order", "3"]),
+    ("expzeta", "gm", ["--p", "4", "--order", "3"]),
+    ("witt", "gm", ["--p", "3", "--k", "0", "--order", "3"]),
+    ("fourier", "rel", ["--p", "4"]),
+], ids=["zeta-p4", "zeta-k0", "expzeta-p4", "witt-k0", "fourier-p4"])
+def test_bad_field_exits_2(specs, capsys, command, spec, field):
+    err = usage_error([command, "--spec", specs[spec], *field], capsys)
+    assert "NotPrime" in err or "DegreeZero" in err
+
+
+def test_field_too_large_exits_1(specs, capsys):
+    code = main(["zeta", "--spec", specs["gm"], "--p", "2", "--k", "30",
+                 "--order", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "BudgetExceeded" in captured.err
+
+
+@pytest.mark.parametrize("spec", ["gm", "cubic"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_exits_2(specs, tmp_path, capsys, spec, budget):
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(affine(2, ["x1^2 + x0*x1 - x0^3 - 1"]).to_json()))
+    spec = specs["gm"] if spec == "gm" else str(path)
+    err = usage_error(["zeta", "--spec", spec, "--p", "3", "--order", "3",
+                       "--budget", budget], capsys)
+    assert "--budget" in err
+
+
+def test_budget_variable_below_one_exits_2_without_a_walk(specs, capsys, monkeypatch):
+    # gm's count comes from a gcd, so no enumeration ever reads the budget
+    monkeypatch.setenv("ZETAKIT_BUDGET", "-3")
+    err = usage_error(["zeta", "--spec", specs["gm"], "--p", "3", "--order", "3"],
+                      capsys)
+    assert "ZETAKIT_BUDGET" in err
+
+
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_heights_bound_below_one_exits_2(specs, capsys, bound):
+    err = usage_error(["heights", "--spec", specs["p1"], "--bound", bound], capsys)
+    assert "--bound" in err
+
+
+def test_heights_json_report(specs, capsys):
+    argv = ["heights", "--spec", specs["p1"], "--bound", "64"]
+    code, out = run(argv, capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["job"]["bound"] == 64
+    assert report["table"]["bounds"] == [1, 2, 4, 8, 16, 32, 64]
+    assert report["table"]["counts"][:2] == [4, 8]  # 0, oo, +-1; then +-2, +-1/2
+    assert set(report["fit"]) == {"beta", "t", "c", "residual"}
+    assert report["sigma"] == report["fit"]["beta"]
+    assert abs(report["sigma"] - 2) < 0.1  # Schanuel: N(B) ~ c B^2 on P^1
+    assert "fit_note" not in report
+    assert run(argv, capsys) == (0, out)
+
+    code, out = run(["heights", "--spec", specs["p1"], "--bound", "3"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["table"]["bounds"] == [1, 3]
+    assert report["fit_note"] == "2 usable samples"
+    assert "sigma" not in report and "fit" not in report
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -290,6 +368,8 @@ def test_expzeta_enumerates_each_degree_once(specs, capsys, monkeypatch):
                 "relations": []}),
     ("ledger", {"classes": {}, "realizations": [{"type": "point-count", "p": 3, "m": 0}],
                 "relations": []}),
+    ("ledger", {"classes": {}, "realizations": [{"type": "point-count", "p": 4}],
+                "relations": []}),
     ("ledger", {"classes": {}, "realizations": [{"type": "exp-sum", "p": 3, "twist": "1"}],
                 "relations": []}),
     ("ledger", {"classes": {}, "realizations": [{"type": "exp-sum", "p": 3, "twist": 3}],
@@ -318,7 +398,7 @@ def test_expzeta_enumerates_each_degree_once(specs, capsys, monkeypatch):
 ], ids=["no-classes", "list-classes", "no-realizations", "dict-realizations",
         "no-relations", "no-type", "int-type", "no-p", "string-p", "no-bounds",
         "list-realization", "relation-without-left", "not-an-object",
-        "string-m", "string-k", "zero-m", "string-twist", "twist-out-of-range",
+        "string-m", "string-k", "zero-m", "non-prime-p", "string-twist", "twist-out-of-range",
         "zero-degree", "undeclared-right-class", "undeclared-left-class",
         "string-realization-bounds", "decreasing-realization-bounds",
         "no-target", "string-target", "list-candidates", "string-bounds",
@@ -372,12 +452,13 @@ def test_stratify_candidate_with_two_extra_equations_exits_1(tmp_path, capsys):
 def test_malformed_budget_variable_exits_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "cubic.json"
     path.write_text(json.dumps(affine(2, ["x1^2 + x0*x1 - x0^3 - 1"]).to_json()))
-    monkeypatch.setenv("ZETAKIT_BUDGET", "abc")
-    code = main(["zeta", "--spec", str(path), "--p", "3", "--order", "3"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "ZETAKIT_BUDGET" in captured.err and "'abc'" in captured.err
+    for raw in ("abc", "0", "-3"):
+        monkeypatch.setenv("ZETAKIT_BUDGET", raw)
+        code = main(["zeta", "--spec", str(path), "--p", "3", "--order", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "ZETAKIT_BUDGET" in captured.err and repr(raw) in captured.err
     monkeypatch.setenv("ZETAKIT_BUDGET", "1000")
     assert varieties.default_budget() == 1000
 

@@ -11,6 +11,7 @@ from zetakit.cyclofield import build_field, character
 from zetakit.cyclotomic import Cyclotomic
 from zetakit.errors import (
     BaseMismatch,
+    CoefficientMismatch,
     MissingBaseMap,
     NonzeroRealization,
     NotASubgroup,
@@ -120,6 +121,18 @@ def test_base_dimension_mismatch():
         (one + two).base_dim()
 
 
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (2, 2)])
+def test_fibered_product_realizes_pointwise(p, k):
+    # [A^1, x^2] - 2 delta_0 over x, times [x0*x1 = 1, x0 + x1] over x0^2
+    F = build_field(p, k)
+    chi = character(F)
+    c1 = rel_line() - 2 * delta_class((0,))
+    c2 = gen(affine(2, ["x0*x1 - 1"], f="x0 + x1", base_map=["x0^2"]))
+    psi1, psi2 = realize_relative(c1, chi), realize_relative(c2, chi)
+    product = realize_relative(kexp_mul(c1, c2), chi)
+    assert product.table == {s: psi1(s) * psi2(s) for s in psi1.table}
+
+
 def test_fourier_of_delta_is_a_character(F5):
     chi = character(F5)
     psi = realize_relative(fourier_symbolic(delta_class((2,))), chi)
@@ -129,12 +142,21 @@ def test_fourier_of_delta_is_a_character(F5):
         assert psi((y,)) == expected
 
 
-def test_fourier_realized_matches_symbolic(F3):
-    chi = character(F3)
+def every_character():
+    """Every nontrivial character of F_3 and of F_4, F_8, F_9, where field
+    products of elements are not products of their indices mod p."""
+    for p, k in [(3, 1), (2, 2), (2, 3), (3, 2)]:
+        F = build_field(p, k)
+        for t in range(1, F.q):
+            yield character(F, F.from_index(t))
+
+
+def test_fourier_realized_matches_symbolic():
     cls = rel_line()
-    direct = fourier_realized(realize_relative(cls, chi))
-    symbolic = realize_relative(fourier_symbolic(cls), chi)
-    assert direct.table == symbolic.table
+    for chi in every_character():
+        direct = fourier_realized(realize_relative(cls, chi))
+        symbolic = realize_relative(fourier_symbolic(cls), chi)
+        assert direct.table == symbolic.table
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -152,12 +174,31 @@ def test_inversion_dimension_two(F3):
     assert report["scale"] == 9
 
 
-def test_poisson_for_the_diagonal(F3):
-    chi = character(F3)
+def test_poisson_for_the_diagonal():
+    cls = gen(affine(2, f="x0^2 + x1", base_map=["x0", "x1"]))
+    for chi in every_character():
+        psi = realize_relative(cls, chi)
+        q = chi.field.q
+        for eqs, size in (([], q * q), (["x0 - x1"], q), (["x0", "x1"], 1)):
+            report = poisson_finite_check(psi, eqs)
+            assert report == {"verdict": "pass", "H_size": size,
+                              "Hperp_size": q * q // size}
+
+
+def test_poisson_catches_a_wrong_transform(F3, monkeypatch):
     psi = realize_relative(gen(affine(2, f="x0^2 + x1", base_map=["x0", "x1"])),
-                           chi)
-    for eqs in ([], ["x0 - x1"], ["x0", "x1"]):
-        assert poisson_finite_check(psi, eqs)["verdict"] == "pass"
+                           character(F3))
+    transform = kexp._transform_at
+
+    def off_by_one(*args):
+        values = transform(*args)
+        y = next(iter(values))
+        values[y] = values[y] + 1
+        return values
+
+    monkeypatch.setattr(kexp, "_transform_at", off_by_one)
+    with pytest.raises(CoefficientMismatch):
+        poisson_finite_check(psi, ["x0 - x1"])
 
 
 def test_poisson_rejects_non_subgroup(F3):

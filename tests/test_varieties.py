@@ -777,6 +777,18 @@ def test_univariate_roots_outside_the_base_field_go_to_the_engine(F3, eqs, ineqs
     chi = character(F3, F3.from_index(2))
     assert list(exponent_histogram(X, chi, 2)) == brute_histogram(X, chi, 2)
 
+
+def test_univariate_walk_takes_a_large_base_field():
+    # x = +-1 over F_4099^2: the walk charges q = 4099, the engine Q = q^2
+    F = build_field(4099, 1)
+    X = affine(1, ["x0^2 - 1"], f="x0")
+    chi = character(F)
+    hist = list(exponent_histogram(X, chi, 2, budget=10**5))
+    expected = [0] * 4099
+    expected[2] = expected[-2] = 1  # Tr(+-1) = +-2 from F_4099^2
+    assert hist == expected
+    assert list(exponent_histogram(X, chi, 2)) == hist
+
 # -- the engine's grid layout against the scalar oracle -------------------------
 
 
