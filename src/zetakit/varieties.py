@@ -7,10 +7,13 @@ to the affine line (affine ambient only) and an optional base map.
 A point count is the f = 0 case of a character-exponent histogram, and
 both run one pipeline (`_histogram`): projective charts, reduction mod p,
 then constraint-disjoint variable blocks, whose histograms convolve mod p,
-which keeps product varieties inside the budget.  Each block goes to the
+which keeps product varieties inside the budget; each convolution is
+charged its pairs of nonzero entries.  Each block goes to the
 first strategy of one ordered tuple that takes it:
-  1. no constraints: a power of the field size; for linearized or (odd p)
-     quadratic f, an exact histogram without enumeration;
+  1. no constraints: a power of the field size; for f built from
+     Frobenius-linear monomials a*x^(p^j) and (odd p) monomials of degree
+     2, an exact histogram without enumeration, from one diagonalized
+     quadratic function on the block's F_p digits;
   2. one variable: roots via gcd with x^Q - x, which give a count
      directly; for f != 0, one walk over the base field, when the roots
      that decide the histogram all lie there, checked against the gcd
@@ -254,9 +257,12 @@ def projective_space(n):
 
 def _check_budget(estimate, budget):
     """Charge an enumeration of ~estimate candidates; None is the default
-    budget, resolved here and nowhere else."""
+    budget, resolved here and nowhere else, and a budget below 1 is a
+    ParseError."""
     if budget is None:
         budget = default_budget()
+    elif budget < 1:
+        raise ParseError(f"budget must be an integer >= 1, got {budget!r}")
     if estimate > budget:
         raise BudgetExceeded(estimate, budget)
 
@@ -376,6 +382,7 @@ def _histogram(X, F, m, twist, budget):
     cell stops at the first block that leaves its histogram all zero.
     """
     p = F.p
+    _check_budget(0, budget)  # a bad budget fails here, not only where it is read
     if X.ambient == "affine":
         cells = [(X, X.nvars)]
     else:  # chart j has n - j free coordinates; the last chart is one point
@@ -399,7 +406,7 @@ def _histogram(X, F, m, twist, budget):
         part[(f_const * trace_to_prime_int(job.twist)) % p if f_const else 0] = 1
         for vs, c_eqs, c_ineqs, c_f in comps:
             block = replace(job, vs=vs, eqs=c_eqs, ineqs=c_ineqs, f=c_f)
-            part = _convolve_mod_p(part, _block_histogram(block), p)
+            part = _convolve_mod_p(part, _block_histogram(block), p, budget)
             if not any(part):
                 break
         hist = [a + b for a, b in zip(hist, part)]
@@ -766,120 +773,78 @@ def membership_walk(X: VarietySpec, others, F: FieldSpec, m: int = 1,
 def _full_space_hist(b: _Block):
     """Exact histogram over a block without constraints, no enumeration.
 
-    [Q^r, 0, ..., 0] for f = 0.  Otherwise handles f built from
-    Frobenius-linearized monomials a*x^(p^j) (any p; the trace form is
-    F_p-linear in the point) and, for odd p, arbitrary f of total degree
-    <= 2 via a quadratic form on the digit space.  Returns None when the
-    block has constraints or neither shape applies.
+    [Q^r, 0, ..., 0] for f = 0.  Otherwise Tr(twist * f) is one quadratic
+    function x^T A x + L . x of the block's N = r * n digits over F_p
+    (Lidl and Niederreiter, ch. 6), built in one pass over f's monomials:
+    a * x_i^(p^j), for any p, adds the trace weights of
+    (twist * a)^(p^(n - j)) to x_i's slice of L, since Tr(z^p) = Tr(z);
+    a * x_i * x_k, for odd p, adds a/2 times the trace Gram matrix to the
+    (i, k) and (k, i) blocks of A.  Any other monomial, or a constraint,
+    returns None.  Diagonalized, the function is sum d_t y_t^2 + c_t y_t:
+    a digit with d_t = 0 and c_t != 0 makes the histogram uniform, else
+    the digits' histograms convolve.
     """
     if b.eqs or b.ineqs:
         return None
-    p, size = b.F.p, b.F.q ** (b.m * len(b.vs))
-    lin = [] if b.f.is_zero() else _linearized_twists(b.f, b.E, b.twist)
-    if lin is not None:
-        if all(d.is_zero() for d in lin):
-            return [size] + [0] * (p - 1)
-        return [size // p] * p
-    if p != 2 and b.f.total_degree() <= 2:
-        return _quadratic_digit_hist(b.vs, b.f, b.E, b.twist)
-    return None
-
-
-def _linearized_twists(f, E, twist):
-    """Per-variable effective twists d_i with Tr(c f(x)) = sum Tr(d_i x_i),
-    valid when every monomial is a*x_i^(p^j); None otherwise.
-
-    Uses Tr(z^(p^t)) = Tr(z): the twist absorbs an inverse Frobenius.
-    """
-    p, n = E.p, E.k
-    d = {}
-    for exps, a in f.terms.items():
-        used = [i for i, e in enumerate(exps) if e]
-        if len(used) != 1:
-            return None
-        i = used[0]
-        e = exps[i]
-        j = 0
-        while e % p == 0:
-            e //= p
-            j += 1
-        if e != 1:
-            return None
-        contrib = (twist * E.element(a)).frobenius((n - j) % n)
-        d[i] = d.get(i, E.zero()) + contrib
-    return list(d.values())
-
-
-def _quadratic_digit_hist(vs, f, E, twist):
-    """Histogram of Tr(c f(x)) for quadratic f over the full block, odd p.
-
-    The trace is a quadratic function on the F_p digit space; congruence
-    diagonalization makes it separable, so single-digit histograms convolve.
-    """
-    p, n = E.p, E.k
-    N = len(vs) * n
-    pos = {v: idx for idx, v in enumerate(vs)}
-    B = BulkField(E)
-    gram = B.trace_gram(B.trace_weights(twist))  # scaled per monomial below
+    p, n = b.F.p, b.F.k * b.m  # b.E is built only for f != 0
+    N = n * len(b.vs)
+    if b.f.is_zero():
+        return [p**N] + [0] * (p - 1)
+    at = {v: idx * n for idx, v in enumerate(b.vs)}
     A = [[0] * N for _ in range(N)]
     L = [0] * N
-    inv2 = pow(2, -1, p)
-    for exps, a in f.terms.items():
-        used = [(i, e) for i, e in enumerate(exps) if e]
-        a %= p
-        if not a:
-            continue
-        deg = sum(e for _, e in used)
-        if deg == 1:
-            (i, _), = used
-            base = pos[i] * n
-            for s in range(n):
-                L[base + s] = (L[base + s] + a * gram[s][0]) % p  # b_0 = 1
-        elif deg == 2:  # a*x_i*x_j, i = j allowed: the Gram matrix is symmetric
-            i, j = [i for i, e in used for _ in range(e)]
-            bi, bj = pos[i] * n, pos[j] * n
-            for s in range(n):
-                for t in range(n):
-                    half = (a * gram[s][t] * inv2) % p
-                    A[bi + s][bj + t] = (A[bi + s][bj + t] + half) % p
-                    A[bj + t][bi + s] = (A[bj + t][bi + s] + half) % p
+    B = BulkField(b.E)
+    gram = B.trace_gram(b.trace_w)
+    for exps, a in b.f.terms.items():  # a is nonzero mod p
+        used = [(v, e) for v, e in enumerate(exps) if e]
+        v, e = used[0]
+        j = 0
+        while e % p == 0:
+            e, j = e // p, j + 1
+        if len(used) == 1 and e == 1:  # a * x_v^(p^j)
+            w = B.trace_weights((b.twist * b.E.element(a)).frobenius((n - j) % n))
+            L[at[v]:at[v] + n] = [(x + y) % p for x, y in zip(L[at[v]:at[v] + n], w)]
+        elif p != 2 and sum(e for _, e in used) == 2:  # x_i * x_k, i = k allowed
+            i, k = (at[u] for u, d in used for _ in range(d))
+            half = a * (p + 1) // 2
+            for s, row in enumerate(gram):
+                for t, g in enumerate(row):
+                    A[i + s][k + t] = (A[i + s][k + t] + half * g) % p
+                    A[k + t][i + s] = (A[k + t][i + s] + half * g) % p
         else:
             return None
-    D, P = _diagonalize_symmetric(A, p)
-    beta = [sum(P[s][t] * L[s] for s in range(N)) % p for t in range(N)]
+    pairs = _diagonalize_symmetric(A, L, p)
+    if any(d == 0 and c for d, c in pairs):
+        return [p ** (N - 1)] * p
     hist = [1] + [0] * (p - 1)
-    for t in range(N):
-        d, b = D[t][t], beta[t]
+    for d, c in pairs:
         part = [0] * p
         for y in range(p):
-            part[(d * y * y + b * y) % p] += 1
-        hist = _convolve_mod_p(hist, part, p)
+            part[(d * y * y + c * y) % p] += 1
+        hist = _convolve_mod_p(hist, part, p, b.budget)
     return hist
 
 
-def _diagonalize_symmetric(A, p):
-    """Congruence-diagonalize a symmetric matrix mod odd p.
-
-    Returns (D, P) with D = P^T A P diagonal; works in place on a copy.
+def _diagonalize_symmetric(A, L, p):
+    """The pairs (d_t, c_t) of x^T A x + L . x = sum d_t y_t^2 + c_t y_t,
+    for A symmetric mod p (zero for p = 2), by congruence: each column
+    operation on A, with its matching row operation, is made on L too.
+    Works in place.
     """
     N = len(A)
-    A = [row[:] for row in A]
-    P = [[int(i == j) for j in range(N)] for i in range(N)]
 
-    def col_add(i, j, lam):  # col_i += lam * col_j, matching row op, track P
+    def col_add(i, j, lam):  # col_i += lam * col_j, with the matching row op
         for s in range(N):
             A[s][i] = (A[s][i] + lam * A[s][j]) % p
         for s in range(N):
             A[i][s] = (A[i][s] + lam * A[j][s]) % p
-        for s in range(N):
-            P[s][i] = (P[s][i] + lam * P[s][j]) % p
+        L[i] = (L[i] + lam * L[j]) % p
 
     def col_swap(i, j):
         for s in range(N):
             A[s][i], A[s][j] = A[s][j], A[s][i]
         A[i], A[j] = A[j], A[i]
-        for s in range(N):
-            P[s][i], P[s][j] = P[s][j], P[s][i]
+        L[i], L[j] = L[j], L[i]
 
     for k in range(N):
         if A[k][k] == 0:
@@ -899,7 +864,7 @@ def _diagonalize_symmetric(A, p):
         for i in range(k + 1, N):
             if A[i][k]:
                 col_add(i, k, (-A[i][k] * dinv) % p)
-    return A, P
+    return [(A[t][t], L[t]) for t in range(N)]
 
 
 def _univariate_hist(b: _Block):
@@ -1155,15 +1120,16 @@ def _engine_hist(b: _Block):
     return [int(v) for v in raw]
 
 
-def _convolve_mod_p(h1, h2, p):
+def _convolve_mod_p(h1, h2, p, budget):
+    """The histogram of the sum mod p of independent exponents; the
+    pairs of nonzero entries it adds up are charged against the budget."""
+    n1 = [(a, u) for a, u in enumerate(h1) if u]
+    n2 = [(b, v) for b, v in enumerate(h2) if v]
+    _check_budget(len(n1) * len(n2), budget)
     out = [0] * p
-    for a in range(p):
-        if h1[a] == 0:
-            continue
-        for b in range(p):
-            if h2[b] == 0:
-                continue
-            out[(a + b) % p] += h1[a] * h2[b]
+    for a, u in n1:
+        for b, v in n2:
+            out[(a + b) % p] += u * v
     return out
 
 

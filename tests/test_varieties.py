@@ -1,7 +1,8 @@
 """Point counting, exponent histograms, and closed-point tallies.
 
-The fast counting paths (linearized monomials, quadratic diagonalization,
-fibers solved by a square root or a root table) are cross-checked here
+The fast counting paths (the full space's quadratic function on the
+digit space, fibers solved by a square root or a root table) are
+cross-checked here
 against a direct scalar enumeration, which is its own independent
 implementation, and each strategy against the chunked engine.
 """
@@ -27,6 +28,7 @@ from zetakit.cyclotomic import Cyclotomic
 from zetakit.errors import (
     BudgetExceeded,
     NonHomogeneous,
+    ParseError,
     ProjectiveWithNonzeroF,
     RouteMismatch,
 )
@@ -34,6 +36,7 @@ from zetakit.polynomials import Poly
 from zetakit.varieties import (
     affine,
     affine_line,
+    affine_space,
     circle,
     closed_point_tally,
     count_points_ff,
@@ -136,6 +139,53 @@ def test_budget_enforced(F5):
     with pytest.raises(BudgetExceeded):
         count_points_ff(affine(6, ["x0^3 + x1*x2 + x3*x4*x5 - 1"]),
                         F5, 3, budget=10**4)
+
+
+@pytest.mark.parametrize("run", [
+    lambda F3: count_points_ff(gm("x0"), F3, budget=-5),  # the gcd count walks nothing
+    lambda F3: count_points_ff(affine_space(2), F3, budget=0),  # nor does the full space
+    lambda F3: exponent_histogram(affine_line("x0"), character(F3), 1, budget=-1),
+    lambda F3: count_points_ff(affine(2, ["x1^2 + x0*x1 - x0^3 - 1"]), F3, budget=-5),
+], ids=["gm", "full-space", "linear-f", "cubic"])
+def test_budget_below_one_is_a_parse_error(F3, run):
+    with pytest.raises(ParseError, match="budget must be an integer >= 1"):
+        run(F3)
+
+
+def test_budget_of_one_counts_without_a_walk(F3):
+    assert count_points_ff(gm(), F3, budget=1) == 2
+
+
+def test_histogram_convolutions_are_charged_to_the_budget():
+    # x0^2 and x1^2 are two blocks of 505 values each over F_1009, so
+    # their convolution adds up 505 * 505 pairs
+    F = build_field(1009, 1)
+    X = affine(2, f="x0^2 + x1^2")
+    with pytest.raises(BudgetExceeded, match="255025"):
+        exponent_histogram(X, character(F), 1, budget=10**5)
+    # x^2 + y^2 = e: 2p - 1 points at e = 0 and p - 1 elsewhere, p = 1 mod 4
+    assert list(exponent_histogram(X, character(F), 1)) == [2017] + [1008] * 1008
+    # a one-entry side is charged the size of the other: 5004 values
+    hist = exponent_histogram(affine_line(f="x0^2"), character(build_field(10007, 1)), 1,
+                              budget=10**5)
+    assert sum(hist) == 10007 and sum(map(bool, hist)) == 5004
+
+
+def test_mixed_full_space_block_takes_the_closed_form(F3):
+    # Frobenius-linear x0^9 and quadratic x0*x1 + x1^2 in one block: no
+    # enumeration of the Q^2 = 3^12 points, so a small budget passes
+    X = affine(2, f="x0^9 + x0*x1 + x1^2")
+    assert list(exponent_histogram(X, character(F3), 6, budget=10**4)) == \
+        [177633, 176904, 176904]
+
+
+def test_connected_quadratic_form_swaps_a_pivot():
+    # one block of four variables whose diagonalization swaps a column in
+    F9 = build_field(3, 2)
+    X = affine(4, f="2*x0*x2 + 2*x1*x2 + 2*x2*x3 + 2*x3^2")
+    chi = character(F9, F9.from_index(3))
+    assert list(exponent_histogram(X, chi, 1)) == brute_histogram(X, chi, 1) == \
+        [2349, 2106, 2106]
 
 
 def test_projective_equations_must_be_homogeneous(F3):
@@ -408,6 +458,14 @@ STRATEGY_CASES = [
     ("_full_space_hist", _block(2, 5, 4, 1, f="x0^2 + 3*x0*x1 + 2*x1")),
     ("_full_space_hist", _block(1, 3, 1, 12, f="x0^3 + x0^9")),
     ("_full_space_hist", _block(1, 7, 7, 1, f="3*x0^2 + x0")),
+    # rank 1 with the linear part on the kernel: uniform
+    ("_full_space_hist", _block(2, 5, 1, 2, f="x0^2 + 2*x0*x1 + x1^2 + x0 - x1")),
+    # rank 1, the linear part off the kernel: the remainder is zero
+    ("_full_space_hist", _block(2, 5, 1, 2, f="x0^2 + 2*x0*x1 + x1^2 + x0 + x1")),
+    # no square terms and a zero first row: a pivot swapped in
+    ("_full_space_hist", _block(3, 3, 1, 1, f="x1*x2")),
+    # Frobenius-linear and quadratic monomials in one block
+    ("_full_space_hist", _block(2, 3, 1, 6, f="x0^9 + x0*x1 + x1^2")),
     ("_univariate_hist", _block(1, 7, 1, 7, ["x0^49 - x0"], ["x0 - 1"])),
     ("_univariate_hist", _block(1, 3, 12, 1, ineqs=["x0^2 + 1"])),
     ("_univariate_hist", _block(1, 2, 20, 1, ["x0^3 - 1"])),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zetakit import witt
 from zetakit.cyclofield import character
 from zetakit.cyclotomic import Cyclotomic
 from zetakit.errors import (
@@ -87,6 +88,15 @@ def test_L_of_direct_sum_is_witt_sum():
     A = ((2, 1), (0, 1))
     B = ((3,),)
     assert L_map(direct_sum(A, B), T) == witt_add(L_map(A, T), L_map(B, T))
+
+
+def test_L_of_a_large_direct_sum_goes_through_the_trace_series():
+    # 10 x 10 is past the Leibniz determinant's rank, each 5 x 5 summand is not
+    rng = random.Random(11)
+    A, B = ([[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)] for _ in range(2))
+    M = direct_sum(A, B)
+    assert len(M) > witt._LEIBNIZ_MAX >= len(A)
+    assert L_map(M, 8) == witt_add(L_map(A, 8), L_map(B, 8))
 
 
 def test_L_of_kronecker_is_witt_product():
