@@ -458,14 +458,6 @@ STRATEGY_CASES = [
     ("_full_space_hist", _block(2, 5, 4, 1, f="x0^2 + 3*x0*x1 + 2*x1")),
     ("_full_space_hist", _block(1, 3, 1, 12, f="x0^3 + x0^9")),
     ("_full_space_hist", _block(1, 7, 7, 1, f="3*x0^2 + x0")),
-    # rank 1 with the linear part on the kernel: uniform
-    ("_full_space_hist", _block(2, 5, 1, 2, f="x0^2 + 2*x0*x1 + x1^2 + x0 - x1")),
-    # rank 1, the linear part off the kernel: the remainder is zero
-    ("_full_space_hist", _block(2, 5, 1, 2, f="x0^2 + 2*x0*x1 + x1^2 + x0 + x1")),
-    # no square terms and a zero first row: a pivot swapped in
-    ("_full_space_hist", _block(3, 3, 1, 1, f="x1*x2")),
-    # Frobenius-linear and quadratic monomials in one block
-    ("_full_space_hist", _block(2, 3, 1, 6, f="x0^9 + x0*x1 + x1^2")),
     ("_univariate_hist", _block(1, 7, 1, 7, ["x0^49 - x0"], ["x0 - 1"])),
     ("_univariate_hist", _block(1, 3, 12, 1, ineqs=["x0^2 + 1"])),
     ("_univariate_hist", _block(1, 2, 20, 1, ["x0^3 - 1"])),
@@ -502,6 +494,14 @@ STRATEGY_CASES = [
     ("_table_roots", _block(2, 5, 2, 1, ["x0^3 + x1^3 - 1"], ["x0*x1 - 1", "x0 + x1"],
                             f="x0^2*x1")),
     ("_table_roots", _block(2, 5, 2, 1, ["x0^3 + x1^3 - 1"], ["x0*x1 - 1", "x0 + x1"])),
+    # rank 1 with the linear part on the kernel: uniform
+    ("_full_space_hist", _block(2, 5, 1, 2, f="x0^2 + 2*x0*x1 + x1^2 + x0 - x1")),
+    # rank 1, the linear part off the kernel: the remainder is zero
+    ("_full_space_hist", _block(2, 5, 1, 2, f="x0^2 + 2*x0*x1 + x1^2 + x0 + x1")),
+    # no square terms and a zero first row: a pivot swapped in
+    ("_full_space_hist", _block(3, 3, 1, 1, f="x1*x2")),
+    # Frobenius-linear and quadratic monomials in one block
+    ("_full_space_hist", _block(2, 3, 1, 6, f="x0^9 + x0*x1 + x1^2")),
 ]
 
 
