@@ -343,13 +343,17 @@ def _eval_poly(coeffs, x: FFElem):
 
 def _row_reduce(rows, n_cols, p):
     """Gauss-Jordan over GF(p) on the first n_cols columns of rows, in
-    place; returns the pivot columns, the i-th pivot in row i."""
-    pivots = []
+    place; returns the pivot columns, the i-th pivot in row i, and det,
+    the product of the pivots signed by the row swaps, or 0 when a column
+    has no pivot: the determinant mod p of a square matrix."""
+    pivots, det = [], 1
     for c in range(n_cols):
         r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
         if pivot is None:
+            det = 0
             continue
+        det = det * rows[pivot][c] * (1 if pivot == r else -1) % p
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = pow(rows[r][c], -1, p)
         rows[r] = [(v * inv) % p for v in rows[r]]
@@ -358,13 +362,13 @@ def _row_reduce(rows, n_cols, p):
                 f = rows[i][c]
                 rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[r])]
         pivots.append(c)
-    return pivots
+    return pivots, det
 
 
 def _kernel_mod_p(cols, p):
     """Kernel basis of the matrix with the given columns, over GF(p)."""
     rows = [list(row) for row in zip(*cols)]
-    pivots = _row_reduce(rows, len(cols), p)
+    pivots, _ = _row_reduce(rows, len(cols), p)
     basis = []
     for c in range(len(cols)):
         if c in pivots:
@@ -399,7 +403,7 @@ def _span(basis, p):
 def _solve_mod_p(cols, rhs, p):
     """Solve A x = rhs mod p for A given by columns; None if inconsistent."""
     rows = [[*row, b] for row, b in zip(zip(*cols), rhs)]
-    pivots = _row_reduce(rows, len(cols), p)
+    pivots, _ = _row_reduce(rows, len(cols), p)
     if any(row[-1] % p for row in rows[len(pivots):]):
         return None
     sol = [0] * len(cols)

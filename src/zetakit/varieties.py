@@ -12,8 +12,9 @@ charged its pairs of nonzero entries.  Each block goes to the
 first strategy of one ordered tuple that takes it:
   1. no constraints: a power of the field size; for f built from
      Frobenius-linear monomials a*x^(p^j) and (odd p) monomials of degree
-     2, an exact histogram without enumeration, from one diagonalized
-     quadratic function on the block's F_p digits;
+     2, an exact histogram without enumeration, in closed form from the
+     centre, rank and discriminant of one quadratic function on the
+     block's F_p digits;
   2. one variable: roots via gcd with x^Q - x, which give a count
      directly; for f != 0, one walk over the base field, when the roots
      that decide the histogram all lie there, checked against the gcd
@@ -72,6 +73,8 @@ from .bulk import BulkField
 from .cyclofield import (
     AdditiveCharacter,
     FieldSpec,
+    _row_reduce,
+    _solve_mod_p,
     build_field,
     embedding,
     trace_to_prime_int,
@@ -780,9 +783,15 @@ def _full_space_hist(b: _Block):
     (twist * a)^(p^(n - j)) to x_i's slice of L, since Tr(z^p) = Tr(z);
     a * x_i * x_k, for odd p, adds a/2 times the trace Gram matrix to the
     (i, k) and (k, i) blocks of A.  Any other monomial, or a constraint,
-    returns None.  Diagonalized, the function is sum d_t y_t^2 + c_t y_t:
-    a digit with d_t = 0 and c_t != 0 makes the histogram uniform, else
-    the digits' histograms convolve.
+    returns None.  A centre x0 with 2A x0 = -L gives
+    f(x0 + y) = y^T A y + kappa, kappa = L . x0 / 2; with none, L is not
+    orthogonal to ker A, along which f moves evenly: the histogram is
+    uniform.  For A's pivot columns I, A is congruent to A[I, I] + 0, so
+    with h = |I| // 2 and D = det A[I, I], Thms 6.26-6.27 give
+    hist[e] = p^(N-1) + eta((-1)^h D) p^(N-1-h) nu(e - kappa), where eta
+    is the quadratic character and nu(v) is p - 1 at 0 and -1 elsewhere
+    for |I| even, eta(v) for |I| odd.  For p = 2, A = 0, so the histogram
+    is [p^N, 0, ..., 0] or uniform.
     """
     if b.eqs or b.ineqs:
         return None
@@ -795,6 +804,7 @@ def _full_space_hist(b: _Block):
     L = [0] * N
     B = BulkField(b.E)
     gram = B.trace_gram(b.trace_w)
+    half = (p + 1) // 2  # 1/2 mod an odd p
     for exps, a in b.f.terms.items():  # a is nonzero mod p
         used = [(v, e) for v, e in enumerate(exps) if e]
         v, e = used[0]
@@ -806,65 +816,31 @@ def _full_space_hist(b: _Block):
             L[at[v]:at[v] + n] = [(x + y) % p for x, y in zip(L[at[v]:at[v] + n], w)]
         elif p != 2 and sum(e for _, e in used) == 2:  # x_i * x_k, i = k allowed
             i, k = (at[u] for u, d in used for _ in range(d))
-            half = a * (p + 1) // 2
             for s, row in enumerate(gram):
                 for t, g in enumerate(row):
-                    A[i + s][k + t] = (A[i + s][k + t] + half * g) % p
-                    A[k + t][i + s] = (A[k + t][i + s] + half * g) % p
+                    A[i + s][k + t] = (A[i + s][k + t] + a * half * g) % p
+                    A[k + t][i + s] = (A[k + t][i + s] + a * half * g) % p
         else:
             return None
-    pairs = _diagonalize_symmetric(A, L, p)
-    if any(d == 0 and c for d, c in pairs):
+    x0 = _solve_mod_p(A, [-v * half % p for v in L], p)  # A's rows are its columns
+    if x0 is None:
         return [p ** (N - 1)] * p
-    hist = [1] + [0] * (p - 1)
-    for d, c in pairs:
-        part = [0] * p
-        for y in range(p):
-            part[(d * y * y + c * y) % p] += 1
-        hist = _convolve_mod_p(hist, part, p, b.budget)
-    return hist
-
-
-def _diagonalize_symmetric(A, L, p):
-    """The pairs (d_t, c_t) of x^T A x + L . x = sum d_t y_t^2 + c_t y_t,
-    for A symmetric mod p (zero for p = 2), by congruence: each column
-    operation on A, with its matching row operation, is made on L too.
-    Works in place.
-    """
-    N = len(A)
-
-    def col_add(i, j, lam):  # col_i += lam * col_j, with the matching row op
-        for s in range(N):
-            A[s][i] = (A[s][i] + lam * A[s][j]) % p
-        for s in range(N):
-            A[i][s] = (A[i][s] + lam * A[j][s]) % p
-        L[i] = (L[i] + lam * L[j]) % p
-
-    def col_swap(i, j):
-        for s in range(N):
-            A[s][i], A[s][j] = A[s][j], A[s][i]
-        A[i], A[j] = A[j], A[i]
-        L[i], L[j] = L[j], L[i]
-
-    for k in range(N):
-        if A[k][k] == 0:
-            piv = next((i for i in range(k + 1, N) if A[i][i] != 0), None)
-            if piv is not None:
-                col_swap(k, piv)
-            else:
-                found = next(((i, j) for i in range(k, N)
-                              for j in range(i + 1, N) if A[i][j] != 0), None)
-                if found is None:
-                    break  # remaining block is zero
-                i, j = found
-                col_add(i, j, 1)  # diagonal at i becomes 2*A[i][j] != 0
-                if i != k:
-                    col_swap(k, i)
-        dinv = pow(A[k][k], -1, p)
-        for i in range(k + 1, N):
-            if A[i][k]:
-                col_add(i, k, (-A[i][k] * dinv) % p)
-    return [(A[t][t], L[t]) for t in range(N)]
+    kappa = sum(v * x for v, x in zip(L, x0)) * half % p
+    I, _ = _row_reduce([row[:] for row in A], N, p)
+    h = len(I) // 2
+    _, D = _row_reduce([[A[i][j] for j in I] for i in I], len(I), p)
+    _check_budget(p, b.budget)
+    base = p ** (N - 1)
+    amp = p ** (N - 1 - h) * (1 if pow((-1) ** h * D, (p - 1) // 2, p) == 1 else -1)
+    if len(I) % 2 == 0:
+        hist = [base - amp] * p
+        hist[kappa] = base + (p - 1) * amp
+        return hist
+    eta = np.full(p, -1, np.int8)  # from one table of squares
+    eta[0] = 0
+    eta[np.arange(1, p // 2 + 1) ** 2 % p] = 1
+    vals = np.array([base - amp, base, base + amp], dtype=object)
+    return vals[np.roll(eta, kappa) + 1].tolist()
 
 
 def _univariate_hist(b: _Block):
@@ -1123,13 +1099,14 @@ def _engine_hist(b: _Block):
 def _convolve_mod_p(h1, h2, p, budget):
     """The histogram of the sum mod p of independent exponents; the
     pairs of nonzero entries it adds up are charged against the budget."""
-    n1 = [(a, u) for a, u in enumerate(h1) if u]
-    n2 = [(b, v) for b, v in enumerate(h2) if v]
+    n1 = list(itertools.compress(range(p), h1))
+    n2 = list(itertools.compress(range(p), h2))
     _check_budget(len(n1) * len(n2), budget)
     out = [0] * p
-    for a, u in n1:
-        for b, v in n2:
-            out[(a + b) % p] += u * v
+    for a in n1:
+        u = h1[a]
+        for b in n2:
+            out[(a + b) % p] += u * h2[b]
     return out
 
 

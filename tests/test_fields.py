@@ -1,4 +1,9 @@
-"""GF(p) polynomial arithmetic, field towers, traces, and characters."""
+"""GF(p) polynomial arithmetic, field towers, traces, characters, and the
+small linear algebra mod p beside them."""
+
+import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given
@@ -6,6 +11,9 @@ from hypothesis import strategies as st
 
 from zetakit import gfpoly
 from zetakit.cyclofield import (
+    _kernel_mod_p,
+    _row_reduce,
+    _solve_mod_p,
     build_field,
     character,
     embedding,
@@ -170,3 +178,71 @@ def test_trivial_character(F5):
     chi = character(F5, F5.zero())
     assert chi.is_trivial()
     assert all(chi.exponent(F5.from_index(i)) == 0 for i in range(5))
+
+
+# -- linear algebra mod p -----------------------------------------------------
+
+
+def _det(M, p):
+    """The determinant mod p as a sum over permutations."""
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(M[i][perm[i]] for i in range(n))
+    return total % p
+
+
+def _rank(M, p):
+    """The size of the largest nonzero minor, from permutation sums."""
+    rows, cols = range(len(M)), range(len(M[0]) if M else 0)
+    return next((k for k in range(min(len(rows), len(cols)), 0, -1)
+                 if any(_det([[M[i][j] for j in C] for i in R], p)
+                        for R in itertools.combinations(rows, k)
+                        for C in itertools.combinations(cols, k))), 0)
+
+
+def _random_square_matrices():
+    """Seeded square matrices mod p, sparse enough that singular ones and
+    ones whose first column needs a row swap both occur."""
+    rng = random.Random(20)
+    for p in (2, 3, 7, 101):
+        for n in range(1, 6):
+            for _ in range(12):
+                zeros = rng.choice([0.0, 0.4, 0.7])
+                yield p, [[0 if rng.random() < zeros else rng.randrange(p)
+                           for _ in range(n)] for _ in range(n)]
+
+
+def test_row_reduce_returns_the_determinant():
+    singular = swapped = 0
+    for p, M in _random_square_matrices():
+        n = len(M)
+        rows = [row[:] for row in M]
+        pivots, det = _row_reduce(rows, n, p)
+        assert det == _det(M, p)
+        # the i-th pivot is the first column that raises the rank to i + 1
+        assert pivots == [c for c in range(n)
+                          if _rank([row[:c + 1] for row in M], p) >
+                          _rank([row[:c] for row in M], p)]
+        singular += len(pivots) < n
+        swapped += len(pivots) == n and M[0][0] % p == 0
+    assert singular and swapped
+
+
+def test_kernel_and_solve_mod_p_against_the_rank():
+    rng = random.Random(21)
+    for p, M in _random_square_matrices():
+        n = len(M)
+        cols = [list(c) for c in zip(*M)]
+        rank = _rank(M, p)
+        kernel = _kernel_mod_p(cols, p)
+        assert len(kernel) == n - rank == _rank(kernel, p)
+        for vec in kernel:
+            assert all(sum(a * x for a, x in zip(row, vec)) % p == 0 for row in M)
+        for rhs in ([rng.randrange(p) for _ in range(n)], [0] * n):
+            sol = _solve_mod_p(cols, rhs, p)
+            augmented = [[*row, b] for row, b in zip(M, rhs)]
+            assert (sol is None) == (_rank(augmented, p) > rank)
+            if sol is not None:
+                assert [sum(a * x for a, x in zip(row, sol)) % p for row in M] == rhs

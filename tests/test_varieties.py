@@ -1,13 +1,15 @@
 """Point counting, exponent histograms, and closed-point tallies.
 
-The fast counting paths (the full space's quadratic function on the
-digit space, fibers solved by a square root or a root table) are
-cross-checked here
+The fast counting paths (the full space's closed form, from the centre,
+rank and discriminant of its quadratic function on the digit space;
+fibers solved by a square root or a root table) are cross-checked here
 against a direct scalar enumeration, which is its own independent
-implementation, and each strategy against the chunked engine.
+implementation, and each strategy against the chunked engine, the closed
+form also on random blocks.
 """
 
 import itertools
+import random
 import sys
 import threading
 import time
@@ -169,6 +171,14 @@ def test_histogram_convolutions_are_charged_to_the_budget():
     hist = exponent_histogram(affine_line(f="x0^2"), character(build_field(10007, 1)), 1,
                               budget=10**5)
     assert sum(hist) == 10007 and sum(map(bool, hist)) == 5004
+
+
+def test_full_space_closed_form_walks_nothing():
+    # x0*x1 over F_10007: the closed form charges p, not (p/2)^2 pairs per digit
+    p = 10007
+    X = affine(2, f="x0*x1")
+    assert list(exponent_histogram(X, character(build_field(p, 1)), 1, budget=10**5)) == \
+        [2 * p - 1] + [p - 1] * (p - 1)
 
 
 def test_mixed_full_space_block_takes_the_closed_form(F3):
@@ -423,15 +433,16 @@ def test_pair_cross_terms_with_digits_above_127(p):
 # -- one dispatcher: each block strategy against the engine ---------------------
 
 
-def _block(nv, p, k, m, eqs=(), ineqs=(), f=None):
+def _block(nv, p, k, m, eqs=(), ineqs=(), f=None, twist=-1):
     """A block over all nv variables of affine(nv, ...), reduced mod p, with
-    a nonzero twist when f is given (as _histogram builds it)."""
+    a nonzero twist, by default the last element of F_q, when f is given
+    (as _histogram builds it)."""
     F = build_field(p, k)
     eqs, ineqs, fp, _ = varieties._reduce_polys(affine(nv, eqs, ineqs, f=f), p)
     b = varieties._Block(list(range(nv)), eqs, ineqs, fp, F, m, 10**7)
     if f is None:
         return b
-    c = F.from_index(F.q - 1)
+    c = F.from_index(twist % F.q)
     twist = embedding(F, b.E)(c)
     return replace(b, c=c, twist=twist,
                    trace_w=BulkField(b.E).trace_weights(twist))
@@ -522,6 +533,47 @@ def test_strategy_matches_the_engine_on_the_same_block(monkeypatch, name, block)
     for workers in (1, 2):
         _use_workers(monkeypatch, workers)
         assert strategy(block) == part
+
+
+def _random_full_space_blocks(count, seed):
+    """Seeded constraint-free blocks of at most 4096 points over small
+    fields, f a sum of linear, Frobenius, square, cross and cubic monomials."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p, k, m = rng.choice([(2, 1, 1), (2, 1, 2), (2, 2, 2), (3, 1, 1), (3, 1, 2),
+                              (3, 2, 1), (5, 1, 1), (5, 2, 1), (7, 1, 1), (7, 1, 2)])
+        n = k * m
+        nv = rng.randint(1, max(v for v in (1, 2, 3) if p ** (n * v) <= 4096))
+        x = [f"x{rng.randrange(nv)}" for _ in range(3)]
+        monomials = [x[0], f"{x[0]}^{p ** rng.randint(1, n)}", f"{x[0]}^2",
+                     f"{x[0]}*{x[1]}", f"{x[0]}*{x[1]}*{x[2]}"]
+        f = " + ".join(f"{rng.randint(1, p - 1)}*{rng.choice(monomials)}"
+                       for _ in range(rng.randint(1, 4)))
+        yield _block(nv, p, k, m, f=f, twist=rng.randrange(1, p**k))
+
+
+def test_full_space_closed_form_matches_the_engine_on_random_blocks():
+    taken = declined = 0
+    for block in _random_full_space_blocks(300, seed=22):
+        part = varieties._full_space_hist(block)
+        if part is None:
+            declined += 1
+        else:
+            taken += 1
+            assert part == varieties._engine_hist(block), block.f
+    assert taken > 150 and declined > 20
+
+
+@pytest.mark.parametrize("p,nv,f", [
+    (101, 3, "x0*x1 + x1*x2 + x0^2"),  # rank 3, centre 0
+    (101, 3, "x0*x1 + x1*x2 + x0^2 + 5*x2"),  # rank 3, f(centre) != 0
+    (101, 3, "x0^2 + 2*x0*x1 + x1^2 + x2^2 + x0 + x1"),  # rank 2 of 3
+    (1009, 2, "x0*x1 + 3*x0^2 + x1"),  # rank 2, f(centre) != 0
+    (1009, 2, "x0^2 + 2*x0*x1 + x1^2 + x0 + x1"),  # rank 1 of 2
+])
+def test_connected_full_space_blocks_over_larger_primes(p, nv, f):
+    block = _block(nv, p, 1, 1, f=f)
+    assert varieties._full_space_hist(block) == varieties._engine_hist(block)
 
 
 @pytest.mark.parametrize("block,solver", [
