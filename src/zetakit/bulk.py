@@ -23,7 +23,11 @@ representations, chosen once from the field size Q = p^n:
 * Otherwise the convolution kernel.  A row is the digit vector over
   GF(p) in the basis 1, x, ..., x^(n-1), the scalar layer's basis.
   Multiplication is a convolution followed by a linear reduction whose
-  rows are the digits of x^j mod the modulus.  A square root is
+  rows are the digits of x^j mod the modulus: one integer matmul in the
+  narrowest dtype that holds its worst case (exact while that is below
+  2^63), so the chunk pool starts no BLAS threads.  (The table build's
+  block products are the only float products; they run once per field,
+  on the caller's thread.)  A square root is
   Tonelli-Shanks (Cohen, "A Course in Computational Algebraic Number
   Theory", algorithm 1.5.1) on whole arrays, S - 1 masked rounds for
   Q - 1 = 2^S t, from a non-residue found once per field.  Memory stays at
@@ -211,8 +215,9 @@ class _ConvKernel:
         p, n = F.p, F.n
         self.p, self.n = p, n
         self.spec, self.Q = F.spec, F.Q
-        # narrowest dtype that can hold the worst-case pre-reduction value
-        self.bound = bound = n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
+        # narrowest dtype that holds the worst-case pre-reduction value, so
+        # the integer reduction in mul is exact (int64: below 2^63)
+        bound = n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
         if bound < (1 << 15) - 1:
             self.dtype = np.int16
         elif bound < (1 << 31) - 1:
@@ -220,10 +225,6 @@ class _ConvKernel:
         else:
             self.dtype = np.int64
         self.red = F.red.astype(self.dtype)
-        # from n = 8 on, the reduction runs as a float64 matmul (integer
-        # matmul has no BLAS path), exact while the values stay below 2^51
-        self.float_reduce = n >= 8 and bound < _FLOAT_EXACT
-        self.red_f = self.red.astype(np.float64)
         self.place_values = np.power(np.int64(p), np.arange(n, dtype=np.int64))
         # digits_of peels `span` digits per divmod, through a table of the
         # digits of 0 .. p^span - 1 (no table when p alone exceeds 2^16)
@@ -270,12 +271,7 @@ class _ConvKernel:
         for i in range(n):
             conv[..., i : i + n] += a[..., i : i + 1] * b
         conv = conv.reshape(-1, 2 * n - 1)  # one 2-D matmul for the reduction
-        if self.float_reduce:
-            out = conv[:, :n].astype(np.float64)
-            out += conv[:, n:].astype(np.float64) @ self.red_f
-            out = _mod_p(out, self.p, self.bound, out).astype(self.dtype)
-        else:
-            out = (conv[:, :n] + conv[:, n:] @ self.red) % self.p
+        out = (conv[:, :n] + conv[:, n:] @ self.red) % self.p
         return out.reshape(shape + (n,))
 
     def pow(self, a, e):

@@ -63,10 +63,6 @@ class FieldSpec:
             i //= self.p
         return FFElem(self, tuple(coeffs))
 
-    def elements(self):
-        for i in range(self.q):
-            yield self.from_index(i)
-
     def to_json(self):
         return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
 

@@ -319,9 +319,10 @@ def _components(nvars, eqs, ineqs, f):
     """Split variables into constraint-disjoint blocks.
 
     Blocks are joined by shared equations/inequations and by monomials of f
-    that straddle blocks (so exponent histograms convolve exactly).  The
-    constant term of f is returned separately.  Blocks come smallest
-    first, so an empty one ends a walk before a larger one is enumerated.
+    that straddle blocks (so exponent histograms convolve exactly).  No
+    block takes the constant term of f, which only rotates the cell's
+    histogram.  Blocks come smallest first, so an empty one ends a walk
+    before a larger one is enumerated.
     """
     parent = list(range(nvars))
 
@@ -335,7 +336,6 @@ def _components(nvars, eqs, ineqs, f):
         parent[find(i)] = find(j)
 
     groups = [poly.variables() for poly in eqs + ineqs]
-    f_const = f.terms.get((0,) * nvars, 0)
     for exps in f.terms:
         used = {i for i, n in enumerate(exps) if n}
         if used:
@@ -355,7 +355,7 @@ def _components(nvars, eqs, ineqs, f):
                               if {i for i, n in enumerate(k) if n} <= set(vs)
                               and any(k)})
         out.append((vs, comp_eqs, comp_ineqs, comp_f))
-    return out, f_const
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +381,11 @@ def _histogram(X, F, m, twist, budget):
     twist None is a count: f is dropped, since Tr(0 * f) = 0, and h is
     [#X, 0, ..., 0].  A projective X is the disjoint union of its affine
     charts.  Each cell is reduced mod p and split into constraint-disjoint
-    blocks, whose histograms (from _block_histogram) convolve mod p; a
-    cell stops at the first block that leaves its histogram all zero.
+    blocks: the first block's histogram (from _block_histogram; [1, 0,
+    ...] for a cell without variables) convolves mod p with the others',
+    and a cell stops at the first block that leaves its histogram all
+    zero.  f's constant term c then rotates the cell's histogram by
+    Tr(twist * c) = c * Tr(twist) mod p.
     """
     p = F.p
     _check_budget(0, budget)  # a bad budget fails here, not only where it is read
@@ -393,7 +396,7 @@ def _histogram(X, F, m, twist, budget):
                               tuple(map(chart, X.equations)),
                               tuple(map(chart, X.inequations)), None, None),
                   X.dim - j) for j, chart in _projective_charts(X)]
-    hist = [0] * p
+    hist = None
     for cell, r in cells:
         eqs, ineqs, f, empty = _reduce_polys(cell, p)
         if empty:
@@ -404,16 +407,18 @@ def _histogram(X, F, m, twist, budget):
             big = embedding(F, E)(twist)
             job = replace(job, f=f, c=twist, twist=big,
                           trace_w=BulkField(E).trace_weights(big))
-        comps, f_const = _components(r, eqs, ineqs, job.f)
-        part = [0] * p
-        part[(f_const * trace_to_prime_int(job.twist)) % p if f_const else 0] = 1
-        for vs, c_eqs, c_ineqs, c_f in comps:
-            block = replace(job, vs=vs, eqs=c_eqs, ineqs=c_ineqs, f=c_f)
-            part = _convolve_mod_p(part, _block_histogram(block), p, budget)
+        part = None
+        for vs, c_eqs, c_ineqs, c_f in _components(r, eqs, ineqs, job.f):
+            h = _block_histogram(replace(job, vs=vs, eqs=c_eqs, ineqs=c_ineqs, f=c_f))
+            part = h if part is None else _convolve_mod_p(part, h, p, budget)
             if not any(part):
                 break
-        hist = [a + b for a, b in zip(hist, part)]
-    return hist
+        part = part or [1] + [0] * (p - 1)
+        c = job.f.terms.get((0,) * cell.nvars, 0)
+        shift = c * trace_to_prime_int(job.twist) % p if c else 0
+        part = part[-shift:] + part[:-shift] if shift else part
+        hist = part if hist is None else [a + b for a, b in zip(hist, part)]
+    return hist or [0] * p
 
 
 @dataclass(frozen=True)

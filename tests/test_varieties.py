@@ -167,10 +167,40 @@ def test_histogram_convolutions_are_charged_to_the_budget():
         exponent_histogram(X, character(F), 1, budget=10**5)
     # x^2 + y^2 = e: 2p - 1 points at e = 0 and p - 1 elsewhere, p = 1 mod 4
     assert list(exponent_histogram(X, character(F), 1)) == [2017] + [1008] * 1008
-    # a one-entry side is charged the size of the other: 5004 values
+    # one block starts the fold, so no pairs are charged: 5004 values
     hist = exponent_histogram(affine_line(f="x0^2"), character(build_field(10007, 1)), 1,
                               budget=10**5)
     assert sum(hist) == 10007 and sum(map(bool, hist)) == 5004
+
+
+@pytest.mark.parametrize("f,calls", [("x0*x1", 0), ("x0^2 + 3", 0), ("x0^2 + x1^2", 1)])
+def test_block_histograms_fold_from_the_first_block(monkeypatch, f, calls):
+    # the first block starts the fold and the constant term rotates it, so
+    # only a second block is convolved
+    seen = []
+    convolve = varieties._convolve_mod_p
+    monkeypatch.setattr(varieties, "_convolve_mod_p",
+                        lambda *args: seen.append(args) or convolve(*args))
+    X = affine(2 if "x1" in f else 1, f=f)
+    chi = character(build_field(101, 1))
+    assert list(exponent_histogram(X, chi, 1)) == brute_histogram(X, chi, 1)
+    assert len(seen) == calls
+
+
+def test_constant_term_rotates_by_its_trace(F9):
+    # Tr(twist * 5) = 2 * 2 = 1 mod 3, not 5 mod 3 = 2
+    twist = next(c for c in map(F9.from_index, range(9)) if trace_to_prime_int(c) == 2)
+    X = affine(2, f="x0*x1 + 5")
+    chi = character(F9, twist)
+    assert list(exponent_histogram(X, chi, 1)) == brute_histogram(X, chi, 1)
+
+
+def test_constant_term_rotates_a_large_prime_histogram():
+    p = 1000003
+    want = [p - 1] * p
+    want[3] = 2 * p - 1
+    assert list(exponent_histogram(affine(2, f="x0*x1 + 3"), character(build_field(p, 1)),
+                                   1)) == want
 
 
 def test_full_space_closed_form_walks_nothing():
@@ -757,6 +787,21 @@ def test_table_solver_on_the_convolution_kernel(monkeypatch, f):
     assert isinstance(BulkField(block.E)._kernel, bulk._ConvKernel)
     assert varieties._fiber(block)[0] is varieties._table_roots
     assert varieties._fiber_hist(block) == want
+
+
+@pytest.mark.parametrize("p,m", [(3, 8), (2, 9)], ids=["sqrt", "root-table"])
+def test_pooled_walks_on_the_convolution_kernel(monkeypatch, p, m):
+    # n >= 8 digits per row, walked in several chunks inline and on the pool
+    X = circle("x0*x1")
+    chi = character(build_field(p, 1))
+    want = exponent_histogram(X, chi, m)  # the table kernel
+    monkeypatch.setattr(bulk, "_TABLE_LIMIT", 0)
+    assert isinstance(BulkField(build_field(p, m))._kernel, bulk._ConvKernel)
+    shapes = _walk_in_small_chunks(monkeypatch, p**m, m, "T")
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        assert exponent_histogram(X, chi, m) == want
+    assert len(shapes) > 2
 
 
 # three separable equations over F_{3^7}; x1 = x0 and x1 = -x0 solve all
