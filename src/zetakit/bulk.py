@@ -19,15 +19,16 @@ representations, chosen once from the field size Q = p^n:
   build allocates nothing of size Q beyond the tables.  Since
   Tr(c g^k) = T1[(k + log c) mod (Q - 1)], a twisted trace table is T1
   rotated by log c: one copy, 1 byte per element for p < 256, with no
-  gather.  The tables are kept per field in a cache bounded in bytes.
+  gather, built once per walk by trace_form and dropped with the walk.
+  The four tables above are kept per field in a cache bounded in bytes.
 * Otherwise the convolution kernel.  A row is the digit vector over
   GF(p) in the basis 1, x, ..., x^(n-1), the scalar layer's basis.
   Multiplication is a convolution followed by a linear reduction whose
   rows are the digits of x^j mod the modulus: one integer matmul in the
-  narrowest dtype that holds its worst case (exact while that is below
-  2^63), so the chunk pool starts no BLAS threads.  (The table build's
-  block products are the only float products; they run once per field,
-  on the caller's thread.)  A square root is
+  narrowest dtype that holds its worst case (Python ints, dtype object,
+  from 2^63 on), so the chunk pool starts no BLAS threads.  (The table
+  build's block products are the only float products; they run once per
+  field, on the caller's thread.)  A square root is
   Tonelli-Shanks (Cohen, "A Course in Computational Algebraic Number
   Theory", algorithm 1.5.1) on whole arrays, S - 1 masked rounds for
   Q - 1 = 2^S t, from a non-residue found once per field.  Memory stays at
@@ -36,19 +37,19 @@ representations, chosen once from the field size Q = p^n:
 
 Callers never branch on the representation: rows come from element
 indices (digits_of) and go back to them (index_of) or to matching keys
-(key_of); everything else is arithmetic, predicates and traces on rows.
+(key_of); everything else is arithmetic, predicates and traces on rows,
+the last through a kernel's own trace form (trace_form).
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 from collections import OrderedDict
 
 import numpy as np
 
 from . import gfpoly
-from .cyclofield import FieldSpec, _solve_mod_p
+from .cyclofield import FieldSpec
 
 # fields up to this size use the table kernel
 _TABLE_LIMIT = 1 << 26
@@ -56,8 +57,6 @@ _TABLE_LIMIT = 1 << 26
 _CACHE_BYTES = 1 << 28
 # rows per block when building the antilog table
 _BUILD_ROWS = 1 << 12
-# twisted trace tables kept per field
-_TRACE_TABLES = 4
 # _mod_p is exact on float64 integers below _FLOAT_EXACT, float32 below
 # _FLOAT32_EXACT
 _FLOAT_EXACT = 1 << 51
@@ -170,10 +169,16 @@ class BulkField:
     def nonzero(self, a):
         return ~self._kernel.is_zero(a)
 
-    def linear_form(self, a, w):
-        """digits(a) . w mod p per row, for an int vector w of length n;
-        with w = trace_weights(c) this is Tr(c * a)."""
-        return self._kernel.linear_form(a, w)
+    def linear_form(self, a, form):
+        """Tr(c * a) mod p per row, for form = trace_form(c)."""
+        return self._kernel.linear_form(a, form)
+
+    def trace_form(self, twist):
+        """The form that linear_form reads as Tr(twist * a), for an FFElem
+        twist of this field: the trace weights of twist, in the row dtype,
+        on digit rows; on log rows the trace table of twist, T[k] =
+        Tr(twist g^k), which builds the field's tables on first use."""
+        return self._kernel.trace_form(twist, self.trace_weights)
 
     def trace_weights(self, twist):
         """Weights w with Tr_{F_Q/F_p}(twist * x) = digits(x) . w mod p.
@@ -216,14 +221,16 @@ class _ConvKernel:
         self.p, self.n = p, n
         self.spec, self.Q = F.spec, F.Q
         # narrowest dtype that holds the worst-case pre-reduction value, so
-        # the integer reduction in mul is exact (int64: below 2^63)
+        # the integer reduction in mul is exact; Python ints from 2^63 on
         bound = n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
         if bound < (1 << 15) - 1:
             self.dtype = np.int16
         elif bound < (1 << 31) - 1:
             self.dtype = np.int32
-        else:
+        elif bound < (1 << 63) - 1:
             self.dtype = np.int64
+        else:
+            self.dtype = object
         self.red = F.red.astype(self.dtype)
         self.place_values = np.power(np.int64(p), np.arange(n, dtype=np.int64))
         # digits_of peels `span` digits per divmod, through a table of the
@@ -249,7 +256,7 @@ class _ConvKernel:
         return out
 
     def index_of(self, a):
-        return a @ self.place_values
+        return (a @ self.place_values).astype(np.int64, copy=False)
 
     key_of = index_of
 
@@ -316,14 +323,17 @@ class _ConvKernel:
         # rounds (c^(2^S) = 1), so b ends at 1 exactly on nonzero squares
         return self.eq(b, one) | self.is_zero(a), root
 
-    def is_zero(self, a):
-        return ~a.any(axis=-1)
+    def is_zero(self, a):  # any() is object on object rows before NumPy 2
+        return ~a.any(axis=-1).astype(bool, copy=False)
 
     def eq(self, a, b):
         return (a == b).all(axis=-1)
 
-    def linear_form(self, a, w):
-        return (a @ np.asarray(w, dtype=self.dtype)) % self.p
+    def trace_form(self, twist, weights):
+        return np.array(weights(twist), dtype=self.dtype)
+
+    def linear_form(self, a, form):
+        return ((a @ form) % self.p).astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -411,23 +421,31 @@ class _TableKernel:
     def eq(self, a, b):
         return a == b
 
-    def linear_form(self, a, w):
-        return self.t.trace_table(w)[a]
+    def trace_form(self, twist, weights):
+        """T[k] = Tr(twist g^k), T[Q-1] = 0: trace1 rotated by log twist
+        (trace1 itself for twist = 1, all zeros for twist = 0)."""
+        trace1, M = self.t.trace1, self.M
+        shift = int(self.t.log[twist.index()])
+        table = trace1 if shift == 0 else np.zeros_like(trace1)
+        if 0 < shift < M:
+            table[:M - shift] = trace1[shift:M]
+            table[M - shift:M] = trace1[:shift]
+        return table
+
+    def linear_form(self, a, form):
+        return form[a]
 
 
 class _LogTables:
     """antilog[k] = index of g^k (antilog[Q-1] = 0), its inverse log
-    (log[0] = Q-1), zech[k] = log(1 + g^k), trace1[k] = Tr(g^k) (trace1[Q-1]
-    = 0), and twisted trace tables by weights, each a rotation of trace1."""
+    (log[0] = Q-1), zech[k] = log(1 + g^k) and trace1[k] = Tr(g^k)
+    (trace1[Q-1] = 0).  A walk's twisted trace table is trace1 rotated
+    (_TableKernel.trace_form)."""
 
     def __init__(self, spec: FieldSpec):
         p, n, Q = spec.p, spec.k, spec.q
         M = Q - 1
-        self.p = p
         g = _primitive_root(spec)
-        field = BulkField(spec)
-        # gram[s][t] = Tr(x^s x^t); its row 0 holds the trace weights of 1
-        self.gram = field.trace_gram(field.trace_weights(spec.one()))
 
         bound = n * (p - 1) ** 2  # digit rows times a digit matrix or vector
         # float32 halves the cost of the block products where it is exact
@@ -449,7 +467,7 @@ class _LogTables:
             block = np.vstack([block, _mod_p(prod, p, bound, prod)])[:S]
         step = times(g**S)
         place = np.power(float(p), np.arange(n))  # float64: indices pass 2^24
-        one = np.array(self.gram[0], dtype=dtype)
+        one = np.array(BulkField(spec).trace_weights(spec.one()), dtype=dtype)
         prod = np.empty_like(block)
         tr = np.empty(S, dtype=dtype)
         self.antilog = np.empty(Q, dtype=np.int32)
@@ -474,39 +492,10 @@ class _LogTables:
             plus_one = self.antilog[start:min(start + S, M)] + 1
             plus_one[plus_one % p == 0] -= p
             self.zech[start:start + len(plus_one)] = self.log[plus_one]
-        self._traces = OrderedDict()
-        self._lock = threading.Lock()  # guards _traces across chunk threads
 
     @property
     def nbytes(self):
-        with self._lock:
-            twisted = [t for t in self._traces.values() if t is not self.trace1]
-        return sum(a.nbytes for a in (self.antilog, self.log, self.zech, self.trace1,
-                                      *twisted))
-
-    def trace_table(self, w):
-        """T[k] = digits(g^k) . w mod p, and T[Q-1] = 0.
-
-        w = trace_weights(c) for the c with gram c = w, and Tr(c g^k) =
-        trace1[(k + log c) mod (Q - 1)], so T is trace1 rotated by log c
-        (all zeros for c = 0)."""
-        p = self.p
-        key = tuple(int(v) % p for v in w)
-        with self._lock:
-            table = self._traces.pop(key, None)
-            if table is None:
-                c = _solve_mod_p(self.gram, list(key), p)  # gram is symmetric
-                index = sum(d * p**j for j, d in enumerate(c))
-                M = len(self.trace1) - 1
-                shift = int(self.log[index])
-                table = self.trace1 if shift == 0 else np.zeros_like(self.trace1)
-                if 0 < shift < M:
-                    table[:M - shift] = self.trace1[shift:M]
-                    table[M - shift:M] = self.trace1[:shift]
-                while len(self._traces) >= _TRACE_TABLES:
-                    self._traces.popitem(last=False)
-            self._traces[key] = table
-        return table
+        return sum(a.nbytes for a in (self.antilog, self.log, self.zech, self.trace1))
 
 
 def _primitive_root(spec: FieldSpec):

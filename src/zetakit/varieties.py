@@ -45,11 +45,11 @@ the fiber strategy's (`_fiber_hist`, both root solvers), go through
 `_sum_chunks`: a walk of more than one chunk runs its chunks on a pool
 of one thread per usable CPU, which NumPy's GIL-free kernels keep
 busy, and adds their tallies in walk order.  The walk itself, with its
-budget charge, stays on the caller's thread, and a walk of one chunk
-runs there too.  The height box scan and `membership_walk` stay
-sequential: a height chunk holds up to about 36 MB of temporaries, and
-the subvariety and cover checks built on them name the first failing
-point in walk order.
+budget charge and then its one trace form (BulkField.trace_form), stays
+on the caller's thread, and a walk of one chunk runs there too.  The
+height box scan and `membership_walk` stay sequential: a height chunk
+holds up to about 36 MB of temporaries, and the subvariety and cover
+checks built on them name the first failing point in walk order.
 
 `PointEnumeration` is the scalar reference that the tests compare them
 against; no production path uses it.
@@ -403,10 +403,7 @@ def _histogram(X, F, m, twist, budget):
             continue
         job = _Block((), (), (), Poly(cell.nvars), F, m, budget)
         if twist is not None and not f.is_zero():
-            E = job.E
-            big = embedding(F, E)(twist)
-            job = replace(job, f=f, c=twist, twist=big,
-                          trace_w=BulkField(E).trace_weights(big))
+            job = replace(job, f=f, c=twist, twist=embedding(F, job.E)(twist))
         part = None
         for vs, c_eqs, c_ineqs, c_f in _components(r, eqs, ineqs, job.f):
             h = _block_histogram(replace(job, vs=vs, eqs=c_eqs, ineqs=c_ineqs, f=c_f))
@@ -425,8 +422,9 @@ def _histogram(X, F, m, twist, budget):
 class _Block:
     """A constraint-disjoint variable block of a histogram over F_{q^m}.
 
-    c is the character twist in F, twist its image in F_{q^m} and trace_w
-    the trace weights of twist; all three are None for a count.
+    c is the character twist in F and twist its image in F_{q^m}; both
+    are None for a count.  A walk turns twist into its kernel's trace form
+    (BulkField.trace_form) itself, once its budget is charged.
     """
     vs: list
     eqs: list
@@ -437,7 +435,6 @@ class _Block:
     budget: object  # an int, or None for the default
     c: object = None
     twist: object = None
-    trace_w: object = None
 
     @property
     def E(self):  # on demand: a count over a field too large to build needs none
@@ -586,19 +583,20 @@ class _Chunk:
                 mask = mask & cond
         return np.broadcast_to(mask, self.shape).ravel()
 
-    def trace(self, poly, w):
-        """Flat Tr(twist * poly) mod p at every point, for w the trace
-        weights of twist: the sum of each term's linear_form, since the
-        trace is additive; one term's linear_form is already reduced."""
+    def trace(self, poly, form):
+        """Flat Tr(twist * poly) mod p at every point, for form the walk's
+        BulkField.trace_form(twist): the sum of each term's linear_form,
+        since the trace is additive; one term's linear_form is already
+        reduced."""
         p = self.bulk.p
         terms = self._terms(poly)
         if len(terms) == 1:
-            code = self.bulk.linear_form(terms[0][1], w)
+            code = self.bulk.linear_form(terms[0][1], form)
         else:
             dtype = np.int32 if (len(terms) + 1) * p < 1 << 31 else np.int64
             code = np.zeros((1, 1), dtype=dtype)
             for _has_last, val in terms:
-                code = code + self.bulk.linear_form(val, w)
+                code = code + self.bulk.linear_form(val, form)
             code %= p
         return np.broadcast_to(code, self.shape).ravel()
 
@@ -673,8 +671,9 @@ def _sum_chunks(chunks, fn, length):
     """The int64 sum, of the given length, of fn(chunk) over a _chunks
     walk; fn returns an int64 array of that length, or 0.
 
-    The walk stays on the caller's thread, and with it the budget charge
-    and the first build of a field's tables.  A walk of one chunk, or a
+    The walk stays on the caller's thread, and with it the budget charge,
+    the first build of a field's tables and the walk's trace form, which
+    the caller builds once the charge is made.  A walk of one chunk, or a
     process with one usable CPU, runs fn there too; a longer walk runs fn
     on a pool of one thread per usable CPU (NumPy releases the GIL in its
     kernels), with at most workers + 1 chunks in flight.  Results are
@@ -708,18 +707,23 @@ def _sum_chunks(chunks, fn, length):
     return total
 
 
-def _enumerate_block(vs, eqs, ineqs, f, trace_w, E: FieldSpec, budget,
+def _enumerate_block(vs, eqs, ineqs, f, twist, E: FieldSpec, budget,
                      keys=()):
     """Tally the points of one variable block over E, in chunks.
 
-    Returns a flat int64 bincount indexed by key * p + e: e is the trace
-    exponent of f under the weights trace_w (0 when f is None), and key is
-    the flat element index of the key polynomials' values, first key most
-    significant (a single slot when there are no keys).
+    Returns a flat int64 bincount indexed by key * p + e: e is
+    Tr(twist * f) mod p for an FFElem twist of E (0 when f is None), and
+    key is the flat element index of the key polynomials' values, first
+    key most significant (a single slot when there are no keys).  The
+    trace form of twist is built once, after the walk's first chunk has
+    charged the budget, so a refused walk builds no tables.
     """
     B = BulkField(E)
     p, Q = E.p, E.q
     length = Q ** len(keys) * p
+    walk = _chunks(B, vs, budget)
+    head = list(itertools.islice(walk, 1))
+    form = None if f is None else B.trace_form(twist)
 
     def tally(chunk):
         mask = chunk.mask(eqs, ineqs)
@@ -728,13 +732,13 @@ def _enumerate_block(vs, eqs, ineqs, f, trace_w, E: FieldSpec, budget,
         if f is None:
             code = np.zeros(int(mask.sum()), dtype=np.int64)
         else:
-            code = chunk.trace(f, trace_w)[mask]
+            code = chunk.trace(f, form)[mask]
         key = 0
         for u in keys:
             key = key * Q + B.index_of(chunk.eval(u)[mask])
         return np.bincount(key * p + code, minlength=length)
 
-    return _sum_chunks(_chunks(B, vs, budget), tally, length)
+    return _sum_chunks(itertools.chain(head, walk), tally, length)
 
 
 def fiber_histograms(X: VarietySpec, chi: AdditiveCharacter, budget=None):
@@ -746,8 +750,7 @@ def fiber_histograms(X: VarietySpec, chi: AdditiveCharacter, budget=None):
     """
     E = _extension_spec(chi.field, 1)
     raw = _enumerate_block(list(range(X.nvars)), X.equations, X.inequations,
-                           X.f, BulkField(E).trace_weights(chi.c), E, budget,
-                           keys=X.base_map or ())
+                           X.f, chi.c, E, budget, keys=X.base_map or ())
     return raw.reshape(-1, chi.p)
 
 
@@ -808,7 +811,7 @@ def _full_space_hist(b: _Block):
     A = [[0] * N for _ in range(N)]
     L = [0] * N
     B = BulkField(b.E)
-    gram = B.trace_gram(b.trace_w)
+    gram = B.trace_gram(B.trace_weights(b.twist))
     half = (p + 1) // 2  # 1/2 mod an odd p
     for exps, a in b.f.terms.items():  # a is nonzero mod p
         used = [(v, e) for v, e in enumerate(exps) if e]
@@ -860,9 +863,9 @@ def _univariate_hist(b: _Block):
     finite side must lie in the base field F_q, of any size, since the
     walk charges q where the engine would charge Q: for rho in F_q,
     Tr_{F_Q/F_p}(c f(rho)) = Tr_{F_q/F_p}(m * c * f(rho)), so the engine
-    walks F_q once with the trace weights of m * c, over the block's
-    conditions or, with no equations, the product of the inequations as
-    the only equation.  A walk whose point count differs from the gcd
+    walks F_q once with the twist m * c, over the block's conditions or,
+    with no equations, the product of the inequations as the only
+    equation.  A walk whose point count differs from the gcd
     count raises RouteMismatch, so the histogram returned is the one
     checked.
     """
@@ -893,8 +896,7 @@ def _univariate_hist(b: _Block):
         if full is None:
             return None
         eqs, ineqs = [math.prod(b.ineqs, start=Poly.constant(b.f.nvars, 1))], []
-    weights = BulkField(F).trace_weights(F.element(b.m) * b.c)
-    walked = _enumerate_block([var], eqs, ineqs, b.f, weights, F, b.budget)
+    walked = _enumerate_block([var], eqs, ineqs, b.f, F.element(b.m) * b.c, F, b.budget)
     if int(walked.sum()) != gfpoly.deg(finite):
         raise RouteMismatch(f"walk over F_{F.q}: {walked.sum()} points, "
                             f"gcd: {gfpoly.deg(finite)}")
@@ -948,7 +950,8 @@ def _fiber_hist(b: _Block):
     roots y of e at the chunk's points and, lazily, (rows, ys) batches
     of flat chunk rows and their roots.  The points (x, y) are gathered
     into one chunk, on which the conditions left, eqs and ineqs, and the
-    trace of f are evaluated as in the engine; a count with no
+    trace of f are evaluated as in the engine, with the trace form built
+    once the walk's first chunk has charged the budget; a count with no
     conditions left adds up n and gathers nothing.
     """
     fiber = _fiber(b)
@@ -958,6 +961,9 @@ def _fiber_hist(b: _Block):
     p, B = b.F.p, BulkField(b.E)
     roots, eqs, ineqs = solver(b, B, e, y, [q for q in b.eqs if q is not e], b.ineqs)
     count = b.f.is_zero() and not eqs and not ineqs
+    walk = _chunks(B, [v for v in b.vs if v != y], b.budget)
+    head = list(itertools.islice(walk, 1))
+    form = None if b.f.is_zero() else B.trace_form(b.twist)
 
     def chunk_hist(chunk):
         n, batches = roots(chunk)
@@ -968,14 +974,13 @@ def _fiber_hist(b: _Block):
         for rows, ys in batches:
             pts = chunk.select(rows)
             pts = _Chunk(B, {**pts.elems, y: ys[None]}, y, pts.shape)
-            code = pts.trace(b.f, b.trace_w)  # zeros for a count
+            code = pts.trace(b.f, form)  # zeros for a count
             if eqs or ineqs:
                 code = code[pts.mask(eqs, ineqs)]
             hist += np.bincount(code, minlength=p)
         return hist
 
-    hist = _sum_chunks(_chunks(B, [v for v in b.vs if v != y], b.budget), chunk_hist, p)
-    return [int(v) for v in hist]
+    return _sum_chunks(itertools.chain(head, walk), chunk_hist, p).tolist()
 
 
 def _sqrt_roots(b: _Block, B, e, y, eqs, ineqs):
@@ -1097,8 +1102,7 @@ def _table_roots(b: _Block, B, e, y, eqs, ineqs):
 def _engine_hist(b: _Block):
     """The chunked engine over the whole block, under the budget."""
     f = None if b.f.is_zero() else b.f
-    raw = _enumerate_block(b.vs, b.eqs, b.ineqs, f, b.trace_w, b.E, b.budget)
-    return [int(v) for v in raw]
+    return _enumerate_block(b.vs, b.eqs, b.ineqs, f, b.twist, b.E, b.budget).tolist()
 
 
 def _convolve_mod_p(h1, h2, p, budget):

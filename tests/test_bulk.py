@@ -13,6 +13,7 @@ import pytest
 from zetakit import bulk
 from zetakit.bulk import BulkField
 from zetakit.cyclofield import build_field, character, trace_to_prime_int
+from zetakit.errors import BudgetExceeded
 from zetakit.varieties import affine, count_points_ff, exponent_histogram
 
 TABLE_FIELDS = [(2, 1), (2, 4), (2, 9), (3, 1), (3, 5), (5, 1), (5, 3), (7, 2),
@@ -63,7 +64,7 @@ def _check_against_scalar(F, count, slow_count, seed=0):
     for e in (0, 1, 2, 3, Q - 1, 2 * (Q - 1), Q, 2**31 + 5):
         same(B.pow(xs, e), [a**e if e else F.one() for a in Xs])
     twist = F.from_index(min(2, Q - 1))
-    w = B.trace_weights(twist)
+    w = B.trace_form(twist)
     assert B.linear_form(xs, w).tolist() == [trace_to_prime_int(twist * a) for a in Xs]
     assert B.linear_form(B.mul(xs, ys), w).tolist() == [
         trace_to_prime_int(twist * a * b) for a, b in zip(Xs, Ys)]
@@ -124,6 +125,16 @@ def test_trace_weights_over_a_prime_field_past_the_default_bits():
     _check_against_scalar(F, 300, 50)
 
 
+@pytest.mark.parametrize("p,k", [(16777213, 2), (4294967311, 1)])
+def test_convolution_kernel_is_exact_past_int64(p, k):
+    # a product's worst case n (p-1)^2 (1 + (n-1)(p-1)) passes 2^63 before
+    # its reduction, which wrapped around in int64
+    F = build_field(p, k, max_bits=64)
+    _check_against_scalar(F, 300, 50)
+    if k == 1:  # sqrt over GF(p^2) first scans all p prime-field elements
+        _check_sqrt(BulkField(F), _rows(F, 2000, p))
+
+
 def test_kernel_is_chosen_at_the_table_limit_without_building_tables():
     bulk._cache.clear()
     below, above = build_field(3, 16, max_bits=64), build_field(3, 17, max_bits=64)
@@ -162,7 +173,7 @@ def test_twisted_trace_tables_match_scalar_traces(p, k):
     elems = [F.from_index(i) for i in range(Q)]
     traces = [trace_to_prime_int(a) for a in elems]  # by element index
     for twist in twists:
-        got = B.linear_form(B.digits_of(every), B.trace_weights(twist))
+        got = B.linear_form(B.digits_of(every), B.trace_form(twist))
         assert got.tolist() == [traces[(twist * a).index()] for a in elems]
 
 
@@ -184,8 +195,9 @@ def test_table_build_allocates_only_the_tables_it_keeps():
     tables, peak = _peak_above(lambda: bulk._LogTables(F))
     assert peak - tables.nbytes <= 2 << 20
     # a twisted trace table is a rotated copy, with no temporary of size Q
-    w = BulkField(F).trace_weights(F.from_index(12345))
-    table, peak = _peak_above(lambda: tables.trace_table(w))
+    B = BulkField(F)
+    B._kernel._tables = tables  # the tables measured above, not a second build
+    table, peak = _peak_above(lambda: B.trace_form(F.from_index(12345)))
     assert table.nbytes == F.q and peak <= table.nbytes + (64 << 10)
 
 
@@ -260,6 +272,13 @@ def test_tables_are_built_only_by_walks():
     exponent_histogram(affine(2, f="x0*x1"), character(F), 8)
     count_points_ff(affine(1, ["x0^2 + 1"]), F, 8)
     assert not bulk._cache
+    # walks refused by their budget, on the engine and on a square-root
+    # fiber, build no tables, not even for their trace forms
+    for X in (affine(2, ["x0^3 + x1^3 + x0*x1 - 1"], f="x0*x1"),
+              affine(3, ["x0^2 + x1^2 + x2^2 - 1"], f="x0*x1*x2")):
+        with pytest.raises(BudgetExceeded):
+            exponent_histogram(X, character(F), 8, budget=10**5)
+        assert not bulk._cache
     count_points_ff(affine(2, ["x0^2 + x1^2 - 1"]), F, 4)
     assert list(bulk._cache) == [build_field(3, 4)]
 

@@ -473,9 +473,7 @@ def _block(nv, p, k, m, eqs=(), ineqs=(), f=None, twist=-1):
     if f is None:
         return b
     c = F.from_index(twist % F.q)
-    twist = embedding(F, b.E)(c)
-    return replace(b, c=c, twist=twist,
-                   trace_w=BulkField(b.E).trace_weights(twist))
+    return replace(b, c=c, twist=embedding(F, b.E)(c))
 
 
 def _use_workers(monkeypatch, workers):
@@ -742,27 +740,61 @@ def test_chunk_pool_raises_the_first_failure_in_walk_order(monkeypatch):
 
 
 def test_concurrent_trace_tables_match_scalar_traces():
-    # five twists, one more than a field keeps tables for, so the threads
-    # evict and rebuild one another's tables
+    # five twists, each rotated into its own trace table by threads that
+    # switch often, with the field's tables bound before the pool starts
     F = build_field(3, 5)
     B = BulkField(F)
-    tables = bulk._log_tables(F)
+    tables = B._kernel.t
     powers = [F.from_index(int(i)) for i in tables.antilog[:-1]]  # g^k
     twists = [F.from_index(i) for i in (1, 2, 7, 100, 242)]
     want = {}
     for i, c in enumerate(twists):
         want[i] = [trace_to_prime_int(c * x) for x in powers] + [0]
-    weights = [B.trace_weights(c) for c in twists]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with futures.ThreadPoolExecutor(4) as pool:
-            got = pool.map(lambda i: (i % 5, tables.trace_table(weights[i % 5]).tolist()),
+            got = pool.map(lambda i: (i % 5, B.trace_form(twists[i % 5]).tolist()),
                            range(200))
             for i, table in got:
                 assert table == want[i]
     finally:
         sys.setswitchinterval(interval)
+
+
+TWISTED_WALKS = [
+    ("engine", lambda: varieties._engine_hist(
+        _block(2, 3, 1, 3, ["x0^3 + x1^3 + x0*x1 - 1"], f="x0*x1")), 27, 3),
+    ("fiber", lambda: varieties._fiber_hist(
+        _block(3, 3, 1, 2, ["x0^2 + x1^2 + x2^2 - 1"], f="x0*x1*x2")), 9, 2),
+    ("base-field", lambda: varieties._univariate_hist(
+        _block(1, 7, 1, 2, ["x0^7 - x0"], f="x0^3 + x0")), 7, 1),
+    ("fiber-histograms", lambda: varieties.fiber_histograms(
+        affine(2, ["x0^2 - x1^3 - x1"], f="x0*x1", base_map=["x0"]),
+        character(build_field(5, 1))), 5, 1),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("walk,Q,n", [w[1:] for w in TWISTED_WALKS],
+                         ids=[w[0] for w in TWISTED_WALKS])
+def test_each_twisted_walk_builds_one_trace_form_on_the_callers_thread(
+        monkeypatch, walk, Q, n, workers):
+    # in small chunks, inline and on a pool, the form is built once per
+    # walk, on the caller's thread and never on a worker
+    trace_form = BulkField.trace_form
+    threads = []
+
+    def spy(self, twist):
+        threads.append(threading.current_thread())
+        return trace_form(self, twist)
+
+    monkeypatch.setattr(BulkField, "trace_form", spy)
+    shapes = _walk_in_small_chunks(monkeypatch, Q, n, "T")
+    _use_workers(monkeypatch, workers)
+    walk()
+    assert threads == [threading.current_thread()]
+    assert len(shapes) > 1
 
 
 @pytest.mark.parametrize("block", [
