@@ -310,6 +310,10 @@ def _cmd_selftest(args):
     run("p1 hasse-weil closed form", lambda: _assert_series(
         zetas.hw_zeta(varieties.projective_space(1), F3, 8, args.budget),
         [sum(3**j for j in range(m + 1)) for m in range(9)]))
+    # N_m = 3^m - (-1)^m, so Z = (1 + t) / (1 - 3t): walks _sqrt_roots on the table kernel
+    run("circle hasse-weil closed form", lambda: _assert_series(
+        zetas.hw_zeta(varieties.circle(), F3, 8, args.budget),
+        [1] + [4 * 3 ** (m - 1) for m in range(1, 9)]))
     run("trace identity", lambda: witt.trace_identity_check([[1, 1], [1, 0]], 10))
     run("gauss sum square", lambda: _assert_equal(
         kexp.realize(kexp.kexp_mul(*(2 * [kexp.KExpClass.generator(

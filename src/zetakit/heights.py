@@ -131,6 +131,7 @@ class _Integers:
     """
 
     n = 1  # one int per row
+    p = 0  # the characteristic: an integer coefficient is kept as it is
 
     def __init__(self, H, polys):
         self.H, self.Q = H, 2 * H + 1
@@ -147,10 +148,9 @@ class _Integers:
     def const(self, value, shape):
         return np.full(shape, value, dtype=self.dtype)
 
-    # exact arithmetic on rows; an integer coefficient is kept as it is
-    add, neg, mul, scale, pow, eq, coefficient = map(staticmethod, (
-        operator.add, operator.neg, operator.mul, operator.mul, operator.pow,
-        operator.eq, operator.pos))
+    # exact arithmetic on rows
+    add, neg, mul, scale, pow, eq = map(staticmethod, (
+        operator.add, operator.neg, operator.mul, operator.mul, operator.pow, operator.eq))
 
     @staticmethod
     def is_zero(a):

@@ -499,62 +499,54 @@ class _Chunk:
     leading ones reach the full grid.
     """
 
-    def __init__(self, B, elems, last, shape, start=0):
+    def __init__(self, B, elems, shape, start=0):
         self.bulk = B
-        self.last = last  # None for a block without variables
         self.elems = elems  # variable -> rows, the last variable last
         self.shape = shape
         self.start = start  # flat position of the first point in the walk
         self.rows = shape[0] * shape[1]
         self.powers = {v: {1: d} for v, d in elems.items()}
 
-    def _terms(self, poly):
-        """(has_last, value) per nonzero term: constants, then terms in the
-        leading variables only, then the last variable alone, then mixed
-        terms, so that sums taken in this order grow to the full grid
-        last."""
-        B = self.bulk
-        out = []
-        for exps, c in poly.terms.items():
-            c = B.coefficient(c)
-            if c == 0:
-                continue
-            factors = []
-            for v, d in self.elems.items():  # the last variable comes last
-                e = exps[v]
-                if e:
-                    pw = self.powers[v]
-                    if e not in pw:
-                        pw[e] = B.pow(d, e)
-                    factors.append(pw[e])
-            if not factors:
-                val = B.const(c, (1, 1))
-            else:
-                val = factors[0] if c == 1 else B.scale(c, factors[0])
-                for fac in factors[1:]:
-                    val = B.mul(val, fac)
-            has_last = self.last is not None and exps[self.last] > 0
-            out.append(((has_last, len(factors) > has_last), val))
-        out.sort(key=lambda kv: kv[0])
-        return [(key[0], val) for key, val in out]
+    def _value(self, c, factors):
+        """Rows of a planned term (_plan) c * prod v^e, at its smallest
+        broadcast shape."""
+        B, powers = self.bulk, self.powers
+        if not factors:
+            return B.const(c, (1, 1))
+        for v, e in factors:
+            if e not in powers[v]:
+                powers[v][e] = B.pow(self.elems[v], e)
+        first, *rest = (powers[v][e] for v, e in factors)
+        val = first if c == 1 else B.scale(c, first)
+        for fac in rest:
+            val = B.mul(val, fac)
+        return val
+
+    def _plan(self, poly):
+        return _plan(poly, self.bulk.p, tuple(self.elems))
 
     def _sums(self, poly):
         """(inner, outer): the sums of poly's terms with and without the
-        last variable, each None when there is no such term."""
+        last variable, each None when there is no such term.  Each term is
+        evaluated as it is added, so one term at a time is held."""
         B = self.bulk
         sums = {True: None, False: None}
-        for has_last, val in self._terms(poly):
+        for has_last, c, factors in self._plan(poly):
+            val = self._value(c, factors)
             acc = sums[has_last]
             sums[has_last] = val if acc is None else B.add(acc, val)
         return sums[True], sums[False]
 
     def eval(self, poly):
-        """Rows of an integer polynomial's values at every point, flat."""
+        """Rows of an integer polynomial's values at every point, flat: a
+        view that may share the walk's rows, so callers only read it."""
         B = self.bulk
         sums = [v for v in self._sums(poly) if v is not None]
         val = B.add(*sums) if len(sums) == 2 else sums[0] if sums else B.const(0, (1, 1))
         tail = val.shape[2:]
-        return np.broadcast_to(val, self.shape + tail).reshape((self.rows,) + tail)
+        if val.shape[:2] != self.shape:
+            val = np.broadcast_to(val, self.shape + tail)
+        return val.reshape((self.rows,) + tail)
 
     def _vanishes(self, poly):
         """Where poly is zero: its terms with the last variable equal the
@@ -589,14 +581,14 @@ class _Chunk:
         since the trace is additive; one term's linear_form is already
         reduced."""
         p = self.bulk.p
-        terms = self._terms(poly)
-        if len(terms) == 1:
-            code = self.bulk.linear_form(terms[0][1], form)
+        plan = self._plan(poly)
+        if len(plan) == 1:
+            code = self.bulk.linear_form(self._value(*plan[0][1:]), form)
         else:
-            dtype = np.int32 if (len(terms) + 1) * p < 1 << 31 else np.int64
+            dtype = np.int32 if (len(plan) + 1) * p < 1 << 31 else np.int64
             code = np.zeros((1, 1), dtype=dtype)
-            for _has_last, val in terms:
-                code = code + self.bulk.linear_form(val, form)
+            for _has_last, c, factors in plan:
+                code = code + self.bulk.linear_form(self._value(c, factors), form)
             code %= p
         return np.broadcast_to(code, self.shape).ravel()
 
@@ -608,11 +600,29 @@ class _Chunk:
         i, j = np.divmod(rows, self.shape[1]) if self.shape[0] > 1 else (0, rows)
         elems = {v: np.broadcast_to(d, self.shape + d.shape[2:])[i, j][None]
                  for v, d in self.elems.items()}
-        return _Chunk(self.bulk, elems, self.last, (1, len(rows)))
+        return _Chunk(self.bulk, elems, (1, len(rows)))
 
     def point(self, row):
         """Element indices of one flat row, in variable order."""
         return [int(self.bulk.index_of(d[0, 0])) for d in self.select([row]).elems.values()]
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(poly, p, order):
+    """poly's nonzero terms in characteristic p (0 keeps integers) as
+    (has_last, c, factors), factors the (v, e) pairs in a chunk's variable
+    order (its last variable last): constants, then terms in the leading
+    variables only, then the last variable alone, then mixed terms, so
+    that sums taken in this order grow to the full grid last.  Only
+    exponents decide the order, so a walk plans each polynomial once and
+    evaluates its terms lazily."""
+    out = []
+    for exps, c in poly.terms.items():
+        c = c % p if p else c
+        if c:
+            has_last = bool(order) and exps[order[-1]] > 0
+            out.append((has_last, c, tuple((v, exps[v]) for v in order if exps[v])))
+    return tuple(sorted(out, key=lambda t: (t[0], len(t[2]) > t[0])))
 
 
 def _chunks(B, vs, budget, ranges=None):
@@ -632,7 +642,7 @@ def _chunks(B, vs, budget, ranges=None):
     sizes = [hi - lo for lo, hi in spans]
     _check_budget(math.prod(sizes), budget)
     if not vs:  # the one point of a block without variables
-        yield _Chunk(B, {}, None, (1, 1))
+        yield _Chunk(B, {}, (1, 1))
         return
     *lead, last = vs
     (lo, hi), size = spans[-1], sizes[-1]
@@ -649,7 +659,7 @@ def _chunks(B, vs, budget, ranges=None):
         for t in range(lo, hi, T):
             if row is None or T < size:
                 row = B.digits_of(np.arange(t, min(t + T, hi), dtype=np.int64))[None]
-            yield _Chunk(B, {**cols, last: row}, last, (len(idx), row.shape[1]),
+            yield _Chunk(B, {**cols, last: row}, (len(idx), row.shape[1]),
                          start * size + t - lo)
 
 
@@ -726,16 +736,13 @@ def _enumerate_block(vs, eqs, ineqs, f, twist, E: FieldSpec, budget,
     form = None if f is None else B.trace_form(twist)
 
     def tally(chunk):
-        mask = chunk.mask(eqs, ineqs)
-        if not mask.any():
+        at = np.flatnonzero(chunk.mask(eqs, ineqs))
+        if not len(at):
             return 0
-        if f is None:
-            code = np.zeros(int(mask.sum()), dtype=np.int64)
-        else:
-            code = chunk.trace(f, form)[mask]
+        code = np.zeros(len(at), dtype=np.int64) if f is None else chunk.trace(f, form).take(at)
         key = 0
         for u in keys:
-            key = key * Q + B.index_of(chunk.eval(u)[mask])
+            key = key * Q + B.index_of(chunk.eval(u).take(at, axis=0))
         return np.bincount(key * p + code, minlength=length)
 
     return _sum_chunks(itertools.chain(head, walk), tally, length)
@@ -952,7 +959,8 @@ def _fiber_hist(b: _Block):
     into one chunk, on which the conditions left, eqs and ineqs, and the
     trace of f are evaluated as in the engine, with the trace form built
     once the walk's first chunk has charged the budget; a count with no
-    conditions left adds up n and gathers nothing.
+    conditions left adds up n and gathers nothing.  A count's chunks and
+    total hold one entry, padded with zeros to p once at the end.
     """
     fiber = _fiber(b)
     if fiber is None:
@@ -964,23 +972,25 @@ def _fiber_hist(b: _Block):
     walk = _chunks(B, [v for v in b.vs if v != y], b.budget)
     head = list(itertools.islice(walk, 1))
     form = None if b.f.is_zero() else B.trace_form(b.twist)
+    width = 1 if form is None else p  # a count fills only entry 0
 
     def chunk_hist(chunk):
         n, batches = roots(chunk)
-        hist = np.zeros(p, dtype=np.int64)
         if count:
-            hist[0] = n
-            return hist
+            return np.array([n])
+        hist = np.zeros(width, dtype=np.int64)
         for rows, ys in batches:
             pts = chunk.select(rows)
-            pts = _Chunk(B, {**pts.elems, y: ys[None]}, y, pts.shape)
+            pts = _Chunk(B, {**pts.elems, y: ys[None]}, pts.shape)
             code = pts.trace(b.f, form)  # zeros for a count
             if eqs or ineqs:
                 code = code[pts.mask(eqs, ineqs)]
-            hist += np.bincount(code, minlength=p)
+            hist += np.bincount(code, minlength=width)
         return hist
 
-    return _sum_chunks(itertools.chain(head, walk), chunk_hist, p).tolist()
+    hist = _sum_chunks(itertools.chain(head, walk), chunk_hist, width).tolist()
+    hist.extend(itertools.repeat(0, p - width))  # no temporary list of p entries
+    return hist
 
 
 def _sqrt_roots(b: _Block, B, e, y, eqs, ineqs):
@@ -989,8 +999,10 @@ def _sqrt_roots(b: _Block, B, e, y, eqs, ineqs):
 
     For odd p the roots are y = (-g +- s) / 2a with s^2 = D = g^2 - 4ah:
     1 + eta(D) of them for the quadratic character eta (Ireland and Rosen,
-    ch. 8), so the second is taken only where D != 0.  Degree 1 has the
-    one root y = -h / a.  Every other condition is left to the points.
+    ch. 8), so the second is taken only where D != 0.  The chunk rows of
+    each kind are compacted once (np.flatnonzero) and s, and g, are
+    gathered at them with take.  Degree 1 has the one root y = -h / a.
+    Every other condition is left to the points.
     """
     coeffs = _y_coefficients(e, y)
     p = b.F.p
@@ -1008,11 +1020,11 @@ def _sqrt_roots(b: _Block, B, e, y, eqs, ineqs):
             if g is not None:
                 D = B.add(B.mul(g, g), D)
             square, s = B.sqrt(D)
-            two = square & B.nonzero(D)
-            rows = np.concatenate([np.flatnonzero(square), np.flatnonzero(two)])
-            s = np.concatenate([s[square], B.neg(s[two])])
+            one, two = np.flatnonzero(square), np.flatnonzero(square & B.nonzero(D))
+            rows = np.concatenate([one, two])
+            s = np.concatenate([s.take(one, axis=0), B.neg(s.take(two, axis=0))])
             if g is not None:
-                s = B.add(B.neg(g[rows]), s)
+                s = B.add(B.neg(g.take(rows, axis=0)), s)
             ys = B.scale(pow(2 * a, -1, p), s)
         return len(rows), [(rows, ys)]
 

@@ -107,6 +107,25 @@ def test_table_kernel_matches_scalar_arithmetic(p, k):
     _check_against_scalar(F, 300, 300)
 
 
+@pytest.mark.parametrize("p,k", [(2, 16), (3, 10)])
+def test_table_kernel_powers_past_int32(p, k):
+    # M * (e mod M) >= 2^31 for M = Q - 1: pow multiplies in int64 there
+    F = build_field(p, k)
+    B = BulkField(F)
+    assert isinstance(B._kernel, bulk._TableKernel)
+    M = F.q - 1
+    exponents = [M - 1, 3 * M - 2, (M << 33) + M - 5]
+    assert all(M * (e % M) >= 1 << 31 for e in exponents)
+    idx = _rows(F, 200, F.q)
+    x, X = B.digits_of(idx), [F.from_index(int(i)) for i in idx]
+    for e in exponents:
+        got = B.pow(x, e)
+        assert got.dtype == np.int32
+        assert B.index_of(got).tolist() == [(a**e).index() for a in X]
+        assert B.index_of(B.pow(x[:6][:, None], e))[:, 0].tolist() == [
+            (a**e).index() for a in X[:6]]
+
+
 def test_convolution_kernel_matches_scalar_arithmetic():
     F = build_field(3, 17, max_bits=64)  # 3^17 > 2^26
     assert isinstance(BulkField(F)._kernel, bulk._ConvKernel)
@@ -254,6 +273,29 @@ def test_sqrt_on_a_full_walk_of_each_kernel(p, k):
     for B in (BulkField(F), _conv(F)):
         nonsquares = _check_sqrt(B, np.arange(F.q, dtype=np.int64))
         assert nonsquares == (0 if p == 2 else (F.q - 1) // 2)
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 2), (131, 1)])
+def test_add_with_a_broadcast_constant_on_each_kernel(p, k):
+    # a (1, 1) constant, zero or not, on the left and on the right of a
+    # (1, T) row, an (R, 1) column and an (R, T) grid that hold zero
+    F = build_field(p, k)
+    R, T = 5, 7
+    idx = _rows(F, R * T, p)
+    elems = [F.from_index(int(i)) for i in idx]
+    for B in (BulkField(F), _conv(F)):
+        flat = B.digits_of(idx)
+        for shape in ((1, R * T), (R * T, 1), (R, T)):
+            a = flat.reshape(shape + flat.shape[1:])
+            for c in (0, 1, -1):
+                const = B.const(c, (1, 1))
+                want = [(x + c).index() for x in elems]
+                for got in (B.add(const, a), B.add(a, const)):
+                    assert got.shape[:2] == shape
+                    assert B.index_of(got).ravel().tolist() == want
+                both = B.add(B.const(0, (1, 1)), const)
+                assert both.shape[:2] == (1, 1)
+                assert B.index_of(both).item() == F.element(c).index()
 
 
 @pytest.mark.parametrize("p,k", [(3, 17), (5, 12), (3, 18), (2, 27)])

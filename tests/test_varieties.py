@@ -810,6 +810,54 @@ def test_quadratic_strategy_on_the_convolution_kernel(monkeypatch, block):
     assert varieties._fiber_hist(block) == want
 
 
+@pytest.mark.parametrize("kernel", ["table", "convolution"])
+@pytest.mark.parametrize("f", [None, "x0*x1 + x1"])
+@pytest.mark.parametrize("equation,count", [
+    ("x1^2 + 2*x0*x1 + x0^2 - 3", 0),  # D = 12, not a square in F_343: no roots
+    ("x1^2 - 2*x0*x1 + x0^2", 343),  # D = 0: the one root x1 = x0
+], ids=["no-square", "all-zero"])
+def test_square_roots_of_a_constant_discriminant(monkeypatch, kernel, f, equation, count):
+    # every chunk gathers no roots, or first roots only
+    block = _block(2, 7, 1, 3, [equation], f=f)
+    assert varieties._fiber(block)[0] is varieties._sqrt_roots
+    want = varieties._engine_hist(block)
+    assert sum(want) == count
+    if kernel == "convolution":
+        monkeypatch.setattr(bulk, "_TABLE_LIMIT", 0)
+        assert isinstance(BulkField(block.E)._kernel, bulk._ConvKernel)
+    _walk_in_small_chunks(monkeypatch, 343, 3, "T")
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        assert varieties._fiber_hist(block) == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_count_sums_one_entry_per_chunk(monkeypatch, workers):
+    # the circle over F_p, p near 10^6, in chunks of 2^14 points: neither a
+    # chunk's histogram nor the walk's total holds p int64 entries (8 MB)
+    F = build_field(999983, 1)
+    want = count_points_ff(circle(), F)  # builds the tables outside the trace
+    assert want == F.q + 1  # -1 is not a square mod p = 3 mod 4
+    monkeypatch.setattr(varieties, "_CHUNK", 1 << 14)
+    _use_workers(monkeypatch, workers)
+    sum_chunks, peaks = varieties._sum_chunks, []
+
+    def spy(chunks, fn, length):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        total = sum_chunks(chunks, fn, length)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return total
+
+    monkeypatch.setattr(varieties, "_sum_chunks", spy)
+    tracemalloc.start()
+    try:
+        assert count_points_ff(circle(), F) == want
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1 and peaks[0] < 8 * F.q // 4  # a quarter of p int64 entries
+
+
 @pytest.mark.parametrize("f", [None, "x0*x1 + x1"])
 def test_table_solver_on_the_convolution_kernel(monkeypatch, f):
     # digit rows as table keys: the key of zero is 0 there, not Q - 1
