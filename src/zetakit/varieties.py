@@ -8,8 +8,11 @@ A point count is the f = 0 case of a character-exponent histogram, and
 both run one pipeline (`_histogram`): projective charts, reduction mod p,
 then constraint-disjoint variable blocks, whose histograms convolve mod p,
 which keeps product varieties inside the budget; each convolution is
-charged its pairs of nonzero entries.  Each block goes to the
-first strategy of one ordered tuple that takes it:
+charged its pairs of nonzero entries.  A block's histogram has one entry
+when its f is 0 and p entries otherwise, so a count is one number end to
+end; `exponent_histogram` alone pads to p and rotates by f's constant
+term.  Each block goes to the first strategy of one ordered tuple that
+takes it:
   1. no constraints: a power of the field size; for f built from
      Frobenius-linear monomials a*x^(p^j) and (odd p) monomials of degree
      2, an exact histogram without enumeration, in closed form from the
@@ -320,9 +323,9 @@ def _components(nvars, eqs, ineqs, f):
 
     Blocks are joined by shared equations/inequations and by monomials of f
     that straddle blocks (so exponent histograms convolve exactly).  No
-    block takes the constant term of f, which only rotates the cell's
-    histogram.  Blocks come smallest first, so an empty one ends a walk
-    before a larger one is enumerated.
+    block takes the constant term of f, which only rotates the histogram
+    (exponent_histogram).  Blocks come smallest first, so an empty one
+    ends a walk before a larger one is enumerated.
     """
     parent = list(range(nvars))
 
@@ -369,23 +372,32 @@ def count_points_ff(X: VarietySpec, F: FieldSpec, m: int = 1, budget=None) -> in
 
 def exponent_histogram(X: VarietySpec, chi: AdditiveCharacter, m: int,
                        budget=None) -> list:
-    """Counts h[e] of points x in X(F_{q^m}) with chi(Tr f(x)) = zeta_p^e."""
+    """Counts h[e] of points x in X(F_{q^m}) with chi(Tr f(x)) = zeta_p^e.
+
+    The one place a histogram is padded to p entries and rotated by f's
+    constant term c, by Tr_{F_{q^m}/F_p}(c chi.c) = c m Tr_{F/F_p}(chi.c).
+    """
     if X.ambient == "projective" and X.f is not None and not X.f.is_zero():
         raise ProjectiveWithNonzeroF("exponential sums need an affine spec")
-    return _histogram(X, chi.field, m, None if chi.is_trivial() else chi.c, budget)
+    p, twist = chi.p, None if chi.is_trivial() else chi.c
+    hist = _histogram(X, chi.field, m, twist, budget)
+    hist.extend(itertools.repeat(0, p - len(hist)))
+    c = 0 if twist is None or X.f is None else X.f.terms.get((0,) * X.nvars, 0) % p
+    shift = c * m * trace_to_prime_int(twist) % p if c else 0
+    return hist[-shift:] + hist[:-shift]
 
 
 def _histogram(X, F, m, twist, budget):
     """Counts h[e] of points x in X(F_{q^m}) with Tr(twist * f(x)) = e mod p.
 
     twist None is a count: f is dropped, since Tr(0 * f) = 0, and h is
-    [#X, 0, ..., 0].  A projective X is the disjoint union of its affine
-    charts.  Each cell is reduced mod p and split into constraint-disjoint
-    blocks: the first block's histogram (from _block_histogram; [1, 0,
-    ...] for a cell without variables) convolves mod p with the others',
-    and a cell stops at the first block that leaves its histogram all
-    zero.  f's constant term c then rotates the cell's histogram by
-    Tr(twist * c) = c * Tr(twist) mod p.
+    [#X].  A projective X is the disjoint union of its affine charts, each
+    a count.  Each cell is reduced mod p and split into constraint-disjoint
+    blocks: the first block's histogram (from _block_histogram; [1] for a
+    cell without variables) convolves mod p with the others', and a cell
+    stops at the first block that leaves its histogram all zero.  h has
+    one entry when no block has an f term, else p; f's constant term is
+    left to exponent_histogram.
     """
     p = F.p
     _check_budget(0, budget)  # a bad budget fails here, not only where it is read
@@ -410,12 +422,9 @@ def _histogram(X, F, m, twist, budget):
             part = h if part is None else _convolve_mod_p(part, h, p, budget)
             if not any(part):
                 break
-        part = part or [1] + [0] * (p - 1)
-        c = job.f.terms.get((0,) * cell.nvars, 0)
-        shift = c * trace_to_prime_int(job.twist) % p if c else 0
-        part = part[-shift:] + part[:-shift] if shift else part
+        part = part or [1]
         hist = part if hist is None else [a + b for a, b in zip(hist, part)]
-    return hist or [0] * p
+    return hist or [0]
 
 
 @dataclass(frozen=True)
@@ -721,16 +730,18 @@ def _enumerate_block(vs, eqs, ineqs, f, twist, E: FieldSpec, budget,
                      keys=()):
     """Tally the points of one variable block over E, in chunks.
 
-    Returns a flat int64 bincount indexed by key * p + e: e is
-    Tr(twist * f) mod p for an FFElem twist of E (0 when f is None), and
-    key is the flat element index of the key polynomials' values, first
-    key most significant (a single slot when there are no keys).  The
-    trace form of twist is built once, after the walk's first chunk has
-    charged the budget, so a refused walk builds no tables.
+    Returns a flat int64 bincount indexed by key * width + e: e is
+    Tr(twist * f) mod p for an FFElem twist of E and width is p, or, when
+    f is None, e is 0 and width 1; key is the flat element index of the
+    key polynomials' values, first key most significant (a single slot
+    when there are no keys).  The trace form of twist is built once, after
+    the walk's first chunk has charged the budget, so a refused walk
+    builds no tables.
     """
     B = BulkField(E)
     p, Q = E.p, E.q
-    length = Q ** len(keys) * p
+    width = 1 if f is None else p
+    length = Q ** len(keys) * width
     walk = _chunks(B, vs, budget)
     head = list(itertools.islice(walk, 1))
     form = None if f is None else B.trace_form(twist)
@@ -743,7 +754,7 @@ def _enumerate_block(vs, eqs, ineqs, f, twist, E: FieldSpec, budget,
         key = 0
         for u in keys:
             key = key * Q + B.index_of(chunk.eval(u).take(at, axis=0))
-        return np.bincount(key * p + code, minlength=length)
+        return np.bincount(key * width + code, minlength=length)
 
     return _sum_chunks(itertools.chain(head, walk), tally, length)
 
@@ -791,7 +802,7 @@ def membership_walk(X: VarietySpec, others, F: FieldSpec, m: int = 1,
 def _full_space_hist(b: _Block):
     """Exact histogram over a block without constraints, no enumeration.
 
-    [Q^r, 0, ..., 0] for f = 0.  Otherwise Tr(twist * f) is one quadratic
+    [Q^r] for f = 0.  Otherwise Tr(twist * f) is one quadratic
     function x^T A x + L . x of the block's N = r * n digits over F_p
     (Lidl and Niederreiter, ch. 6), built in one pass over f's monomials:
     a * x_i^(p^j), for any p, adds the trace weights of
@@ -813,7 +824,7 @@ def _full_space_hist(b: _Block):
     p, n = b.F.p, b.F.k * b.m  # b.E is built only for f != 0
     N = n * len(b.vs)
     if b.f.is_zero():
-        return [p**N] + [0] * (p - 1)
+        return [p**N]
     at = {v: idx * n for idx, v in enumerate(b.vs)}
     A = [[0] * N for _ in range(N)]
     L = [0] * N
@@ -892,8 +903,10 @@ def _univariate_hist(b: _Block):
     else:
         finite = gfpoly.distinct_roots(bad, p, n)
         count = p**n - gfpoly.deg(finite)
-    if b.f.is_zero() or not count:
-        return [count] + [0] * (p - 1)
+    if b.f.is_zero():
+        return [count]
+    if not count:
+        return [0] * p
     if gfpoly.deg(gfpoly.distinct_roots(finite, p, F.k)) != gfpoly.deg(finite):
         return None
     if b.eqs:
@@ -960,7 +973,7 @@ def _fiber_hist(b: _Block):
     trace of f are evaluated as in the engine, with the trace form built
     once the walk's first chunk has charged the budget; a count with no
     conditions left adds up n and gathers nothing.  A count's chunks and
-    total hold one entry, padded with zeros to p once at the end.
+    total hold one entry.
     """
     fiber = _fiber(b)
     if fiber is None:
@@ -972,7 +985,7 @@ def _fiber_hist(b: _Block):
     walk = _chunks(B, [v for v in b.vs if v != y], b.budget)
     head = list(itertools.islice(walk, 1))
     form = None if b.f.is_zero() else B.trace_form(b.twist)
-    width = 1 if form is None else p  # a count fills only entry 0
+    width = 1 if form is None else p  # a count is one entry
 
     def chunk_hist(chunk):
         n, batches = roots(chunk)
@@ -988,9 +1001,7 @@ def _fiber_hist(b: _Block):
             hist += np.bincount(code, minlength=width)
         return hist
 
-    hist = _sum_chunks(itertools.chain(head, walk), chunk_hist, width).tolist()
-    hist.extend(itertools.repeat(0, p - width))  # no temporary list of p entries
-    return hist
+    return _sum_chunks(itertools.chain(head, walk), chunk_hist, width).tolist()
 
 
 def _sqrt_roots(b: _Block, B, e, y, eqs, ineqs):
@@ -1118,12 +1129,13 @@ def _engine_hist(b: _Block):
 
 
 def _convolve_mod_p(h1, h2, p, budget):
-    """The histogram of the sum mod p of independent exponents; the
+    """The histogram of the sum mod p of independent exponents, of
+    min(p, len(h1) + len(h2) - 1) entries, so two counts give a count; the
     pairs of nonzero entries it adds up are charged against the budget."""
     n1 = list(itertools.compress(range(p), h1))
     n2 = list(itertools.compress(range(p), h2))
     _check_budget(len(n1) * len(n2), budget)
-    out = [0] * p
+    out = [0] * min(p, len(h1) + len(h2) - 1)
     for a in n1:
         u = h1[a]
         for b in n2:

@@ -187,12 +187,17 @@ def test_block_histograms_fold_from_the_first_block(monkeypatch, f, calls):
     assert len(seen) == calls
 
 
-def test_constant_term_rotates_by_its_trace(F9):
-    # Tr(twist * 5) = 2 * 2 = 1 mod 3, not 5 mod 3 = 2
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("X", [
+    affine(2, f="x0*x1 + 5"),
+    affine(2, ["x0^2 + x1^2 - 1"], f="5"),  # every block a count: padded, then rotated
+], ids=["cross-term", "constant-only"])
+def test_constant_term_rotates_by_its_trace(F9, X, m):
+    # Tr_{F_{9^m}/F_3}(twist * 5) = 5 * m * 2 mod 3: 1 at m = 1 and 2 at
+    # m = 2, not 5 mod 3 = 2 at both
     twist = next(c for c in map(F9.from_index, range(9)) if trace_to_prime_int(c) == 2)
-    X = affine(2, f="x0*x1 + 5")
     chi = character(F9, twist)
-    assert list(exponent_histogram(X, chi, 1)) == brute_histogram(X, chi, 1)
+    assert list(exponent_histogram(X, chi, m)) == brute_histogram(X, chi, m)
 
 
 def test_constant_term_rotates_a_large_prime_histogram():
@@ -245,6 +250,10 @@ ORACLE_CASES = [
     (circle(Poly.parse("x0*x1", 2)), 5, 1, 1),
     (torus2(Poly.parse("x0 + x1", 2)), 3, 1, 2),
     (affine(2, ["x1^2 - x0^3 - 1"], f="x0"), 5, 1, 1),
+    # a count block ([Q - 1]) convolved with a p-entry one
+    (product_spec(circle(Poly.parse("x0*x1", 2)), gm()), 5, 1, 1),
+    (product_spec(circle(Poly.parse("x0*x1", 2)), gm()), 5, 1, 2),
+    (product_spec(circle(Poly.parse("x0*x1", 2)), gm()), 3, 2, 1),
 ]
 
 
@@ -555,7 +564,7 @@ def test_strategy_matches_the_engine_on_the_same_block(monkeypatch, name, block)
     assert part is not None
     assert part == varieties._engine_hist(block)
     if block.f.is_zero():
-        assert part[1:] == [0] * (block.F.p - 1)
+        assert len(part) == 1  # a count is one entry
     # the same in small chunks, inline and on a pool of two threads
     _walk_in_small_chunks(monkeypatch, block.F.q ** block.m, block.F.k * block.m, "T")
     for workers in (1, 2):
@@ -833,29 +842,39 @@ def test_square_roots_of_a_constant_discriminant(monkeypatch, kernel, f, equatio
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_count_sums_one_entry_per_chunk(monkeypatch, workers):
-    # the circle over F_p, p near 10^6, in chunks of 2^14 points: neither a
-    # chunk's histogram nor the walk's total holds p int64 entries (8 MB)
+    # counts over F_p, p near 10^6, in chunks of 2^14 points, by the fiber
+    # strategy (the circle), the full space and one variable's roots: no
+    # histogram of p entries (8p bytes as a list or an int64 array) is
+    # made, not a chunk's, the walk's total, a block's or a cell's
     F = build_field(999983, 1)
-    want = count_points_ff(circle(), F)  # builds the tables outside the trace
-    assert want == F.q + 1  # -1 is not a square mod p = 3 mod 4
+    p = F.q
+    cases = [(circle(), p + 1),  # -1 is not a square mod p = 3 mod 4
+             (affine_space(2), p * p),
+             (affine(1, inequations=["x0^2 - 2"]), p - 2)]  # 2 is a square mod p = 7 mod 8
+    count_points_ff(circle(), F)  # builds the tables outside the trace
     monkeypatch.setattr(varieties, "_CHUNK", 1 << 14)
     _use_workers(monkeypatch, workers)
-    sum_chunks, peaks = varieties._sum_chunks, []
+    sum_chunks, walks, highs = varieties._sum_chunks, [], []
 
-    def spy(chunks, fn, length):
-        before = tracemalloc.get_traced_memory()[0]
+    def spy(chunks, fn, length):  # the walk's own peak, and the call's before it
+        before, high = tracemalloc.get_traced_memory()
+        highs.append(high)
         tracemalloc.reset_peak()
         total = sum_chunks(chunks, fn, length)
-        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        walks.append(tracemalloc.get_traced_memory()[1] - before)
         return total
 
     monkeypatch.setattr(varieties, "_sum_chunks", spy)
-    tracemalloc.start()
-    try:
-        assert count_points_ff(circle(), F) == want
-    finally:
-        tracemalloc.stop()
-    assert len(peaks) == 1 and peaks[0] < 8 * F.q // 4  # a quarter of p int64 entries
+    for X, want in cases:
+        highs.clear()
+        tracemalloc.start()
+        try:
+            assert count_points_ff(X, F) == want
+            peak = max(highs + [tracemalloc.get_traced_memory()[1]])
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * p, X  # the whole call: half of p int64 entries
+    assert len(walks) == 1 and walks[0] < 8 * p // 4  # the circle's one walk
 
 
 @pytest.mark.parametrize("f", [None, "x0*x1 + x1"])
@@ -1049,6 +1068,9 @@ def test_engine_grid_matches_scalar_oracle(monkeypatch, nv, p, k, m, eqs, ineqs,
     Q = F.q**m
     shapes = _walk_in_small_chunks(monkeypatch, Q, k * m, split)
     block = _block(nv, p, k, m, eqs, ineqs, f=f if twisted else None)
+    if not twisted:  # a count is the one entry of an f = 0 histogram
+        assert not any(want[1:])
+        want = want[:1]
     assert varieties._engine_hist(block) == want
     if split == "T":
         assert all(R == 1 and T < Q for R, T in shapes)
