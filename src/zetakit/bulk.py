@@ -36,7 +36,7 @@ representations, chosen once from the field size Q = p^n:
   budget, not by table construction.
 
 Rows are gathered by index: table lookups are ndarray.take, and the
-square-root fiber and the engine's tally compact a chunk's mask once
+square-root fiber and the one point tally compact a chunk's mask once
 (np.flatnonzero) and take each array there; a boolean mask costs about
 five times as much at half density (NumPy 2.4, x86-64).  Table powers
 reduce as s - s // M * M: NumPy divides by a scalar with a multiply and
@@ -107,6 +107,7 @@ class BulkField:
         tables = self.Q <= _TABLE_LIMIT and self.n * (self.p - 1) ** 2 < _FLOAT_EXACT
         kernel = _TableKernel if tables else _ConvKernel
         self._kernel = kernel(self)
+        self._consts = {}  # (index, shape) -> the rows const returns
 
     # -- element construction ---------------------------------------------
 
@@ -127,11 +128,14 @@ class BulkField:
 
     def const(self, value, shape=1):
         """A scalar, an int (prime subfield) or an FFElem, repeated over a
-        row shape (an int or a tuple; a read-only broadcast)."""
-        idx = value % self.p if isinstance(value, int) else value.index()
-        one = self._kernel.digits_of(np.array([idx], dtype=np.int64))
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        return np.broadcast_to(one, shape + one.shape[1:])
+        row shape (an int or a tuple; a read-only broadcast), made once per
+        field, so a walk's chunks share it (a race makes it twice)."""
+        key = (value % self.p if isinstance(value, int) else value.index(),
+               (shape,) if isinstance(shape, int) else tuple(shape))
+        if key not in self._consts:
+            one = self._kernel.digits_of(np.array([key[0]], dtype=np.int64))
+            self._consts[key] = np.broadcast_to(one, key[1] + one.shape[1:])
+        return self._consts[key]
 
     # -- arithmetic --------------------------------------------------------
     # Row arrays may have leading axes, which broadcast: a (R, 1) column of

@@ -33,7 +33,7 @@ class Cyclotomic:
         if len(coeffs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients for p={p}, got {len(coeffs)}")
         self.p = p
-        self.coeffs = tuple(demote(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is int else demote(c) for c in coeffs)
 
     # -- constructors ------------------------------------------------------
 

@@ -43,16 +43,18 @@ as "terms with the last variable = minus the others", and the trace of
 f is the sum of its terms' traces, so only mixed monomials are computed
 on the full grid.
 
-Walks that only add up tallies, the engine's (`_enumerate_block`) and
-the fiber strategy's (`_fiber_hist`, both root solvers), go through
-`_sum_chunks`: a walk of more than one chunk runs its chunks on a pool
-of one thread per usable CPU, which NumPy's GIL-free kernels keep
-busy, and adds their tallies in walk order.  The walk itself, with its
-budget charge and then its one trace form (BulkField.trace_form), stays
-on the caller's thread, and a walk of one chunk runs there too.  The
-height box scan and `membership_walk` stay sequential: a height chunk
-holds up to about 36 MB of temporaries, and the subvariety and cover
-checks built on them name the first failing point in walk order.
+One tally (`_enumerate_block`) turns points into histogram entries for
+the engine, `fiber_histograms`, strategy 2's base-field walk and
+strategy 3, whose root solvers hand it the roots at each chunk's points
+as its candidates.  Its walk goes through `_sum_chunks`: a walk of more
+than one chunk runs its chunks on a pool of one thread per usable CPU,
+which NumPy's GIL-free kernels keep busy, and adds their tallies in walk
+order.  The walk itself, with its budget charge and then its one trace
+form (BulkField.trace_form), stays on the caller's thread, and a walk of
+one chunk runs there too.  The height box scan and `membership_walk`
+stay sequential: a height chunk holds up to about 36 MB of temporaries,
+and the subvariety and cover checks built on them name the first
+failing point in walk order.
 
 `PointEnumeration` is the scalar reference that the tests compare them
 against; no production path uses it.
@@ -401,19 +403,12 @@ def _histogram(X, F, m, twist, budget):
     """
     p = F.p
     _check_budget(0, budget)  # a bad budget fails here, not only where it is read
-    if X.ambient == "affine":
-        cells = [(X, X.nvars)]
-    else:  # chart j has n - j free coordinates; the last chart is one point
-        cells = [(VarietySpec("affine", max(X.dim - j, 1),
-                              tuple(map(chart, X.equations)),
-                              tuple(map(chart, X.inequations)), None, None),
-                  X.dim - j) for j, chart in _projective_charts(X)]
     hist = None
-    for cell, r in cells:
-        eqs, ineqs, f, empty = _reduce_polys(cell, p)
+    for _lead, r, chart in _cells(X):
+        eqs, ineqs, f, empty = _reduce_polys(chart(X), p)
         if empty:
             continue
-        job = _Block((), (), (), Poly(cell.nvars), F, m, budget)
+        job = _Block((), (), (), Poly(f.nvars), F, m, budget)
         if twist is not None and not f.is_zero():
             job = replace(job, f=f, c=twist, twist=embedding(F, job.E)(twist))
         part = None
@@ -471,24 +466,28 @@ def require_homogeneous(X):
             raise NonHomogeneous(f"{e!r} is not homogeneous")
 
 
-def _projective_charts(X):
-    """The affine charts of P^n, in the order PointEnumeration walks them.
-
-    Chart j is x_i = 0 for i < j and x_j = 1.  Yields (j, chart), where
-    chart(poly) restricts a polynomial to the free coordinates
-    x_{j+1}, ..., x_n renumbered from 0 (one dummy variable when none is
-    free).
+def _cells(X):
+    """The affine cells of X's ambient, in PointEnumeration's order, as
+    (lead, r, chart): chart(S) is the affine spec that a spec S on the
+    ambient cuts out of the cell, in its r free coordinates (one dummy
+    variable when r = 0), and lead the coordinates fixed before them.
+    Affine space is one cell; chart j of P^n has x_i = 0 for i < j,
+    x_j = 1 and x_{j+1}, ..., x_n free, renumbered from 0.
     """
+    if X.ambient == "affine":
+        yield (), X.nvars, lambda S: S
+        return
     require_homogeneous(X)
     n = X.dim
     for j in range(n + 1):
         fixed = {**dict.fromkeys(range(j), 0), j: 1}
         mapping = {i: max(i - j - 1, 0) for i in range(n + 1)}
 
-        def chart(poly, fixed=fixed, mapping=mapping, nv=max(n - j, 1)):
-            return poly.substitute(fixed).rename(mapping, nv)
+        def chart(S, fixed=fixed, mapping=mapping, nv=max(n - j, 1)):
+            return affine(nv, *([e.substitute(fixed).rename(mapping, nv) for e in c]
+                                for c in (S.equations, S.inequations)))
 
-        yield j, chart
+        yield [0] * j + [1], n - j, chart
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +600,15 @@ class _Chunk:
             code %= p
         return np.broadcast_to(code, self.shape).ravel()
 
-    def select(self, rows):
+    def select(self, rows, more=None):
         """The chunk of the given flat rows, in that order, as one (1, k)
         row per variable, gathered through broadcast views: no full grid
-        is copied."""
+        is copied; more maps further variables, placed last, to k rows."""
         rows = np.asarray(rows)
         i, j = np.divmod(rows, self.shape[1]) if self.shape[0] > 1 else (0, rows)
         elems = {v: np.broadcast_to(d, self.shape + d.shape[2:])[i, j][None]
                  for v, d in self.elems.items()}
+        elems.update((v, d[None]) for v, d in (more or {}).items())
         return _Chunk(self.bulk, elems, (1, len(rows)))
 
     def point(self, row):
@@ -726,37 +726,59 @@ def _sum_chunks(chunks, fn, length):
     return total
 
 
-def _enumerate_block(vs, eqs, ineqs, f, twist, E: FieldSpec, budget,
-                     keys=()):
-    """Tally the points of one variable block over E, in chunks.
+def _enumerate_block(vs, eqs, ineqs, f, twist, B: BulkField, budget, keys=(),
+                     fiber=None):
+    """The one tally: the points of one variable block over B's field,
+    walked in chunks over vs, as a flat int64 bincount indexed by
+    key * width + e.  e is Tr(twist * f) mod p for an FFElem twist of the
+    field and width is p, or, when f is None, e is 0 and width 1; key is
+    the flat element index of the key polynomials' values, first key most
+    significant (a single slot when there are no keys).
 
-    Returns a flat int64 bincount indexed by key * width + e: e is
-    Tr(twist * f) mod p for an FFElem twist of E and width is p, or, when
-    f is None, e is 0 and width 1; key is the flat element index of the
-    key polynomials' values, first key most significant (a single slot
-    when there are no keys).  The trace form of twist is built once, after
-    the walk's first chunk has charged the budget, so a refused walk
-    builds no tables.
+    A chunk's candidates are its points, or, with a fiber (y, roots) from
+    a root solver (_fiber), the points (x, y) of each (rows, ys) batch of
+    roots(chunk) = (n, batches), gathered into one chunk; a count with no
+    conditions and no keys adds up the n roots and gathers nothing.
+    Candidates are masked by eqs and ineqs and compacted (np.flatnonzero)
+    before their traces and keys are gathered for one np.bincount.  The
+    trace form of twist is built once, after the walk's first chunk has
+    charged the budget, so a refused walk builds no tables.
     """
-    B = BulkField(E)
-    p, Q = E.p, E.q
+    p, Q = B.p, B.Q
     width = 1 if f is None else p
     length = Q ** len(keys) * width
     walk = _chunks(B, vs, budget)
     head = list(itertools.islice(walk, 1))
     form = None if f is None else B.trace_form(twist)
+    count = f is None and not keys
+    y, roots = fiber or (None, None)
 
-    def tally(chunk):
-        at = np.flatnonzero(chunk.mask(eqs, ineqs))
-        if not len(at):
+    def tally(pts):
+        at = np.flatnonzero(pts.mask(eqs, ineqs)) if eqs or ineqs else None
+        n = pts.rows if at is None else len(at)
+        if count:
+            return np.array([n])
+        if not n:
             return 0
-        code = np.zeros(len(at), dtype=np.int64) if f is None else chunk.trace(f, form).take(at)
+        code = 0 if f is None else _gather(pts.trace(f, form), at)
         key = 0
         for u in keys:
-            key = key * Q + B.index_of(chunk.eval(u).take(at, axis=0))
+            key = key * Q + B.index_of(_gather(pts.eval(u), at))
         return np.bincount(key * width + code, minlength=length)
 
-    return _sum_chunks(itertools.chain(head, walk), tally, length)
+    def fiber_tally(chunk):
+        n, batches = roots(chunk)
+        if count and not (eqs or ineqs):
+            return np.array([n])
+        return sum(tally(chunk.select(rows, {y: ys})) for rows, ys in batches)
+
+    return _sum_chunks(itertools.chain(head, walk),
+                       tally if fiber is None else fiber_tally, length)
+
+
+def _gather(a, at):
+    """a's flat rows at the positions at, or all of them for None."""
+    return a if at is None else a.take(at, axis=0)
 
 
 def fiber_histograms(X: VarietySpec, chi: AdditiveCharacter, budget=None):
@@ -768,7 +790,7 @@ def fiber_histograms(X: VarietySpec, chi: AdditiveCharacter, budget=None):
     """
     E = _extension_spec(chi.field, 1)
     raw = _enumerate_block(list(range(X.nvars)), X.equations, X.inequations,
-                           X.f, chi.c, E, budget, keys=X.base_map or ())
+                           X.f, chi.c, BulkField(E), budget, keys=X.base_map or ())
     return raw.reshape(-1, chi.p)
 
 
@@ -782,14 +804,8 @@ def membership_walk(X: VarietySpec, others, F: FieldSpec, m: int = 1,
     point(row) is that row's coordinates as element indices.
     """
     B = BulkField(_extension_spec(F, m))
-    if X.ambient == "affine":
-        cells = [((), X.nvars, lambda poly: poly)]
-    else:
-        cells = [([0] * j + [1], X.dim - j, chart)
-                 for j, chart in _projective_charts(X)]
-    for lead, r, chart in cells:
-        conds = [([chart(e) for e in S.equations],
-                  [chart(h) for h in S.inequations]) for S in (X, *others)]
+    for lead, r, chart in _cells(X):
+        conds = [(S.equations, S.inequations) for S in map(chart, (X, *others))]
         for chunk in _chunks(B, list(range(r)), budget):
             inside, *masks = [chunk.mask(eqs, ineqs) for eqs, ineqs in conds]
             yield inside, masks, lambda row, c=chunk, lead=lead: [*lead, *c.point(row)]
@@ -916,7 +932,8 @@ def _univariate_hist(b: _Block):
         if full is None:
             return None
         eqs, ineqs = [math.prod(b.ineqs, start=Poly.constant(b.f.nvars, 1))], []
-    walked = _enumerate_block([var], eqs, ineqs, b.f, F.element(b.m) * b.c, F, b.budget)
+    walked = _enumerate_block([var], eqs, ineqs, b.f, F.element(b.m) * b.c, BulkField(F),
+                              b.budget)
     if int(walked.sum()) != gfpoly.deg(finite):
         raise RouteMismatch(f"walk over F_{F.q}: {walked.sum()} points, "
                             f"gcd: {gfpoly.deg(finite)}")
@@ -965,43 +982,19 @@ def _fiber(b: _Block):
 
 def _fiber_hist(b: _Block):
     """Exponent histogram over a block with an equation e that a solver
-    takes (_fiber): the other variables x are walked, and the solver
-    returns (roots, eqs, ineqs).  roots(chunk) is (n, batches): the n
-    roots y of e at the chunk's points and, lazily, (rows, ys) batches
-    of flat chunk rows and their roots.  The points (x, y) are gathered
-    into one chunk, on which the conditions left, eqs and ineqs, and the
-    trace of f are evaluated as in the engine, with the trace form built
-    once the walk's first chunk has charged the budget; a count with no
-    conditions left adds up n and gathers nothing.  A count's chunks and
-    total hold one entry.
-    """
+    takes (_fiber): the roots y of e at the points of the other variables
+    are the candidates of the one tally (_enumerate_block), over the
+    conditions the solver leaves.  One BulkField serves the solver and
+    the tally."""
     fiber = _fiber(b)
     if fiber is None:
         return None
     solver, e, y = fiber
-    p, B = b.F.p, BulkField(b.E)
+    B = BulkField(b.E)
     roots, eqs, ineqs = solver(b, B, e, y, [q for q in b.eqs if q is not e], b.ineqs)
-    count = b.f.is_zero() and not eqs and not ineqs
-    walk = _chunks(B, [v for v in b.vs if v != y], b.budget)
-    head = list(itertools.islice(walk, 1))
-    form = None if b.f.is_zero() else B.trace_form(b.twist)
-    width = 1 if form is None else p  # a count is one entry
-
-    def chunk_hist(chunk):
-        n, batches = roots(chunk)
-        if count:
-            return np.array([n])
-        hist = np.zeros(width, dtype=np.int64)
-        for rows, ys in batches:
-            pts = chunk.select(rows)
-            pts = _Chunk(B, {**pts.elems, y: ys[None]}, pts.shape)
-            code = pts.trace(b.f, form)  # zeros for a count
-            if eqs or ineqs:
-                code = code[pts.mask(eqs, ineqs)]
-            hist += np.bincount(code, minlength=width)
-        return hist
-
-    return _sum_chunks(itertools.chain(head, walk), chunk_hist, width).tolist()
+    f = None if b.f.is_zero() else b.f
+    return _enumerate_block([v for v in b.vs if v != y], eqs, ineqs, f, b.twist, B,
+                            b.budget, fiber=(y, roots)).tolist()
 
 
 def _sqrt_roots(b: _Block, B, e, y, eqs, ineqs):
@@ -1125,7 +1118,8 @@ def _table_roots(b: _Block, B, e, y, eqs, ineqs):
 def _engine_hist(b: _Block):
     """The chunked engine over the whole block, under the budget."""
     f = None if b.f.is_zero() else b.f
-    return _enumerate_block(b.vs, b.eqs, b.ineqs, f, b.twist, b.E, b.budget).tolist()
+    return _enumerate_block(b.vs, b.eqs, b.ineqs, f, b.twist, BulkField(b.E),
+                            b.budget).tolist()
 
 
 def _convolve_mod_p(h1, h2, p, budget):

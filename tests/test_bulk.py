@@ -5,7 +5,9 @@ runs on the digit-convolution kernel.  Each test draws random rows plus the
 edge elements 0, 1 and -1.
 """
 
+import sys
 import tracemalloc
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -296,6 +298,28 @@ def test_add_with_a_broadcast_constant_on_each_kernel(p, k):
                 both = B.add(B.const(0, (1, 1)), const)
                 assert both.shape[:2] == (1, 1)
                 assert B.index_of(both).item() == F.element(c).index()
+
+
+def test_constant_rows_are_made_once_and_hold_their_constants_on_many_threads():
+    # eight threads that switch often ask one field for five constants'
+    # (1, 1) rows: each holds its constant, read-only, and once made a
+    # constant's row is the one every later call gets
+    F = build_field(3, 3)
+    values = [0, 1, -1, F.from_index(5), F.from_index(26)]
+    want = [F.element(v).index() if isinstance(v, int) else v.index() for v in values]
+    for B in (BulkField(F), _conv(F)):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with futures.ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(lambda i: B.const(values[i % 5], (1, 1)), range(400),
+                                    timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for i, rows in enumerate(got):
+            assert rows.shape[:2] == (1, 1) and not rows.flags.writeable
+            assert B.index_of(rows).item() == want[i % 5]
+        assert all(B.const(v, (1, 1)) is B.const(v, (1, 1)) for v in values)
 
 
 @pytest.mark.parametrize("p,k", [(3, 17), (5, 12), (3, 18), (2, 27)])

@@ -819,6 +819,20 @@ def test_quadratic_strategy_on_the_convolution_kernel(monkeypatch, block):
     assert varieties._fiber_hist(block) == want
 
 
+def test_swapped_variables_give_the_square_root_the_other_variable():
+    # y^2 = x^3 + x + 1 over F_{9^6}, 9^12 points, beyond the engine: as
+    # x1^2 = x0^3 + ... the square root solves for x1, with the variables
+    # swapped for x0, and both walks give one histogram
+    hists = []
+    for equation, f, y in [("x1^2 - x0^3 - x0 - 1", "x0*x1 + x1", 1),
+                           ("x0^2 - x1^3 - x1 - 1", "x1*x0 + x0", 0)]:
+        block = _block(2, 3, 2, 6, [equation], f=f)
+        solver, _e, solved = varieties._fiber(block)
+        assert (solver, solved) == (varieties._sqrt_roots, y)
+        hists.append(varieties._fiber_hist(block))
+    assert hists[0] == hists[1] == [176985, 176499, 176499]
+
+
 @pytest.mark.parametrize("kernel", ["table", "convolution"])
 @pytest.mark.parametrize("f", [None, "x0*x1 + x1"])
 @pytest.mark.parametrize("equation,count", [
