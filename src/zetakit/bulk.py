@@ -51,6 +51,7 @@ the last through a kernel's own trace form (trace_form).
 from __future__ import annotations
 
 import functools
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -95,13 +96,7 @@ class BulkField:
         self.p = spec.p
         self.n = spec.k
         self.Q = spec.q
-        # reduction rows: digits of x^j mod modulus for j in [n, 2n-1)
-        rows = []
-        xj = gfpoly.mod((0,) * self.n + (1,), spec.modulus, self.p)  # x^n mod m
-        for _ in range(self.n - 1):
-            rows.append(list(xj) + [0] * (self.n - len(xj)))
-            xj = gfpoly.mod(tuple([0] + list(xj)), spec.modulus, self.p)
-        self.red = np.array(rows, dtype=np.int64).reshape(max(self.n - 1, 0), self.n)
+        self.red = _reduction_rows(spec)
         # the table build reduces float64 values up to n (p-1)^2 with _mod_p,
         # which rules out only prime fields above about 2^25.5
         tables = self.Q <= _TABLE_LIMIT and self.n * (self.p - 1) ** 2 < _FLOAT_EXACT
@@ -508,6 +503,21 @@ class _LogTables:
         return sum(a.nbytes for a in (self.antilog, self.log, self.zech, self.trace1))
 
 
+@functools.lru_cache(maxsize=64)
+def _reduction_rows(spec: FieldSpec):
+    """Digits of x^j mod the modulus for j in [n, 2n-1), one row each,
+    read-only: every BulkField of the field shares them."""
+    n, p = spec.k, spec.p
+    rows = []
+    xj = gfpoly.mod((0,) * n + (1,), spec.modulus, p)  # x^n mod m
+    for _ in range(n - 1):
+        rows.append(list(xj) + [0] * (n - len(xj)))
+        xj = gfpoly.mod(tuple([0] + list(xj)), spec.modulus, p)
+    red = np.array(rows, dtype=np.int64).reshape(max(n - 1, 0), n)
+    red.flags.writeable = False
+    return red
+
+
 def _primitive_root(spec: FieldSpec):
     """The element of smallest index whose multiplicative order is Q - 1."""
     M = spec.q - 1
@@ -536,11 +546,18 @@ def _two_power_part(spec: FieldSpec):
 
 
 _cache = OrderedDict()  # FieldSpec -> _LogTables, least recently used first
+_cache_lock = threading.Lock()
 
 
 def _log_tables(spec: FieldSpec) -> _LogTables:
-    tables = _cache.pop(spec, None) or _LogTables(spec)
-    _cache[spec] = tables
-    while len(_cache) > 1 and sum(t.nbytes for t in _cache.values()) > _CACHE_BYTES:
-        _cache.popitem(last=False)
-    return tables
+    """The field's tables, built once under a lock (chunk workers may ask
+    for them too); the cache's size is summed only when a table joins."""
+    with _cache_lock:
+        tables = _cache.get(spec)
+        if tables is not None:
+            _cache.move_to_end(spec)
+            return tables
+        tables = _cache[spec] = _LogTables(spec)
+        while len(_cache) > 1 and sum(t.nbytes for t in _cache.values()) > _CACHE_BYTES:
+            _cache.popitem(last=False)
+        return tables

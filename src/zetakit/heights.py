@@ -5,15 +5,17 @@ height of a normalized point is max|x_i|, raised to the bundle degree m
 for O(m).  Counting is exhaustive enumeration of the height box
 (`_box_heights`) on the chunk engine that walks finite fields
 (`varieties._chunks` and `_Chunk`), here over the exact integers -H..H
-(`_Integers`: int64 under a proven bound, Python ints above it).  It
-walks only the half box (first nonzero coordinate positive), one slab
-per leading coordinate, and bins every point of X by max|x_i| with no
-gcd test.  Each such point is g times a unique normalized point and the
-conditions of X must be homogeneous, so the histogram is 1 * P for the
-normalized counts P, which Moebius inversion recovers: P = mu *
-histogram.  A count N(B) is the cumulative sum of P up to the largest
-height H with H^m <= B, so no per-point array is built except where
-`point_heights` asks for the sorted heights.  Everything downstream
+(`_Integers`: int32 or int64 under a proven bound, Python ints above
+it).  It walks only the half box (first nonzero coordinate positive),
+one slab per leading coordinate, and bins every point of X by max|x_i|
+with no gcd test: a chunk that X's conditions do not cut is binned from
+the max|x_i| of its rows and of its columns alone, so no height grid is
+built (`_chunk_counts`).  Each such point is g times a unique normalized
+point and the conditions of X must be homogeneous, so the histogram is
+1 * P for the normalized counts P, which Moebius inversion recovers:
+P = mu * histogram.  A count N(B) is the cumulative sum of P up to the
+largest height H with H^m <= B, so no per-point array is built except
+where `point_heights` asks for the sorted heights.  Everything downstream
 (abscissa estimates, asymptotic fits, accumulation classification) works
 off exact count tables.
 """
@@ -125,9 +127,11 @@ def _height_root(B, m):
 class _Integers:
     """The integers -H..H as a ring with BulkField's row interface, so the
     box scan runs on the chunk engine: index i is the integer i - H, and
-    a row holds the integer itself.  Rows are int64 when every polynomial
-    given has sum |c| * H^deg < 2^63, which bounds every partial product
-    and sum the engine forms, and Python ints (object) otherwise.
+    a row holds the integer itself.  Rows take the narrowest exact dtype
+    for the bound S = max(2H, sum |c| * H^deg over every polynomial
+    given), which bounds every partial product and sum the engine forms
+    and every index: int32 when S < 2^31, int64 when S < 2^63, and
+    Python ints (object) otherwise.
     """
 
     n = 1  # one int per row
@@ -135,9 +139,9 @@ class _Integers:
 
     def __init__(self, H, polys):
         self.H, self.Q = H, 2 * H + 1
-        big = any(sum(abs(c) * H ** sum(exps) for exps, c in poly.terms.items()) >= 1 << 63
-                  for poly in polys)
-        self.dtype = object if big else np.int64
+        bound = max([2 * H] + [sum(abs(c) * H ** sum(exps) for exps, c in poly.terms.items())
+                               for poly in polys])
+        self.dtype = np.int32 if bound < 1 << 31 else np.int64 if bound < 1 << 63 else object
 
     def digits_of(self, idx):
         return (idx - self.H).astype(self.dtype)
@@ -167,6 +171,9 @@ def _box_heights(X: VarietySpec, m: int, B, budget, within=None):
     without gcds: A[h] counts every such point of X with max|x_i| = h.
     Each is g times a unique normalized point, and X's conditions are
     homogeneous, so A = 1 * P for the normalized counts P, and P = mu * A.
+    The conditions are evaluated on rows of the narrowest exact dtype
+    (_Integers); the heights themselves are binned per chunk, over that
+    chunk's range of heights only (_chunk_counts).
     """
     specs = [X] if within is None else [X, within]
     for Y in specs:
@@ -191,36 +198,81 @@ def _scan_slab(X, within, ring, lead, hist, budget):
     x_0 .. x_{lead-1} = 0 and x_lead is in [1, H], walked in lex order by
     the chunk engine with those zeros substituted.  A function of its own,
     so that the last chunk's arrays are freed before Moebius inversion.
+
+    A chunk's height at grid point (i, j) is max(a_i, b_j), with a_i the
+    max |x| over its leading variables and b_j = |x| of its last one, so
+    only X's conditions, where the slab keeps any, span the grid
+    (_chunk_counts).
     """
     zeros = dict.fromkeys(range(lead), 0)
     own, outer = [None if Y is None else ([e.substitute(zeros) for e in Y.equations],
                                           [h.substitute(zeros) for h in Y.inequations])
                   for Y in (X, within)]
+    free = not any(own)  # no condition of X is left on the slab
     for chunk in varieties._chunks(ring, range(lead, X.nvars), budget,
                                    {lead: (ring.H + 1, ring.Q)}):
-        inside = chunk.mask(*own)
-        if not inside.any():
+        inside = None if free else chunk.mask(*own)
+        if inside is not None and not inside.any():
             continue
         *cols, last = [np.abs(d).astype(np.int64, copy=False) for d in chunk.elems.values()]
-        m = functools.reduce(np.maximum, cols, np.int64(0))  # (R, 1): leading max|x_i|
-        lo = max(int(m.min()), int(last.min()))  # no height in the chunk is below
-        h = np.maximum(m - lo, last - lo)  # max|x_i| - lo, the one full-size grid
-        counts = np.bincount(h.ravel() if inside.all() else h.ravel()[inside])
+        a = functools.reduce(np.maximum, cols, np.zeros((chunk.shape[0], 1), np.int64))
+        lo, counts = _chunk_counts(a.ravel(), last.ravel(), inside)
         hist[lo:lo + len(counts)] += counts
         if outer is not None:
             _check_within(within, outer, chunk, inside, lead, ring.H)
+
+
+def _chunk_counts(a, b, inside):
+    """(lo, counts): counts[h - lo] is the number of grid points (i, j)
+    with max(a_i, b_j) = h, of those that inside (flat, row-major) flags,
+    or of all when it is None or flags all.  No height is below
+    lo = max(min a, min b), so a and b are clipped at lo, in place, and
+    counts spans only the chunk's own heights, never 0..H.
+
+    Without a mask, the two marginals give the counts: a point has height
+    h when a_i = h and b_j <= h, or when b_j = h and a_i < h, and above
+    the shorter marginal's range only the other side's values occur.  A
+    mask that flags few points is gathered by index; a denser one weights
+    each a_i by its row's flagged points with b_j <= a_i and each b_j by
+    its column's others, two sums over a bool grid.
+    """
+    mins = a.min(), b.min()
+    lo = int(max(mins))
+    for v, vmin in zip((a, b), mins):
+        v -= lo
+        if vmin < lo:
+            np.maximum(v, 0, out=v)
+    if inside is None or inside.all():
+        ca, cb = np.bincount(a), np.bincount(b)
+        k = min(len(ca), len(cb))
+        head = ca[:k] * np.cumsum(cb[:k]) + cb[:k] * (np.cumsum(ca[:k]) - ca[:k])
+        counts, other = (ca, len(b)) if len(ca) > len(cb) else (cb, len(a))
+        counts *= other
+        counts[:k] = head
+        return lo, counts
+    if 8 * np.count_nonzero(inside) < inside.size:  # a gathered point costs ~8 grid points
+        i, j = np.divmod(np.flatnonzero(inside), len(b))
+        return lo, np.bincount(np.maximum(a[i], b[j]))
+    grid = inside.reshape(len(a), len(b))
+    low = grid & (b <= a[:, None])  # flagged points whose height is a_i
+    size = int(max(a.max(), b.max())) + 1
+    # float64 weights count exactly: a chunk has far fewer than 2^53 points
+    counts = (np.bincount(a, low.sum(axis=1), size)
+              + np.bincount(b, (grid ^ low).sum(axis=0), size))
+    return lo, counts.astype(np.int64)
 
 
 def _check_within(U, outer, chunk, inside, lead, H):
     """Raise NotASubvariety at the first point of the chunk, in walk order,
     that lies on X (inside) but violates one of U's conditions, given as
     (equations, inequations) with the slab's zeros substituted.  U is
-    evaluated on X's points only.
+    evaluated on X's points only, on every point of the chunk when inside
+    is None.
 
     That point is normalized: had it a common factor g > 1, its quotient
     by g would violate the same homogeneous condition earlier in the slab.
     """
-    kept = chunk if inside.all() else chunk.select(np.flatnonzero(inside))
+    kept = chunk if inside is None or inside.all() else chunk.select(np.flatnonzero(inside))
     bad = ~kept.mask(*outer)
     if not bad.any():
         return

@@ -322,6 +322,27 @@ def test_constant_rows_are_made_once_and_hold_their_constants_on_many_threads():
         assert all(B.const(v, (1, 1)) is B.const(v, (1, 1)) for v in values)
 
 
+def test_log_tables_are_built_once_per_field_on_many_threads():
+    # eight threads that switch often ask for six fields' tables, none of
+    # them cached, beside twelve cached ones: each field's tables are
+    # built once, and no thread sees the cache change under it
+    bulk._cache.clear()
+    for p, k in ((2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2),
+                 (13, 1), (17, 1), (19, 1)):
+        bulk._log_tables(build_field(p, k))
+    fields = [build_field(p, k) for p, k in ((2, 2), (3, 2), (3, 1), (5, 1), (7, 1), (11, 1))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with futures.ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(lambda i: bulk._log_tables(fields[i % 6]), range(600),
+                                timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(t is got[i % 6] for i, t in enumerate(got))
+    assert all(got[i] is bulk._log_tables(F) for i, F in enumerate(fields))
+
+
 @pytest.mark.parametrize("p,k", [(3, 17), (5, 12), (3, 18), (2, 27)])
 def test_sqrt_on_the_convolution_kernel(p, k):
     # v_2(Q - 1) is 1, 4 and 3 for the odd fields

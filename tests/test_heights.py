@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,64 @@ def test_box_scan_matches_scalar_oracle_in_small_chunks(monkeypatch, X, U, m, B,
     else:  # the slab whose last coordinate leads spans H values
         assert all(R <= 2 and T in (H, Q) for R, T in shapes)
         assert X.nvars == 1 or (2, Q) in shapes
+
+
+@pytest.mark.parametrize("split", ["R", "T"])
+@pytest.mark.parametrize("X, B", [
+    (projective(2, [], ["x0 + x1 + x2"]), 6),  # a mask that flags most points
+    (projective(2, [], ["x0*x1*x2"]), 6),
+    (projective(3, [], ["x0*x3 - x1*x2"]), 3),
+    (projective(2, ["x0 + x1 - x2"]), 6),  # one that flags few
+], ids=["plane", "axes", "quadric", "line"])
+def test_masked_chunks_match_the_scalar_oracle(monkeypatch, X, B, split):
+    _walk_in_small_chunks(monkeypatch, 2 * B + 1, 1, split)
+    assert heights.point_heights(X, 1, B).tolist() == _oracle_scan(X, 1, B)[0]
+
+
+def test_integer_rows_take_the_narrowest_exact_dtype():
+    # sum |c| * H^deg decides: 2^31 - 1 is int32, 2^31 is int64, 2^63 is
+    # Python ints; 2H, the largest index, counts too
+    def dtype(H, c, deg=1):
+        return heights._Integers(H, [Poly(2, {(deg, 0): c})]).dtype
+
+    assert dtype(1, 2**31 - 1) == np.int32
+    assert dtype(1, 2**31) == np.int64
+    assert dtype(1, 2**63 - 1) == np.int64
+    assert dtype(1, 2**63) is object
+    assert dtype(2**10, 1, 3) == np.int32  # 2^30
+    assert dtype(2**10, 2, 3) == np.int64  # 2^31
+    assert heights._Integers(2**30 - 1, []).dtype == np.int32
+    assert heights._Integers(2**30, []).dtype == np.int64
+
+
+def test_int64_rows_count_like_the_scalar_oracle():
+    # x0^10 reaches 10^10 at B = 10: past int32, where a wrapped value
+    # would vanish at points off the curve |x0| = |x1|
+    X = projective(1, ["x0^10 - x1^10"])
+    assert heights._Integers(10, X.equations).dtype == np.int64
+    assert heights.point_heights(X, 1, 10).tolist() == _oracle_scan(X, 1, 10)[0] == [1, 1]
+
+
+def test_condition_free_chunk_work_is_bounded_by_the_chunk(monkeypatch):
+    # P^0's one slab walks H = B values, here in chunks of 2^16: each
+    # chunk's heights span only its own values, so beyond the histogram
+    # the scan's peak is a few dozen bytes per chunk point, where binning
+    # a chunk over all of 0..H would take 8 bytes per height
+    B, chunk = 4_000_000, 1 << 16
+    _walk_in_small_chunks(monkeypatch, chunk + 2, 1, "T")
+    inversion, peaks = heights._mobius_inversion, []
+
+    def measured(A):
+        peaks.append(tracemalloc.get_traced_memory()[1] - A.nbytes)
+        return inversion(A)
+
+    monkeypatch.setattr(heights, "_mobius_inversion", measured)
+    tracemalloc.start()
+    try:
+        assert heights.count_points(projective_space(0), 1, B) == 1
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 128 * chunk
 
 
 @settings(max_examples=40, deadline=None)
