@@ -1,11 +1,13 @@
 """Command-line job runner.
 
 Every subcommand reads a spec file plus field/bound parameters, runs the
-corresponding computation with an explicit budget, and writes a
-machine-readable report: canonical JSON (sorted keys) or CSV for count
-tables.  Reruns of the same job produce byte-identical output.  Exit
-codes: 0 all identities pass, 1 an assertion failed, 2 usage or parse
-problems.
+corresponding computation with an explicit budget, and returns its
+report: a dict, or the CSV text of a count table.  `main` alone echoes
+the job into a dict report, writes it as canonical JSON (sorted keys) to
+--out or stdout, and sets the exit code from the report's verdict.
+Reruns of the same job produce byte-identical output.  Exit codes: 0
+unless the verdict is "fail", 1 when it is or a check raised, 2 usage or
+parse problems.
 """
 
 from __future__ import annotations
@@ -18,18 +20,6 @@ from . import __version__, heights, kexp, scissor, varieties, witt, zetas
 from .cyclofield import build_field, character
 from .errors import DegreeZero, NotPrime, ParseError, ZetakitError
 from .series import SeriesTrunc
-
-
-def _canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _emit(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _add_common(sp, field=True, order=False, bound=False, spec=True):
@@ -91,11 +81,6 @@ def build_parser():
 # Subcommands
 
 
-def _require_order(args):
-    if args.order < 0:
-        raise ParseError(f"--order must be at least 0, got {args.order}")
-
-
 def _field(p, k):
     """build_field(p, k), with a characteristic that is not a prime or a
     degree below 1 a ParseError; a field too large stays BudgetExceeded."""
@@ -114,32 +99,26 @@ def _require_budget(args):
 
 
 def _cmd_zeta(args):
-    _require_order(args)
     X = varieties.load_spec(args.spec)
     F = _field(args.p, args.k)
     series = zetas.hw_zeta(X, F, args.order, args.budget)
-    report = {"job": _job_echo(args), "verdict": "pass",
-              "series": series.to_json(), "q": F.q}
+    report = {"verdict": "pass", "series": series.to_json(), "q": F.q}
     try:
         rc = zetas.rational_reconstruct(series, (args.order - 2) // 2)
         report["rational"] = rc.to_json()
     except ZetakitError:
         pass
-    _emit(_canonical_json(report), args.out)
-    return 0
+    return report
 
 
 def _cmd_expzeta(args):
-    _require_order(args)
     X = varieties.load_spec(args.spec)
     F = _field(args.p, args.k)
     chi = _character(F, args.twist)
     tally = varieties.closed_point_tally(X, chi, args.order, args.budget)
     series = zetas.exp_zeta_from_tally(tally, args.order)
-    report = {"job": _job_echo(args), "verdict": "pass", "q": F.q,
-              "series": series.to_json(), "tally": tally.to_json()}
-    _emit(_canonical_json(report), args.out)
-    return 0
+    return {"verdict": "pass", "q": F.q,
+            "series": series.to_json(), "tally": tally.to_json()}
 
 
 def _cmd_heights(args):
@@ -151,28 +130,22 @@ def _cmd_heights(args):
     bounds = heights.dyadic_bounds(args.bound)
     tbl = heights.height_count_table(X, args.degree, bounds, args.budget)
     if args.out and args.out.endswith(".csv"):
-        _emit(tbl.to_csv(), args.out)
-        return 0
-    report = {"job": _job_echo(args), "table": tbl.to_json()}
+        return tbl.to_csv()
+    report = {"table": tbl.to_json()}
     try:
         report["sigma"] = heights.abscissa_estimate(tbl)
         report["fit"] = heights.asymptotic_fit(tbl).to_json()
     except ZetakitError as exc:
         report["fit_note"] = str(exc)
-    _emit(_canonical_json(report), args.out)
-    return 0
+    return report
 
 
 def _cmd_witt(args):
-    _require_order(args)
     X = varieties.load_spec(args.spec)
     F = _field(args.p, args.k)
     series = zetas.hw_zeta(X, F, args.order, args.budget)
     cls = witt.lift_roundtrip(series, (args.order - 2) // 2)
-    report = {"job": _job_echo(args), "verdict": "pass",
-              "series": series.to_json(), "endo_class": cls.to_json()}
-    _emit(_canonical_json(report), args.out)
-    return 0
+    return {"verdict": "pass", "series": series.to_json(), "endo_class": cls.to_json()}
 
 
 def _cmd_fourier(args):
@@ -187,9 +160,7 @@ def _cmd_fourier(args):
         rep = kexp.inversion_check(cls, chi, args.budget)
         rep["twist"] = t
         results.append(rep)
-    report = {"job": _job_echo(args), "verdict": "pass", "checks": results}
-    _emit(_canonical_json(report), args.out)
-    return 0
+    return {"verdict": "pass", "checks": results}
 
 
 def _character(F, twist):
@@ -236,7 +207,6 @@ def _cmd_ledger(args):
     realizations = [_realization_from_json(r)
                     for r in _job_field(job, "realizations", list)]
     reports = []
-    failed = False
     for rel_data in _job_field(job, "relations", list):
         rel = scissor.LedgerRelation(_job_field(rel_data, "left", str),
                                      tuple(_job_field(rel_data, "right", list)),
@@ -246,13 +216,10 @@ def _cmd_ledger(args):
                 raise ParseError(f"relation names an undeclared class {name!r}")
         reps = scissor.ledger_check(rel, registry, realizations,
                                     args.budget, strict=False)
-        failed = failed or any(r.verdict != "pass" for r in reps)
         reports.append({"relation": rel.to_json(),
                         "reports": [r.to_json() for r in reps]})
-    report = {"job": _job_echo(args),
-              "verdict": "fail" if failed else "pass", "relations": reports}
-    _emit(_canonical_json(report), args.out)
-    return 1 if failed else 0
+    failed = any(r["verdict"] != "pass" for rel in reports for r in rel["reports"])
+    return {"verdict": "fail" if failed else "pass", "relations": reports}
 
 
 def _realization_from_json(data):
@@ -281,15 +248,12 @@ def _cmd_stratify(args):
     result = scissor.stratify(
         target, candidates, _job_field(job, "degree", int, 1, least=1), bounds,
         margin=_job_field(job, "margin", (int, float), 0.25), budget=args.budget)
-    report = {
-        "job": _job_echo(args),
+    return {
         "chain": result["chain"],
         "sigma": result["sigma"],
         "pieces": {name: spec.to_json() for name, spec in result["pieces"].items()},
         "relation": result["relation"].to_json(),
     }
-    _emit(_canonical_json(report), args.out)
-    return 0
 
 
 def _cmd_selftest(args):
@@ -325,10 +289,7 @@ def _cmd_selftest(args):
                               (varieties.point_spec(), varieties.gm(None))),
         [scissor.PointCountRealization(F3, 1)]))
     failed = any(c["verdict"] != "pass" for c in checks)
-    report = {"job": _job_echo(args),
-              "verdict": "fail" if failed else "pass", "checks": checks}
-    _emit(_canonical_json(report), args.out)
-    return 1 if failed else 0
+    return {"verdict": "fail" if failed else "pass", "checks": checks}
 
 
 # explicit raises, not assert statements, so `python -O` keeps the checks
@@ -363,7 +324,18 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         _require_budget(args)
-        return _COMMANDS[args.command](args)
+        if getattr(args, "order", 0) < 0:
+            raise ParseError(f"--order must be at least 0, got {args.order}")
+        report = _COMMANDS[args.command](args)
+        text = report  # the CSV table of `heights --out *.csv`
+        if isinstance(report, dict):
+            text = json.dumps({**report, "job": _job_echo(args)}, sort_keys=True, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 1 if isinstance(report, dict) and report.get("verdict") == "fail" else 0
     except (ParseError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

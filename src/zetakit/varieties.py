@@ -52,7 +52,8 @@ which NumPy's GIL-free kernels keep busy, and adds their tallies in walk
 order.  The walk itself, with its budget charge and then its one trace
 form (BulkField.trace_form), stays on the caller's thread, and a walk of
 one chunk runs there too.  The height box scan and `membership_walk`
-stay sequential: a height chunk holds up to about 36 MB of temporaries,
+stay sequential: a height chunk holds about 14 MB of temporaries (slab 0
+of the union curve x2*(x0*x2 - x1^2) at H = 128, under tracemalloc),
 and the subvariety and cover checks built on them name the first
 failing point in walk order.
 
@@ -1156,16 +1157,21 @@ class ClosedPointTally:
     def a_r(self, r):
         return sum(c for (rr, _e), c in self.a.items() if rr == r)
 
+    def _depth_divisors(self, m):
+        """The divisors of m; TallyTooShallow past the tally's depth, where
+        the closed points of degree m are not counted."""
+        if m > self.r_max:
+            raise TallyTooShallow(f"tally depth {self.r_max} < requested degree {m}")
+        return _divisors(m)
+
     def recovered_count(self, m):
         """N_m = sum over r | m of r * a_r."""
-        return sum(r * self.a_r(r) for r in _divisors(m) if r <= self.r_max)
+        return sum(r * self.a_r(r) for r in self._depth_divisors(m))
 
     def n_chi_m(self, m) -> Cyclotomic:
         """N_{chi,m} = sum over alpha, r|m of r * a_{alpha,r} * alpha^(m/r)."""
         total = Cyclotomic.integer(self.p, 0)
-        for r in _divisors(m):
-            if r > self.r_max:
-                continue
+        for r in self._depth_divisors(m):
             for e in range(self.p):
                 c = self.a.get((r, e), 0)
                 if c:
@@ -1285,18 +1291,10 @@ class PointEnumeration:
 
     def __init__(self, X: VarietySpec, F: FieldSpec, m: int = 1, budget=None):
         self.spec = X
-        self.base = F
-        self.m = m
-        self.budget = budget
         if X.ambient == "projective":
             require_homogeneous(X)
-        est = (F.q**m) ** X.nvars
-        _check_budget(est, self.budget)
+        _check_budget((F.q**m) ** X.nvars, budget)
         self.field = _extension_spec(F, m)
-
-    @property
-    def count(self):
-        return count_points_ff(self.spec, self.base, self.m, self.budget)
 
     def points(self):
         X, E = self.spec, self.field

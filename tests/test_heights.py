@@ -462,3 +462,13 @@ def test_checks_survive_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", _STRIPPED_CHECKS],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("bounds,counts,message", [
+    ((8, 4), (3, 5), "not increasing"),
+    ((4, 4), (3, 5), "not increasing"),
+    ((4, 8), (5, 3), "decrease"),
+])
+def test_count_table_rejects_unordered_bounds_and_counts(bounds, counts, message):
+    with pytest.raises(AssertionError, match=message):
+        heights.HeightCountTable("x", 1, bounds, counts)

@@ -1,8 +1,10 @@
 """Class-relation checking: disjoint covers, ledger additivity, strata."""
 
+import json
+
 import pytest
 
-from zetakit import heights, scissor
+from zetakit import cli, heights, scissor
 from zetakit.cyclofield import build_field, character
 from zetakit.errors import (
     DoubleCovered,
@@ -119,6 +121,23 @@ def test_ledger_failure_is_witnessed():
     assert reports[0].witness == {"left": 3, "right": 2}
 
 
+def test_strict_ledger_check_raises_the_first_failure():
+    registry = {"A1": affine_line(), "Gm": gm()}
+    rel = LedgerRelation("A1", ("Gm",), "broken on purpose")
+    with pytest.raises(TotalMismatch, match="'left': 3, 'right': 2"):
+        ledger_check(rel, registry, realizations(), strict=True)
+
+
+def test_ledger_job_with_an_unknown_realization_type_exits_2(tmp_path, capsys):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"classes": {}, "relations": [],
+                                "realizations": [{"type": "volume", "p": 3}]}))
+    assert cli.main(["ledger", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown realization type 'volume'" in captured.err
+
+
 def test_ledger_height_sigma_report():
     registry = {
         "P2": projective_space(2),
@@ -146,6 +165,18 @@ def test_stratify_peels_off_the_sparse_conic():
     assert result["chain"] == ["C", "conic"]
     assert set(result["pieces"]) == {"C\\conic", "conic"}
     assert result["sigma"]["C"] - result["sigma"]["conic"] >= 0.25
+
+
+def test_stratify_skips_a_candidate_outside_the_current_stratum():
+    union = projective(2, equations=["x2*(x0*x2 - x1^2)"])
+    candidates = {
+        "line": projective(2, equations=["x0"]),  # (0:1:1) is not on the union
+        "conic": projective(2, equations=["x2*(x0*x2 - x1^2)", "x0*x2 - x1^2"]),
+    }
+    result = stratify(union, candidates, 1, BOUNDS, name="C")
+    assert result["chain"] == ["C", "conic"]
+    assert set(result["sigma"]) == {"C", "conic"}
+    assert "line" not in result["relation"].right
 
 
 def test_stratify_scans_each_candidate_once_per_round(monkeypatch):

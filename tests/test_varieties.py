@@ -33,6 +33,7 @@ from zetakit.errors import (
     ParseError,
     ProjectiveWithNonzeroF,
     RouteMismatch,
+    TallyTooShallow,
 )
 from zetakit.polynomials import Poly
 from zetakit.varieties import (
@@ -304,6 +305,16 @@ def test_tally_recovers_character_sums(F3):
     tally = closed_point_tally(X, chi, 3)
     for m in (1, 2, 3):
         assert tally.n_chi_m(m) == exp_sum(X, chi, m)
+
+
+def test_tally_refuses_degrees_past_its_depth(F3):
+    # N_3 of the circle over F_3 is 28; a depth-2 tally holds no degree-3 points
+    tally = closed_point_tally(circle(), character(F3, F3.zero()), 2)
+    assert count_points_ff(circle(), F3, 3) == 28
+    with pytest.raises(TallyTooShallow, match="tally depth 2 < requested degree 3"):
+        tally.recovered_count(3)
+    with pytest.raises(TallyTooShallow, match="tally depth 2 < requested degree 3"):
+        tally.n_chi_m(3)
 
 
 def test_sym_counts_of_affine_line(F3):

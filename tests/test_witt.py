@@ -149,6 +149,11 @@ def test_zeta_lift_rejects_underverified():
         zeta_lift(rc)
 
 
+def test_zeta_lift_rejects_a_series_that_was_not_reconstructed():
+    with pytest.raises(UnverifiedCandidate, match="not a reconstruction result"):
+        zeta_lift(SeriesTrunc(4, [1, 4, 16, 64, 256]))
+
+
 def test_zeta_lift_of_rational_cyclotomic_coefficients(F3):
     # points 0, 1 with f = 1, 2: Z = 1 / ((1 - zeta t)(1 - zeta^2 t)) = 1 / (1 + t + t^2)
     z = exp_zeta(affine(1, ["x0^2 - x0"], f="x0 + 1"), character(F3), 6)

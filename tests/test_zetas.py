@@ -9,9 +9,9 @@ import pytest
 from zetakit import varieties
 from zetakit.cyclofield import build_field, character
 from zetakit.cyclotomic import Cyclotomic
-from zetakit.errors import InsufficientOrder, NoCandidate, TallyTooShallow
+from zetakit.errors import InsufficientOrder, NoCandidate, RouteMismatch, TallyTooShallow
 from zetakit.polynomials import Poly
-from zetakit.series import SeriesTrunc
+from zetakit.series import SeriesTrunc, euler_factor
 from zetakit.varieties import (
     affine,
     affine_line,
@@ -21,6 +21,7 @@ from zetakit.varieties import (
     projective_space,
 )
 from zetakit.zetas import (
+    _dual_route,
     exp_zeta,
     exp_zeta_from_tally,
     hw_zeta,
@@ -172,3 +173,9 @@ def test_kapranov_check_enumerates_each_degree_once(monkeypatch, F3):
     monkeypatch.setattr(varieties, "_histogram", spy)
     assert kapranov_check(gm(Poly.parse("x0", 1)), character(F3), 4)["verdict"] == "pass"
     assert degrees == [1, 2, 3, 4]
+
+
+def test_dual_route_raises_when_the_routes_differ():
+    # route A: exp(t) = 1 + t; route B: (1 - t)^-2 = 1 + 2t
+    with pytest.raises(RouteMismatch, match="zeta routes differ"):
+        _dual_route([1], [euler_factor(1, 1, 2, 1)], 1)
