@@ -151,7 +151,7 @@ def _cmd_witt(args):
 def _cmd_fourier(args):
     X = varieties.load_spec(args.spec)
     if X.base_map is None:
-        raise ParseError("fourier needs a spec with a base_map", 0)
+        raise ParseError("fourier needs a spec with a base_map")
     F = _field(args.p, args.k)
     cls = kexp.KExpClass.generator(X)
     results = []
@@ -228,7 +228,7 @@ def _realization_from_json(data):
         return scissor.HeightCountRealization(
             _job_field(data, "degree", int, 1, least=1), _job_bounds(data))
     if kind not in ("point-count", "exp-sum"):
-        raise ParseError(f"unknown realization type {kind!r}", 0)
+        raise ParseError(f"unknown realization type {kind!r}")
     F = _field(_job_field(data, "p", int), _job_field(data, "k", int, 1, least=1))
     m = _job_field(data, "m", int, 1, least=1)
     if kind == "point-count":

@@ -10,14 +10,22 @@ it).  It walks only the half box (first nonzero coordinate positive),
 one slab per leading coordinate, and bins every point of X by max|x_i|
 with no gcd test: a chunk that X's conditions do not cut is binned from
 the max|x_i| of its rows and of its columns alone, so no height grid is
-built (`_chunk_counts`).  Each such point is g times a unique normalized
-point and the conditions of X must be homogeneous, so the histogram is
-1 * P for the normalized counts P, which Moebius inversion recovers:
-P = mu * histogram.  A count N(B) is the cumulative sum of P up to the
-largest height H with H^m <= B, so no per-point array is built except
-where `point_heights` asks for the sorted heights.  Everything downstream
-(abscissa estimates, asymptotic fits, accumulation classification) works
-off exact count tables.
+built (`_chunk_counts`).  A slab where X keeps one equation, of degree
+1 or 2 in a coordinate y after the leading one, and no inequation, is
+solved for y instead of scanned (`_solve_slab`): only its other
+coordinates are walked, and the integer roots |y| <= H are binned with
+them.  The budget is charged once, before any walk, with the points
+the slabs walk, never more than the half box.  The solver is a fast
+path, and the scan stays the oracle of its tests; counts within a
+second variety U are always scanned, since NotASubvariety names the
+first bad point in the scan's walk order.  Each point counted is g
+times a unique normalized point and the conditions of X must be
+homogeneous, so the histogram is 1 * P for the normalized counts P,
+which Moebius inversion recovers: P = mu * histogram.  A count N(B) is
+the cumulative sum of P up to the largest height H with H^m <= B, so no
+per-point array is built except where `point_heights` asks for the
+sorted heights.  Everything downstream (abscissa estimates, asymptotic
+fits, accumulation classification) works off exact count tables.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +51,7 @@ from .errors import (
     ZeroInput,
     ZeroVector,
 )
+from .polynomials import Poly
 from .varieties import VarietySpec, _check_budget, require_homogeneous
 
 
@@ -132,15 +142,24 @@ class _Integers:
     given), which bounds every partial product and sum the engine forms
     and every index: int32 when S < 2^31, int64 when S < 2^63, and
     Python ints (object) otherwise.
+
+    For each coefficient triple (a, b, c) of an equation a y^2 + b y + c
+    that a slab solves for y, S also covers (2T)^2, T the sum of the
+    three coefficients' bounds: that bounds the discriminant b^2 - 4ac
+    and everything the root formula forms from it (sqrt, divide).
     """
 
     n = 1  # one int per row
     p = 0  # the characteristic: an integer coefficient is kept as it is
 
-    def __init__(self, H, polys):
+    def __init__(self, H, polys, quadratics=()):
         self.H, self.Q = H, 2 * H + 1
-        bound = max([2 * H] + [sum(abs(c) * H ** sum(exps) for exps, c in poly.terms.items())
-                               for poly in polys])
+
+        def size(poly):
+            return sum(abs(c) * H ** sum(exps) for exps, c in poly.terms.items())
+
+        bound = max([2 * H] + [size(poly) for poly in polys]
+                    + [(2 * sum(map(size, abc))) ** 2 for abc in quadratics])
         self.dtype = np.int32 if bound < 1 << 31 else np.int64 if bound < 1 << 63 else object
 
     def digits_of(self, idx):
@@ -160,8 +179,32 @@ class _Integers:
     def is_zero(a):
         return a == 0
 
+    def sqrt(self, a):
+        """(is_square, root): where a is a perfect square, and there its
+        root >= 0; root is unspecified elsewhere.  On int32 and int64 rows
+        the root is the float64 square root rounded to the nearest integer:
+        below 2^63 its error is under 2^-20, so at a square it is exact,
+        and squaring it back in the row dtype decides.  Python ints take
+        math.isqrt."""
+        a0 = np.maximum(a, 0)
+        if self.dtype is object:
+            root = _isqrt(a0)
+        else:
+            root = np.rint(np.sqrt(a0, dtype=np.float64)).astype(self.dtype)
+        return root * root == a, root
 
-def _box_heights(X: VarietySpec, m: int, B, budget, within=None):
+    @staticmethod
+    def divide(a, b):
+        """(exact, quotient): where b (nonzero) divides a, and the floor
+        quotient a // b, which is a / b there."""
+        q = a // b
+        return q * b == a, q
+
+
+_isqrt = np.frompyfunc(math.isqrt, 1, 1)
+
+
+def _box_heights(X: VarietySpec, m: int, B, budget, within=None, solve=True):
     """The box scan: P[h] counts the normalized points of X with max|x_i|
     = h, for h = 0 .. H, the largest H with H^m <= B.  With within=U,
     each of those points must also satisfy U's conditions, and
@@ -174,6 +217,22 @@ def _box_heights(X: VarietySpec, m: int, B, budget, within=None):
     The conditions are evaluated on rows of the narrowest exact dtype
     (_Integers); the heights themselves are binned per chunk, over that
     chunk's range of heights only (_chunk_counts).
+
+    Each slab, one per leading coordinate, is scanned or solved, as
+    _plan_slab decides.  It is solved for a coordinate y (_solve_slab)
+    when it has two or more coordinates, no U is given, X keeps exactly
+    one equation and no inequation there, and that equation has degree 1
+    or 2 in some coordinate y after the leading one (the last tried
+    first); then only its other coordinates are walked.  The budget is
+    charged once, before any walk, with the points all the slabs walk: at
+    most the half box, ((2H+1)^(n+1) - 1) / 2, the whole charge of a scan.
+
+    The solver is a fast path, not a replacement: the scan, forced with
+    solve=False, stays the oracle its tests compare with, and an
+    independent second route for these counts must not use it, or both
+    routes would share the code they check.  A count within U is always
+    scanned, since its NotASubvariety names the first bad point in the
+    scan's lex walk order, which the solver's roots do not follow.
     """
     specs = [X] if within is None else [X, within]
     for Y in specs:
@@ -181,60 +240,169 @@ def _box_heights(X: VarietySpec, m: int, B, budget, within=None):
             raise NotProjective("height counting is defined on projective specs")
         require_homogeneous(Y)
     H = _height_root(B, m)
+    slabs = [_plan_slab(X, within, lead, solve) for lead in reversed(range(X.nvars))]
+    _check_budget(sum(H * (2 * H + 1) ** (len(s.walked) - 1) for s in slabs), budget)
+    ring = _Integers(H, [e for Y in specs for e in Y.equations + Y.inequations],
+                     [s.coeffs for s in slabs if s.y is not None and not s.coeffs[0].is_zero()])
     total = (2 * H + 1) ** X.nvars
-    _check_budget(total, budget)
-    ring = _Integers(H, [e for Y in specs for e in Y.equations + Y.inequations])
     hist = np.zeros(H + 1, dtype=np.int32 if total < 1 << 31 else np.int64)
-    for lead in reversed(range(X.nvars)):
-        _scan_slab(X, within, ring, lead, hist, budget)
+    for slab in slabs:
+        if slab.y is None:
+            _scan_slab(slab, within, ring, hist, budget)
+        else:
+            _solve_slab(slab, ring, hist, budget)
     prim = _mobius_inversion(hist)
     if prim.min() < 0:
         raise AssertionError("negative primitive count")
     return prim
 
 
-def _scan_slab(X, within, ring, lead, hist, budget):
-    """Add into hist the heights of the points of X in the slab where
-    x_0 .. x_{lead-1} = 0 and x_lead is in [1, H], walked in lex order by
-    the chunk engine with those zeros substituted.  A function of its own,
-    so that the last chunk's arrays are freed before Moebius inversion.
+class _Slab(NamedTuple):  # builds faster at import than a frozen dataclass
+    """The points of the half box with x_0 .. x_{lead-1} = 0 and x_lead in
+    [1, H].  own and outer are X's and U's (equations, inequations) with
+    those zeros substituted (outer None without U); walked are the
+    coordinates the slab walks, lead first; y is the coordinate solved
+    for, or None when the slab is scanned, and coeffs the coefficients
+    (a, b, c) of X's equation as a y^2 + b y + c."""
 
-    A chunk's height at grid point (i, j) is max(a_i, b_j), with a_i the
-    max |x| over its leading variables and b_j = |x| of its last one, so
-    only X's conditions, where the slab keeps any, span the grid
-    (_chunk_counts).
-    """
+    lead: int
+    walked: tuple
+    own: tuple
+    outer: tuple
+    y: int | None = None
+    coeffs: tuple = ()
+
+
+def _plan_slab(X, within, lead, solve=True):
+    """The slab of leading coordinate lead, solved when it can be: it has
+    two or more coordinates, no U is given, X keeps exactly one nonzero
+    equation e and no inequation there, and e has degree 1 or 2 in some
+    coordinate y after lead, the last such coordinate.  Otherwise, or
+    with solve=False, it is scanned."""
     zeros = dict.fromkeys(range(lead), 0)
     own, outer = [None if Y is None else ([e.substitute(zeros) for e in Y.equations],
                                           [h.substitute(zeros) for h in Y.inequations])
                   for Y in (X, within)]
-    free = not any(own)  # no condition of X is left on the slab
-    for chunk in varieties._chunks(ring, range(lead, X.nvars), budget,
-                                   {lead: (ring.H + 1, ring.Q)}):
-        inside = None if free else chunk.mask(*own)
-        if inside is not None and not inside.any():
-            continue
+    coords = tuple(range(lead, X.nvars))
+    eqs = [e for e in own[0] if not e.is_zero()]
+    if solve and within is None and len(eqs) == 1 and not own[1]:
+        e, = eqs
+        for y in reversed(coords[1:]):
+            coeffs = varieties._y_coefficients(e, y)
+            if max(coeffs) in (1, 2):
+                return _Slab(lead, tuple(v for v in coords if v != y), own, outer, y,
+                             tuple(Poly(e.nvars, coeffs.get(k)) for k in (2, 1, 0)))
+    return _Slab(lead, coords, own, outer)
+
+
+def _walk(slab, ring, budget):
+    """(chunk, a, b) for each chunk of the slab's walk (varieties._chunks,
+    x_lead in [1, H]): a is the (R, 1) int64 max |x| of each prefix's
+    leading coordinates (0 when there are none) and b the (1, T) |x| of
+    the last coordinate, both fresh arrays."""
+    for chunk in varieties._chunks(ring, slab.walked, budget,
+                                   {slab.lead: (ring.H + 1, ring.Q)}):
         *cols, last = [np.abs(d).astype(np.int64, copy=False) for d in chunk.elems.values()]
-        a = functools.reduce(np.maximum, cols, np.zeros((chunk.shape[0], 1), np.int64))
+        yield (chunk, functools.reduce(np.maximum, cols, np.zeros((chunk.shape[0], 1), np.int64)),
+               last)
+
+
+def _scan_slab(slab, within, ring, hist, budget):
+    """Add into hist the heights of the points of X in the slab, walked in
+    lex order by the chunk engine.  A function of its own, so that the
+    last chunk's arrays are freed before Moebius inversion.
+
+    A chunk's height at grid point (i, j) is max(a_i, b_j), with a_i the
+    max |x| over its leading variables and b_j = |x| of its last one, so
+    only X's conditions, where the slab keeps any, span the grid
+    (_chunk_counts).  A mask that flags few points is compacted once
+    (np.flatnonzero), for the binning and for U's check alike.
+    """
+    free = not any(slab.own)  # no condition of X is left on the slab
+    for chunk, a, last in _walk(slab, ring, budget):
+        inside = None
+        if not free:
+            inside = chunk.mask(*slab.own)
+            flagged = np.count_nonzero(inside)
+            if not flagged:
+                continue
+            if flagged == inside.size:
+                inside = None
+            elif 8 * flagged < inside.size:  # a gathered point costs ~8 grid points
+                inside = np.flatnonzero(inside)
         lo, counts = _chunk_counts(a.ravel(), last.ravel(), inside)
         hist[lo:lo + len(counts)] += counts
-        if outer is not None:
-            _check_within(within, outer, chunk, inside, lead, ring.H)
+        if slab.outer is not None:
+            _check_within(within, slab.outer, chunk, inside, slab.lead, ring.H)
+
+
+def _solve_slab(slab, ring, hist, budget):
+    """Add into hist the heights of the points of X in a solved slab: at
+    each walked point x, the integer roots y, |y| <= H, of X's equation
+    a(x) y^2 + b(x) y + c(x), each of height max(h0, |y|) for h0 the
+    height of x.
+
+    Where a != 0 the roots are (-b +- s) / 2a with s^2 = b^2 - 4ac, the
+    second only where s > 0, kept where s is an integer and 2a divides;
+    where a = 0 and b != 0, the one root -c / b where b divides.  Where
+    a = b = c = 0 every y is a root, and those rows are counted in closed
+    form once the walk is done: a row of height h0 has 2 h0 + 1 points
+    of height h0 and 2 of each height above it, up to H.
+    """
+    H = ring.H
+    fibers = np.zeros(H + 1, dtype=np.int64)  # full-fiber rows by walked height
+    for chunk, a, b in _walk(slab, ring, budget):
+        h0 = np.maximum(a, b).ravel()  # (R, 1) and (1, T) span the chunk
+        rows, ys, full = _roots(ring, *(chunk.eval(q) for q in slab.coeffs))
+        for hs, out in ((np.maximum(h0[rows], np.abs(ys).astype(np.int64)), hist),
+                        (h0[full], fibers)):
+            if len(hs):
+                lo = int(hs.min())
+                counts = np.bincount(hs - lo)
+                out[lo:lo + len(counts)] += counts
+    above = np.cumsum(fibers)
+    above -= fibers
+    hist += fibers * (2 * np.arange(H + 1) + 1) + 2 * above
+
+
+def _roots(ring, a, b, c):
+    """(rows, ys, full) for flat rows of the coefficients of a y^2 + b y + c:
+    the integer roots ys, |y| <= H, at the rows given (a row once per
+    root), and the rows where a = b = c = 0."""
+    zero = ring.is_zero(a)
+    quad, lin = np.flatnonzero(~zero), np.flatnonzero(zero)
+    # each candidate root is a quotient num / den, kept where it is exact
+    A, Bq = a[quad], b[quad]
+    D = Bq * Bq - 4 * (A * c[quad])
+    square, s = ring.sqrt(D)
+    one = np.flatnonzero(square)
+    two = one[D[one] > 0]
+    at = np.concatenate([one, two])
+    Bl, Cl = b[lin], c[lin]
+    nonzero = ~ring.is_zero(Bl)
+    single = np.flatnonzero(nonzero)
+    rows = np.concatenate([quad[at], lin[single]])
+    exact, ys = ring.divide(np.concatenate([np.concatenate([s[one], -s[two]]) - Bq[at],
+                                            -Cl[single]]),
+                            np.concatenate([2 * A[at], Bl[single]]))
+    keep = exact & (np.abs(ys) <= ring.H)
+    return rows[keep], ys[keep], lin[~nonzero & ring.is_zero(Cl)]
 
 
 def _chunk_counts(a, b, inside):
     """(lo, counts): counts[h - lo] is the number of grid points (i, j)
-    with max(a_i, b_j) = h, of those that inside (flat, row-major) flags,
-    or of all when it is None or flags all.  No height is below
+    with max(a_i, b_j) = h, of those that inside flags, or of all when it
+    is None.  inside is a flat bool mask of the grid (row-major), or the
+    flat indices of a few flagged points.  No height is below
     lo = max(min a, min b), so a and b are clipped at lo, in place, and
     counts spans only the chunk's own heights, never 0..H.
 
     Without a mask, the two marginals give the counts: a point has height
     h when a_i = h and b_j <= h, or when b_j = h and a_i < h, and above
     the shorter marginal's range only the other side's values occur.  A
-    mask that flags few points is gathered by index; a denser one weights
-    each a_i by its row's flagged points with b_j <= a_i and each b_j by
-    its column's others, two sums over a bool grid.
+    few flagged points are gathered by index; a denser mask weights each
+    a_i by its row's flagged points with b_j <= a_i and each b_j by its
+    column's others, two sums over a bool grid.
     """
     mins = a.min(), b.min()
     lo = int(max(mins))
@@ -242,7 +410,7 @@ def _chunk_counts(a, b, inside):
         v -= lo
         if vmin < lo:
             np.maximum(v, 0, out=v)
-    if inside is None or inside.all():
+    if inside is None:
         ca, cb = np.bincount(a), np.bincount(b)
         k = min(len(ca), len(cb))
         head = ca[:k] * np.cumsum(cb[:k]) + cb[:k] * (np.cumsum(ca[:k]) - ca[:k])
@@ -250,8 +418,8 @@ def _chunk_counts(a, b, inside):
         counts *= other
         counts[:k] = head
         return lo, counts
-    if 8 * np.count_nonzero(inside) < inside.size:  # a gathered point costs ~8 grid points
-        i, j = np.divmod(np.flatnonzero(inside), len(b))
+    if inside.dtype != bool:
+        i, j = np.divmod(inside, len(b))
         return lo, np.bincount(np.maximum(a[i], b[j]))
     grid = inside.reshape(len(a), len(b))
     low = grid & (b <= a[:, None])  # flagged points whose height is a_i
@@ -264,19 +432,20 @@ def _chunk_counts(a, b, inside):
 
 def _check_within(U, outer, chunk, inside, lead, H):
     """Raise NotASubvariety at the first point of the chunk, in walk order,
-    that lies on X (inside) but violates one of U's conditions, given as
-    (equations, inequations) with the slab's zeros substituted.  U is
-    evaluated on X's points only, on every point of the chunk when inside
-    is None.
+    that lies on X (inside, as _chunk_counts takes it) but violates one of
+    U's conditions, given as (equations, inequations) with the slab's
+    zeros substituted.  U is evaluated on X's points only, on every point
+    of the chunk when inside is None.
 
     That point is normalized: had it a common factor g > 1, its quotient
     by g would violate the same homogeneous condition earlier in the slab.
     """
-    kept = chunk if inside is None or inside.all() else chunk.select(np.flatnonzero(inside))
-    bad = ~kept.mask(*outer)
+    if inside is not None:
+        chunk = chunk.select(np.flatnonzero(inside) if inside.dtype == bool else inside)
+    bad = ~chunk.mask(*outer)
     if not bad.any():
         return
-    point = [0] * lead + [i - H for i in kept.point(int(np.argmax(bad)))]
+    point = [0] * lead + [i - H for i in chunk.point(int(np.argmax(bad)))]
     if math.gcd(*point) != 1:
         raise AssertionError(f"first violating point {point} is not normalized")
     for polys, vanish in ((U.equations, True), (U.inequations, False)):

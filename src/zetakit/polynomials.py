@@ -84,10 +84,16 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        out = Poly.constant(self.nvars, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        """self^n (1 for n <= 0) by square and multiply: at most 2 log2(n)
+        products, each of one term when self is a monomial."""
+        out, base = None, self
+        while n > 0:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return Poly.constant(self.nvars, 1) if out is None else out
 
     # -- structure ---------------------------------------------------------
 

@@ -490,3 +490,17 @@ def test_selftest_checks_survive_python_O():
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["verdict"] == "pass"
+
+
+def test_usage_errors_without_a_position_carry_no_position_suffix(specs, tmp_path, capsys):
+    # these errors point at no position in a text, so the message ends
+    # where the sentence does
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(json.dumps({"classes": {}, "relations": [],
+                                  "realizations": [{"type": "volume", "p": 3}]}))
+    for argv, message in (
+            (["fourier", "--spec", specs["gm"], "--p", "3"],
+             "fourier needs a spec with a base_map"),
+            (["ledger", "--spec", str(ledger)], "unknown realization type 'volume'")):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"

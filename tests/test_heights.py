@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import zetakit
 from conftest import _walk_in_small_chunks
-from zetakit import heights
+from zetakit import heights, varieties
 from zetakit.errors import (
     BudgetExceeded,
     DegreeZero,
@@ -317,6 +317,123 @@ def test_box_scan_matches_scalar_oracle_in_small_chunks(monkeypatch, X, U, m, B,
 def test_masked_chunks_match_the_scalar_oracle(monkeypatch, X, B, split):
     _walk_in_small_chunks(monkeypatch, 2 * B + 1, 1, split)
     assert heights.point_heights(X, 1, B).tolist() == _oracle_scan(X, 1, B)[0]
+
+
+# ---------------------------------------------------------------------------
+# The slab solver against the box scan
+
+
+def _solved_slabs(X):
+    """The slabs of X that the solver takes, in order of their lead."""
+    slabs = (heights._plan_slab(X, None, lead) for lead in range(X.nvars))
+    return [s for s in slabs if s.y is not None]
+
+
+# (equation in P^2, B, dtype of the rows): every one is solved in its
+# first slab, and the box scan (solve=False) is the oracle
+SOLVER_CASES = [
+    ("x2*(x0*x2 - x1^2)", 12, np.int32),  # the union curve
+    ("x0*x2 - x1^2", 12, np.int32),  # roots outside the box, non-divisible ones
+    ("x2 - 3*x0 + x1", 12, np.int32),  # linear, with roots outside the box
+    ("2*x2 - x0", 12, np.int32),  # 2 divides half of the rows
+    ("x1*x2", 12, np.int32),  # a = c = 0: full fibers where x1 = 0
+    ("x1*x2^2 + x0*x1*x2", 12, np.int32),  # full fibers of a quadratic
+    ("x1*x2^2 + x0^2*x2 - x0^3", 12, np.int32),  # a vanishing lead: linear where x1 = 0
+    ("x0^2 + x1^2 + x2^2", 12, np.int32),  # negative discriminants only
+    ("x0^2 + x1^2 - x2^2", 12, np.int32),  # Pythagorean triples
+    ("x2^2 - x0*x1 + 3*x1^2", 12, np.int32),  # discriminants of both signs
+    ("x0^8*x2^2 - x1^10", 6, np.int64),  # the discriminant passes 2^31
+    ("x0^63*x2^2 - x0*x1^64", 3, object),  # as x0*x1^64: Python ints
+    ("x0^63*x2 - x1^64", 3, object),
+]
+
+
+@pytest.mark.parametrize("split", [None, "R", "T"])
+@pytest.mark.parametrize("eq, B, dtype", SOLVER_CASES, ids=[c[0] for c in SOLVER_CASES])
+def test_solver_matches_the_box_scan(monkeypatch, eq, B, dtype, split):
+    X = projective(2, [eq])
+    slabs = _solved_slabs(X)
+    assert slabs[0].lead == 0
+    quadratics = [s.coeffs for s in slabs if not s.coeffs[0].is_zero()]
+    assert heights._Integers(B, X.equations, quadratics).dtype == dtype
+    if split is not None:
+        _walk_in_small_chunks(monkeypatch, 2 * B + 1, 1, split)
+    for m, b in ((1, B), (2, B * B)):
+        assert (heights._box_heights(X, m, b, None).tolist()
+                == heights._box_heights(X, m, b, None, solve=False).tolist())
+
+
+def test_union_curve_solver_matches_the_box_scan_under_signed_permutations():
+    # the 48 signed permutations of the coordinates fix every count; each
+    # moves the solved coordinate and the signs of the coefficients
+    counts = set()
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            v = [f"({s}*x{i})" for s, i in zip(signs, perm)]
+            X = projective(2, [f"{v[2]}*({v[0]}*{v[2]} - {v[1]}^2)"])
+            assert _solved_slabs(X)
+            solved = heights._box_heights(X, 1, 20, None)
+            assert solved.tolist() == heights._box_heights(X, 1, 20, None, solve=False).tolist()
+            counts.add(tuple(solved.tolist()))
+    assert len(counts) == 1
+
+
+def test_conic_counts_like_the_projective_line():
+    # x0*x2 = x1^2 is the image of P^1 under (s : t) -> (s^2 : st : t^2),
+    # of height max(|s|, |t|)^2, so #C(B) = #P^1(isqrt(B)); the box scan
+    # would walk 8001^3 / 2 points at B = 4000, far past the default budget
+    conic = projective(2, ["x0*x2 - x1^2"])
+    for B in (256, 4000):
+        assert (heights.count_points(conic, 1, B)
+                == heights.count_points(projective_space(1), 1, math.isqrt(B)))
+    assert heights.count_points(conic, 1, 4000) == 4912
+
+
+def test_solver_budget_is_charged_before_any_walk(monkeypatch):
+    # the conic's first slab is solved for x2 and walks (x0, x1); the
+    # second keeps -x1^2, in no coordinate but its lead, and is scanned
+    # over (x1, x2); the third walks x2: 2H (2H + 1) + H points in all,
+    # each slab within a budget one short of the sum
+    conic = projective(2, ["x0*x2 - x1^2"])
+    H = 20
+    charge = 2 * H * (2 * H + 1) + H
+    assert charge < (2 * H + 1) ** 3 // 2
+    expected = heights.count_points(projective_space(1), 1, math.isqrt(H))
+    walks = []
+    chunks = varieties._chunks
+
+    def spy(*args):
+        walks.append(args[1])
+        return chunks(*args)
+
+    monkeypatch.setattr(varieties, "_chunks", spy)
+    with pytest.raises(BudgetExceeded):
+        heights.count_points(conic, 1, H, budget=charge - 1)
+    assert walks == []
+    assert heights.count_points(conic, 1, H, budget=charge) == expected
+    assert walks == [(2,), (1, 2), (0, 1)]
+
+
+def test_integer_sqrt_and_divide_are_exact_on_every_tier():
+    top = math.isqrt(2**63 - 1)  # the largest int64 square's root
+    values = [0, 1, 2, 3, 4, -4, 24, 25, 26, (2**31 - 1) ** 2, (2**31 - 1) ** 2 - 1,
+              top**2, top**2 - 1, top**2 + 1, (top - 1) ** 2 + 1]
+    for dtype, H in ((np.int32, 1), (np.int64, 1), (object, 1)):
+        ring = heights._Integers(H, [Poly(1, {(0,): 2**31 if dtype is np.int64 else
+                                              2**63 if dtype is object else 1})])
+        assert ring.dtype == dtype
+        rows = [v for v in values if dtype is not np.int32 or abs(v) < 2**31]
+        if dtype is object:
+            rows += [(10**30 + 7) ** 2, (10**30 + 7) ** 2 + 1]
+        square, root = ring.sqrt(np.array(rows, dtype=dtype))
+        assert square.tolist() == [v >= 0 and math.isqrt(v) ** 2 == v for v in rows]
+        assert [int(r) for r, s in zip(root, square) if s] == [
+            math.isqrt(v) for v, s in zip(rows, square) if s]
+        a = np.array([7, -7, 6, -6, 0, 9], dtype=dtype)
+        b = np.array([2, 2, -3, 4, 5, -3], dtype=dtype)
+        exact, q = ring.divide(a, b)
+        assert exact.tolist() == [False, False, True, False, True, True]
+        assert [int(v) for v in q[exact]] == [-2, 0, -3]
 
 
 def test_integer_rows_take_the_narrowest_exact_dtype():

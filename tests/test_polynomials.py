@@ -1,9 +1,12 @@
 """Sparse integer polynomials: parsing, evaluation, substitution."""
 
+import math
+
 import pytest
 
 from zetakit.errors import ParseError
 from zetakit.polynomials import Poly
+from zetakit.varieties import affine, count_points_ff
 
 
 def test_parse_roundtrip_through_to_string():
@@ -70,3 +73,35 @@ def test_ring_operations():
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
     assert (x + y) * (x - y) == x ** 2 - y ** 2
     assert (x + 1) ** 3 == x ** 3 + 3 * x ** 2 + 3 * x + 1
+
+
+def test_power_squares_and_multiplies(monkeypatch):
+    # x0^n with n = 10^9 + 7 once took n products, and hung the parser
+    n = 10**9 + 7
+    products = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    f = Poly.parse(f"x0^{n}", 2)
+    assert f.terms == {(n, 0): 1}
+    assert 0 < len(products) <= 2 * math.log2(n)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_power_matches_repeated_products(n):
+    f = Poly.parse("2*x0 - x1 + 3", 2)
+    expected = Poly.constant(2, 1)
+    for _ in range(n):
+        expected = expected * f
+    assert f ** n == expected
+
+
+def test_a_huge_exponent_counts_over_a_finite_field(F9):
+    # parsed in a few dozen products, then reduced mod Q - 1 by the field:
+    # x1 = 1 - x0^n has one solution for each x0 in F_729
+    X = affine(2, ["x0^1000000007 + x1 - 1"])
+    assert count_points_ff(X, F9, 3) == 729
