@@ -10,19 +10,19 @@ it).  It walks only the half box (first nonzero coordinate positive),
 one slab per leading coordinate, and bins every point of X by max|x_i|
 with no gcd test: a chunk that X's conditions do not cut is binned from
 the max|x_i| of its rows and of its columns alone, so no height grid is
-built (`_chunk_counts`).  A slab where X keeps one equation, of degree
-1 or 2 in a coordinate y after the leading one, and no inequation, is
-solved for y instead of scanned (`_solve_slab`): only its other
-coordinates are walked, and the integer roots |y| <= H are binned with
-them.  The budget is charged once, before any walk, with the points
-the slabs walk, never more than the half box.  The solver is a fast
-path, and the scan stays the oracle of its tests; counts within a
-second variety U are always scanned, since NotASubvariety names the
-first bad point in the scan's walk order.  Each point counted is g
-times a unique normalized point and the conditions of X must be
-homogeneous, so the histogram is 1 * P for the normalized counts P,
-which Moebius inversion recovers: P = mu * histogram.  A count N(B) is
-the cumulative sum of P up to the largest height H with H^m <= B, so no
+built (`_chunk_counts`).  A slab is solved for the last coordinate y
+after its lead in which some equation has degree 1 or 2, else degree 0
+(`_plan_slab`), and only its other coordinates are walked: scanned
+chunks and the roots |y| <= H go through one tally (`_count_slab`),
+which masks the conditions left on them.  The budget is charged before
+any walk with the points the slabs walk, at most the half box.  The
+scan stays the solver's oracle, and counts within a second variety U
+are always scanned, since NotASubvariety names the first bad point in
+the scan's walk order.  Each point counted is g times a unique
+normalized point and the conditions of X must be homogeneous, so the
+histogram is 1 * P for the normalized counts P, which Moebius
+inversion recovers: P = mu * histogram.  A count N(B) is the
+cumulative sum of P up to the largest height H with H^m <= B, so no
 per-point array is built except where `point_heights` asks for the
 sorted heights.  Everything downstream (abscissa estimates, asymptotic
 fits, accumulation classification) works off exact count tables.
@@ -141,7 +141,9 @@ class _Integers:
     for the bound S = max(2H, sum |c| * H^deg over every polynomial
     given), which bounds every partial product and sum the engine forms
     and every index: int32 when S < 2^31, int64 when S < 2^63, and
-    Python ints (object) otherwise.
+    Python ints (object) otherwise.  A point costs the budget 1 on the
+    int32 and int64 tiers and ceil(bits / 63) of S on Python ints, whose
+    arithmetic takes time by size.
 
     For each coefficient triple (a, b, c) of an equation a y^2 + b y + c
     that a slab solves for y, S also covers (2T)^2, T the sum of the
@@ -161,6 +163,7 @@ class _Integers:
         bound = max([2 * H] + [size(poly) for poly in polys]
                     + [(2 * sum(map(size, abc))) ** 2 for abc in quadratics])
         self.dtype = np.int32 if bound < 1 << 31 else np.int64 if bound < 1 << 63 else object
+        self.cost = 1 if self.dtype is not object else -(-bound.bit_length() // 63)
 
     def digits_of(self, idx):
         return (idx - self.H).astype(self.dtype)
@@ -218,14 +221,13 @@ def _box_heights(X: VarietySpec, m: int, B, budget, within=None, solve=True):
     (_Integers); the heights themselves are binned per chunk, over that
     chunk's range of heights only (_chunk_counts).
 
-    Each slab, one per leading coordinate, is scanned or solved, as
-    _plan_slab decides.  It is solved for a coordinate y (_solve_slab)
-    when it has two or more coordinates, no U is given, X keeps exactly
-    one equation and no inequation there, and that equation has degree 1
-    or 2 in some coordinate y after the leading one (the last tried
-    first); then only its other coordinates are walked.  The budget is
-    charged once, before any walk, with the points all the slabs walk: at
-    most the half box, ((2H+1)^(n+1) - 1) / 2, the whole charge of a scan.
+    Each slab, one per leading coordinate, is scanned or solved for one
+    coordinate y (_plan_slab), and one tally (_count_slab) masks its
+    candidates with the conditions of X left on them, bins them and
+    checks U.  The budget is charged before any walk with the points the
+    slabs walk, at most the half box ((2H+1)^(n+1) - 1) / 2, and again,
+    as it is formed, with each full fiber that leftover conditions cut,
+    since its points are evaluated; a point costs _Integers.cost.
 
     The solver is a fast path, not a replacement: the scan, forced with
     solve=False, stays the oracle its tests compare with, and an
@@ -241,16 +243,20 @@ def _box_heights(X: VarietySpec, m: int, B, budget, within=None, solve=True):
         require_homogeneous(Y)
     H = _height_root(B, m)
     slabs = [_plan_slab(X, within, lead, solve) for lead in reversed(range(X.nvars))]
-    _check_budget(sum(H * (2 * H + 1) ** (len(s.walked) - 1) for s in slabs), budget)
     ring = _Integers(H, [e for Y in specs for e in Y.equations + Y.inequations],
                      [s.coeffs for s in slabs if s.y is not None and not s.coeffs[0].is_zero()])
+    spent = 0
+
+    def charge(points):
+        nonlocal spent
+        spent += ring.cost * points
+        _check_budget(spent, budget)
+
+    charge(sum(H * ring.Q ** (len(s.walked) - 1) for s in slabs))
     total = (2 * H + 1) ** X.nvars
     hist = np.zeros(H + 1, dtype=np.int32 if total < 1 << 31 else np.int64)
     for slab in slabs:
-        if slab.y is None:
-            _scan_slab(slab, within, ring, hist, budget)
-        else:
-            _solve_slab(slab, ring, hist, budget)
+        _count_slab(slab, within, ring, hist, budget, charge)
     prim = _mobius_inversion(hist)
     if prim.min() < 0:
         raise AssertionError("negative primitive count")
@@ -259,11 +265,12 @@ def _box_heights(X: VarietySpec, m: int, B, budget, within=None, solve=True):
 
 class _Slab(NamedTuple):  # builds faster at import than a frozen dataclass
     """The points of the half box with x_0 .. x_{lead-1} = 0 and x_lead in
-    [1, H].  own and outer are X's and U's (equations, inequations) with
-    those zeros substituted (outer None without U); walked are the
-    coordinates the slab walks, lead first; y is the coordinate solved
-    for, or None when the slab is scanned, and coeffs the coefficients
-    (a, b, c) of X's equation as a y^2 + b y + c."""
+    [1, H].  walked are the coordinates the slab walks, lead first; y is
+    the coordinate solved for, or None when the slab is scanned, and
+    coeffs the coefficients (a, b, c) of the equation solved, as
+    a y^2 + b y + c.  own are X's (equations, inequations) with those
+    zeros substituted, nonzero and left to the tally (the equation solved
+    is not), and outer U's (None without U)."""
 
     lead: int
     walked: tuple
@@ -274,25 +281,26 @@ class _Slab(NamedTuple):  # builds faster at import than a frozen dataclass
 
 
 def _plan_slab(X, within, lead, solve=True):
-    """The slab of leading coordinate lead, solved when it can be: it has
-    two or more coordinates, no U is given, X keeps exactly one nonzero
-    equation e and no inequation there, and e has degree 1 or 2 in some
-    coordinate y after lead, the last such coordinate.  Otherwise, or
-    with solve=False, it is scanned."""
+    """The slab of leading coordinate lead.  Without U, and unless
+    solve=False, it is solved for the last coordinate y after lead in
+    which some equation e of X has degree 1 or 2 there, or, failing that,
+    degree 0 (e does not involve y: the rows where e vanishes are full
+    fibers, the others have no root).  Otherwise it is scanned."""
     zeros = dict.fromkeys(range(lead), 0)
     own, outer = [None if Y is None else ([e.substitute(zeros) for e in Y.equations],
                                           [h.substitute(zeros) for h in Y.inequations])
                   for Y in (X, within)]
     coords = tuple(range(lead, X.nvars))
-    eqs = [e for e in own[0] if not e.is_zero()]
-    if solve and within is None and len(eqs) == 1 and not own[1]:
-        e, = eqs
+    eqs, ineqs = [e for e in own[0] if not e.is_zero()], own[1]
+    for degrees in ((1, 2), (0,)) if solve and within is None else ():
         for y in reversed(coords[1:]):
-            coeffs = varieties._y_coefficients(e, y)
-            if max(coeffs) in (1, 2):
-                return _Slab(lead, tuple(v for v in coords if v != y), own, outer, y,
-                             tuple(Poly(e.nvars, coeffs.get(k)) for k in (2, 1, 0)))
-    return _Slab(lead, coords, own, outer)
+            for e in eqs:
+                coeffs = varieties._y_coefficients(e, y)
+                if max(coeffs) in degrees:
+                    return _Slab(lead, tuple(v for v in coords if v != y),
+                                 ([q for q in eqs if q is not e], ineqs), outer, y,
+                                 tuple(Poly(e.nvars, coeffs.get(k)) for k in (2, 1, 0)))
+    return _Slab(lead, coords, (eqs, ineqs), outer)
 
 
 def _walk(slab, ring, budget):
@@ -307,68 +315,62 @@ def _walk(slab, ring, budget):
                last)
 
 
-def _scan_slab(slab, within, ring, hist, budget):
+def _count_slab(slab, within, ring, hist, budget, charge):
     """Add into hist the heights of the points of X in the slab, walked in
     lex order by the chunk engine.  A function of its own, so that the
     last chunk's arrays are freed before Moebius inversion.
 
-    A chunk's height at grid point (i, j) is max(a_i, b_j), with a_i the
-    max |x| over its leading variables and b_j = |x| of its last one, so
-    only X's conditions, where the slab keeps any, span the grid
-    (_chunk_counts).  A mask that flags few points is compacted once
-    (np.flatnonzero), for the binning and for U's check alike.
+    One tally takes each grid of candidates of height max(a_i, b_j): a
+    scanned chunk (a_i the max |x| of a prefix's leading coordinates, b_j
+    = |x| of its last one); a solved chunk's roots y (_roots), as one row
+    of heights max(|x|, |y|); and the points x where every y is a root,
+    times -H..H.  It masks the conditions of X left on the slab, and a
+    mask that flags few points is compacted once (np.flatnonzero), for
+    the binning (_chunk_counts) and for U's check alike.
     """
-    free = not any(slab.own)  # no condition of X is left on the slab
-    for chunk, a, last in _walk(slab, ring, budget):
+    H, y, cut = ring.H, slab.y, any(slab.own)
+
+    def tally(cands, a, b):
         inside = None
-        if not free:
-            inside = chunk.mask(*slab.own)
+        if cut:
+            inside = cands.mask(*slab.own)
             flagged = np.count_nonzero(inside)
             if not flagged:
-                continue
+                return
             if flagged == inside.size:
                 inside = None
             elif 8 * flagged < inside.size:  # a gathered point costs ~8 grid points
                 inside = np.flatnonzero(inside)
-        lo, counts = _chunk_counts(a.ravel(), last.ravel(), inside)
+        lo, counts = _chunk_counts(a, b, inside)
         hist[lo:lo + len(counts)] += counts
         if slab.outer is not None:
-            _check_within(within, slab.outer, chunk, inside, slab.lead, ring.H)
+            _check_within(within, slab.outer, cands, inside, slab.lead, H)
 
-
-def _solve_slab(slab, ring, hist, budget):
-    """Add into hist the heights of the points of X in a solved slab: at
-    each walked point x, the integer roots y, |y| <= H, of X's equation
-    a(x) y^2 + b(x) y + c(x), each of height max(h0, |y|) for h0 the
-    height of x.
-
-    Where a != 0 the roots are (-b +- s) / 2a with s^2 = b^2 - 4ac, the
-    second only where s > 0, kept where s is an integer and 2a divides;
-    where a = 0 and b != 0, the one root -c / b where b divides.  Where
-    a = b = c = 0 every y is a root, and those rows are counted in closed
-    form once the walk is done: a row of height h0 has 2 h0 + 1 points
-    of height h0 and 2 of each height above it, up to H.
-    """
-    H = ring.H
-    fibers = np.zeros(H + 1, dtype=np.int64)  # full-fiber rows by walked height
     for chunk, a, b in _walk(slab, ring, budget):
+        if y is None:
+            tally(chunk, a.ravel(), b.ravel())
+            continue
         h0 = np.maximum(a, b).ravel()  # (R, 1) and (1, T) span the chunk
         rows, ys, full = _roots(ring, *(chunk.eval(q) for q in slab.coeffs))
-        for hs, out in ((np.maximum(h0[rows], np.abs(ys).astype(np.int64)), hist),
-                        (h0[full], fibers)):
-            if len(hs):
-                lo = int(hs.min())
-                counts = np.bincount(hs - lo)
-                out[lo:lo + len(counts)] += counts
-    above = np.cumsum(fibers)
-    above -= fibers
-    hist += fibers * (2 * np.arange(H + 1) + 1) + 2 * above
+        if len(rows):  # a solved slab has no U, so uncut candidates are not formed
+            tally(chunk.select(rows, {y: ys}) if cut else None, np.zeros(1, np.int64),
+                  np.maximum(h0[rows], np.abs(ys).astype(np.int64)))
+        if len(full):
+            if cut:  # the grid's points are evaluated one by one
+                charge(len(full) * ring.Q)
+            xs = chunk.select(full).elems
+            tally(varieties._Chunk(ring, {**{v: d.T for v, d in xs.items()},
+                                          y: ring.digits_of(np.arange(ring.Q))[None]},
+                                   (len(full), ring.Q)),
+                  h0[full], np.abs(np.arange(-H, H + 1)))
 
 
 def _roots(ring, a, b, c):
     """(rows, ys, full) for flat rows of the coefficients of a y^2 + b y + c:
     the integer roots ys, |y| <= H, at the rows given (a row once per
-    root), and the rows where a = b = c = 0."""
+    root), and the rows where a = b = c = 0.  The roots are (-b +- s) / 2a
+    with s^2 = b^2 - 4ac where a != 0 (the second where s > 0), and -c / b
+    where a = 0 != b, each kept where s and the quotient are integers."""
     zero = ring.is_zero(a)
     quad, lin = np.flatnonzero(~zero), np.flatnonzero(zero)
     # each candidate root is a quotient num / den, kept where it is exact

@@ -9,6 +9,8 @@ and parentheses, e.g. "x0^2+x1^2-1" or "2*x0*x1".
 
 from __future__ import annotations
 
+import math
+
 from .errors import ParseError
 
 
@@ -84,8 +86,22 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        """self^n (1 for n <= 0) by square and multiply: at most 2 log2(n)
-        products, each of one term when self is a monomial."""
+        """self^n (1 for n <= 0).  A monomial (or 0) squares and
+        multiplies: at most 2 log2(n) products of one term.  A base of t
+        terms multiplies by itself n times, since squaring a dense power
+        costs more than the products it saves, after charging the
+        t * C(n + t - 1, t) term products that can form against the
+        default budget, so an expansion too large to finish raises
+        BudgetExceeded before it starts."""
+        t = len(self.terms)
+        if t > 1 and n > 1:
+            from .varieties import _check_budget
+
+            _check_budget(t * math.comb(n + t - 1, t), None)
+            out = self
+            for _ in range(n - 1):
+                out = out * self
+            return out
         out, base = None, self
         while n > 0:
             if n & 1:

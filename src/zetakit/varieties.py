@@ -52,10 +52,10 @@ which NumPy's GIL-free kernels keep busy, and adds their tallies in walk
 order.  The walk itself, with its budget charge and then its one trace
 form (BulkField.trace_form), stays on the caller's thread, and a walk of
 one chunk runs there too.  The height box scan and `membership_walk`
-stay sequential: a height chunk holds about 14 MB of temporaries (slab 0
-of the union curve x2*(x0*x2 - x1^2) at H = 128, under tracemalloc),
-and the subvariety and cover checks built on them name the first
-failing point in walk order.
+stay sequential: a height chunk holds about 9 MB of temporaries (8.7 MB
+under tracemalloc on the scanned slab 0 of the cubic x0^3 + x1^3 + x2^3
+- 3*x0*x1*x2 at H = 128), and the subvariety and cover checks built on
+them name the first failing point in walk order.
 
 `PointEnumeration` is the scalar reference that the tests compare them
 against; no production path uses it.

@@ -391,12 +391,12 @@ def test_conic_counts_like_the_projective_line():
 
 def test_solver_budget_is_charged_before_any_walk(monkeypatch):
     # the conic's first slab is solved for x2 and walks (x0, x1); the
-    # second keeps -x1^2, in no coordinate but its lead, and is scanned
-    # over (x1, x2); the third walks x2: 2H (2H + 1) + H points in all,
-    # each slab within a budget one short of the sum
+    # second keeps -x1^2, of degree 0 in x2, and walks x1 alone; the
+    # third walks x2: H (2H + 1) + 2H points in all, each slab within a
+    # budget one short of the sum
     conic = projective(2, ["x0*x2 - x1^2"])
     H = 20
-    charge = 2 * H * (2 * H + 1) + H
+    charge = H * (2 * H + 1) + 2 * H
     assert charge < (2 * H + 1) ** 3 // 2
     expected = heights.count_points(projective_space(1), 1, math.isqrt(H))
     walks = []
@@ -411,7 +411,98 @@ def test_solver_budget_is_charged_before_any_walk(monkeypatch):
         heights.count_points(conic, 1, H, budget=charge - 1)
     assert walks == []
     assert heights.count_points(conic, 1, H, budget=charge) == expected
-    assert walks == [(2,), (1, 2), (0, 1)]
+    assert walks == [(2,), (1,), (0, 1)]
+
+
+# (spec, B, dtype of the rows): a slab solved with conditions of X left
+# over, which the tally masks on the roots and on the full fibers
+TALLY_CASES = [
+    (projective(2, ["x0*x2 - x1^2"], ["x1"]), 12, np.int32),
+    (projective(2, ["x0*x2 - x1^2"], ["x0 + x1 + x2"]), 12, np.int32),
+    (projective(2, ["x1*x2"], ["x0 + x2"]), 12, np.int32),  # cut full fibers
+    (projective(3, ["x0*x3 - x1*x2", "x0*x2 - x1^2"]), 5, np.int32),  # two equations
+    (projective(3, ["x1*x3", "x2^2 - x0*x3"], ["x0 + x3"]), 5, np.int32),
+    (projective(2, ["x0^8*x2^2 - x1^10"], ["x0 + x1 + x2"]), 6, np.int64),
+    (projective(2, ["x1^64*x2"], ["x0 + x2"]), 3, object),  # Python ints
+]
+
+
+@pytest.mark.parametrize("split", [None, "R", "T"])
+@pytest.mark.parametrize("X, B, dtype", TALLY_CASES,
+                         ids=["conic-x1", "conic-plane", "axes", "twisted", "fibers-2eq",
+                              "int64", "object"])
+def test_leftover_conditions_are_masked_like_the_box_scan(monkeypatch, X, B, dtype, split):
+    slabs = [heights._plan_slab(X, None, lead) for lead in range(X.nvars)]
+    assert any(s.y is not None and any(s.own) for s in slabs)
+    quadratics = [s.coeffs for s in slabs if s.y is not None and not s.coeffs[0].is_zero()]
+    assert heights._Integers(B, X.equations + X.inequations, quadratics).dtype == dtype
+    if split is not None:
+        _walk_in_small_chunks(monkeypatch, 2 * B + 1, 1, split)
+    for m, b in ((1, B), (2, B * B)):
+        assert (heights._box_heights(X, m, b, None).tolist()
+                == heights._box_heights(X, m, b, None, solve=False).tolist())
+
+
+@st.composite
+def _solver_case(draw):
+    nv = draw(st.integers(2, 4))
+    B = draw(st.integers(0, {2: 12, 3: 5, 4: 3}[nv]))
+    eqs = draw(st.lists(_homogeneous_poly(nv), max_size=2))
+    ineqs = draw(st.lists(_homogeneous_poly(nv), max_size=2))
+    return projective(nv - 1, eqs, ineqs), B
+
+
+@settings(max_examples=150, deadline=None)
+@given(_solver_case())
+def test_solver_matches_the_box_scan_on_random_specs(case):
+    X, B = case
+    assert (heights._box_heights(X, 1, B, None).tolist()
+            == heights._box_heights(X, 1, B, None, solve=False).tolist())
+
+
+def test_conic_without_its_axis_counts_past_the_box_scan():
+    # x1 != 0 drops (1 : 0 : 0) and (0 : 0 : 1) from the 4912 points; the
+    # inequation is masked on the roots of x2, so the walk stays H (2H + 1)
+    assert heights.count_points(projective(2, ["x0*x2 - x1^2"], ["x1"]), 1, 4000) == 4910
+
+
+def test_a_cut_full_fiber_grid_is_charged_as_it_is_formed(monkeypatch):
+    # x1*x2 solved for x2 in the first slab: every x2 is a root where
+    # x1 = 0, and x0 + x2 != 0 cuts those H rows times 2H + 1 values of x2
+    X = projective(2, ["x1*x2"], ["x0 + x2"])
+    H = 20
+    walk = H * (2 * H + 1) + 2 * H
+    grid = H * (2 * H + 1)
+    expected = heights._box_heights(X, 1, H, None, solve=False)
+    walks = []
+    chunks = varieties._chunks
+
+    def spy(*args):
+        walks.append(args[1])
+        return chunks(*args)
+
+    monkeypatch.setattr(varieties, "_chunks", spy)
+    with pytest.raises(BudgetExceeded) as exc:
+        heights.count_points(X, 1, H, budget=walk + grid - 1)
+    assert exc.value.estimate == walk + grid
+    assert walks == [(2,), (1,), (0, 1)]  # raised inside the last walk
+    assert heights._box_heights(X, 1, H, walk + grid).tolist() == expected.tolist()
+    # without the inequation the fibers are binned, not charged
+    assert heights.count_points(projective(2, ["x1*x2"]), 1, H, budget=walk) > 0
+
+
+def test_python_int_rows_are_charged_by_size():
+    # x0^20000 reaches 2 * 1000^20000 at B = 1000, 3164 words of 63 bits,
+    # so the scan's H (2H + 1) + H points cost 3164 each; int64 rows cost 1
+    X = projective(1, ["x0^20000 - x1^20000"])
+    H = 1000
+    words = -(-(2 * H**20000).bit_length() // 63)
+    assert heights._Integers(H, X.equations).cost == words == 3164
+    with pytest.raises(BudgetExceeded) as exc:
+        heights.count_points(X, 1, H)
+    assert exc.value.estimate == words * (H * (2 * H + 1) + H)
+    assert heights._Integers(H, [Poly(2, {(6, 0): 1})]).cost == 1  # 10^18: int64
+    assert heights.count_points(X, 1, 3, budget=words * (3 * 7 + 3)) == 2
 
 
 def test_integer_sqrt_and_divide_are_exact_on_every_tier():

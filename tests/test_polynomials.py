@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from zetakit.errors import ParseError
+from zetakit.errors import BudgetExceeded, ParseError
 from zetakit.polynomials import Poly
 from zetakit.varieties import affine, count_points_ff
 
@@ -98,6 +98,39 @@ def test_power_matches_repeated_products(n):
     for _ in range(n):
         expected = expected * f
     assert f ** n == expected
+
+
+def test_a_dense_power_multiplies_n_times_after_its_charge(monkeypatch):
+    # squaring a dense power costs more than the products it saves, so
+    # f^n of t terms takes n - 1 products, charged t * C(n + t - 1, t)
+    # term products before the first
+    f, n, t = Poly.parse("2*x0 - x1 + 3", 2), 6, 3
+    charge = t * math.comb(n + t - 1, t)
+    expected = Poly.constant(2, 1)
+    for _ in range(n):
+        expected = expected * f
+    products = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        products.append(len(self.terms) * len(other.terms))
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setenv("ZETAKIT_BUDGET", str(charge - 1))
+    with pytest.raises(BudgetExceeded):
+        f ** n
+    assert products == []
+    monkeypatch.setenv("ZETAKIT_BUDGET", str(charge))
+    assert f ** n == expected
+    assert len(products) == n - 1 and sum(products) <= charge
+
+
+def test_a_dense_power_past_the_budget_is_refused_before_it_expands():
+    # 2 * C(10^7 + 1, 2) ~ 10^14 term products; the monomial stays cheap
+    with pytest.raises(BudgetExceeded):
+        Poly.parse("(x0 + 1)^10000000", 1)
+    assert Poly.parse("(2*x0)^10000000", 1).terms == {(10**7,): 2**10**7}
 
 
 def test_a_huge_exponent_counts_over_a_finite_field(F9):
