@@ -58,6 +58,7 @@ import numpy as np
 
 from . import gfpoly
 from .cyclofield import FieldSpec
+from .cyclotomic import power
 
 # fields up to this size use the table kernel
 _TABLE_LIMIT = 1 << 26
@@ -288,15 +289,7 @@ class _ConvKernel:
             one = np.zeros((1, self.n), dtype=self.dtype)
             one[0, 0] = 1
             return np.broadcast_to(one, a.shape).copy()
-        result = None
-        base = a
-        while e:
-            if e & 1:
-                result = base if result is None else self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return result
+        return power(a, e, self.mul, None)  # e >= 1 here
 
     def sqrt(self, a):
         if self.p == 2:  # squaring is onto: a = (a^(Q/2))^2

@@ -5,7 +5,9 @@ smallest monic irreducible modulus of degree k over GF(p); elements are
 coefficient tuples in the basis 1, x, ..., x^(k-1).  Extension towers are
 always built over GF(p) directly, and subfields embed via the smallest
 root of the small modulus inside the big field.  Character values live in
-Z[zeta_p] (see cyclotomic.py), never in floats.
+Z[zeta_p] (see cyclotomic.py), never in floats.  Powers go through
+cyclotomic's one square-and-multiply (via `gfpoly.powmod`), and linear
+algebra mod p through its one Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import functools
 from dataclasses import dataclass
 
 from . import gfpoly
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, row_reduce, solve
 from .errors import (
     BudgetExceeded,
     DegreeZero,
@@ -337,28 +339,14 @@ def _eval_poly(coeffs, x: FFElem):
     return acc
 
 
+def _gf(p):
+    """GF(p)'s normal form and inverse, the field of `row_reduce` and `solve`."""
+    return (lambda v: v % p), (lambda v: pow(v, -1, p))
+
+
 def _row_reduce(rows, n_cols, p):
-    """Gauss-Jordan over GF(p) on the first n_cols columns of rows, in
-    place; returns the pivot columns, the i-th pivot in row i, and det,
-    the product of the pivots signed by the row swaps, or 0 when a column
-    has no pivot: the determinant mod p of a square matrix."""
-    pivots, det = [], 1
-    for c in range(n_cols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if pivot is None:
-            det = 0
-            continue
-        det = det * rows[pivot][c] * (1 if pivot == r else -1) % p
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return pivots, det
+    """`row_reduce` over GF(p): the pivot columns and the determinant mod p."""
+    return row_reduce(rows, n_cols, *_gf(p))
 
 
 def _kernel_mod_p(cols, p):
@@ -398,11 +386,4 @@ def _span(basis, p):
 
 def _solve_mod_p(cols, rhs, p):
     """Solve A x = rhs mod p for A given by columns; None if inconsistent."""
-    rows = [[*row, b] for row, b in zip(zip(*cols), rhs)]
-    pivots, _ = _row_reduce(rows, len(cols), p)
-    if any(row[-1] % p for row in rows[len(pivots):]):
-        return None
-    sol = [0] * len(cols)
-    for r, c in enumerate(pivots):
-        sol[c] = rows[r][-1]
-    return sol
+    return solve(zip(*cols), rhs, len(cols), *_gf(p))

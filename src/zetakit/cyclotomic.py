@@ -12,13 +12,19 @@ other than 1, or a Cyclotomic whose coefficients are in that form.
 apply it to every coefficient on construction.  So a scalar is integral
 exactly when it is an int or a Cyclotomic with int coefficients, and
 nothing downstream converts Fractions back to ints.  The same layer
-holds the one zero test (`is_zero`), the one exact Gauss-Jordan over Q
-and Q(zeta_p) (`solve_exact`) and the one scalar-to-JSON map
+holds the one zero test (`is_zero`) and the one scalar-to-JSON map
 (`json_scalar`).  A rational Cyclotomic stays a Cyclotomic.
+
+It also holds the two algorithms every exact ring shares, each given the
+ring's operations: `power`, the one square-and-multiply (for Poly,
+Cyclotomic, GF(p)[x] mod m and the convolution kernel's rows), and
+`row_reduce`/`solve`, the one Gauss-Jordan (over Q and Q(zeta_p) as
+`solve_exact`, over GF(p) as cyclofield's `_row_reduce`/`_solve_mod_p`).
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import MixedCyclotomicOrder, NonRational
@@ -114,14 +120,7 @@ class Cyclotomic:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = Cyclotomic.integer(self.p, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, operator.mul, Cyclotomic.integer(self.p, 1))
 
     def inverse(self):
         """Multiplicative inverse in Q(zeta_p), via the multiplication matrix."""
@@ -222,31 +221,67 @@ def json_scalar(c):
 
 
 def solve_exact(rows, rhs, nvars):
-    """Gauss-Jordan over Q or Q(zeta_p): a solution of rows . x = rhs in
-    normal form, free variables set to 0, or None if the system is
-    inconsistent.  The lists are modified in place."""
-    m = len(rows)
-    pivots = []
-    for col in range(nvars):
+    """`solve` over Q or Q(zeta_p): a solution in normal form, free
+    variables set to 0, or None if the system is inconsistent."""
+    return solve(rows, rhs, nvars, demote,
+                 lambda c: c.inverse() if isinstance(c, Cyclotomic) else 1 / Fraction(c))
+
+
+# ---------------------------------------------------------------------------
+# The ring-generic power and Gauss-Jordan
+
+
+def power(x, e, mul, one):
+    """x^e for an int e >= 0 under the associative product mul, one for
+    e = 0.  Squares and multiplies from the top bit down: at most
+    2 log2(e) products, none by one and no squaring past the top bit."""
+    if e == 0:
+        return one
+    out = x
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
+    return out
+
+
+def row_reduce(rows, n_cols, norm, inv):
+    """Gauss-Jordan on the first n_cols columns of rows, in place, over
+    the field whose elements norm puts in normal form and inv inverts
+    (nonzero ones).  Every entry is normalized first.  Returns the pivot
+    columns, the i-th pivot in row i, and det, the product of the pivots
+    signed by the row swaps, or 0 when a column has no pivot: the
+    determinant of a square matrix."""
+    for i, row in enumerate(rows):
+        rows[i] = [norm(v) for v in row]
+    pivots, det = [], 1
+    for c in range(n_cols):
         r = len(pivots)
-        piv = next((i for i in range(r, m) if not is_zero(rows[i][col])), None)
-        if piv is None:
+        pivot = next((i for i in range(r, len(rows)) if not is_zero(rows[i][c])), None)
+        if pivot is None:
+            det = 0
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        lead = rows[r][col]
-        inv = lead.inverse() if isinstance(lead, Cyclotomic) else 1 / Fraction(lead)
-        rows[r] = [x * inv for x in rows[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(m):
-            if i != r and not is_zero(rows[i][col]):
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        pivots.append(col)
-    if any(not is_zero(b) for b in rhs[len(pivots):]):
+        lead = rows[pivot][c]
+        det = norm(det * lead if pivot == r else -(det * lead))
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = inv(lead)
+        rows[r] = [norm(v * scale) for v in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and not is_zero(f):
+                rows[i] = [norm(v - f * w) for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots, det
+
+
+def solve(rows, rhs, nvars, norm, inv):
+    """A solution of rows . x = rhs over the field of `row_reduce`, free
+    variables set to 0, or None if the system is inconsistent."""
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    pivots, _ = row_reduce(aug, nvars, norm, inv)
+    if any(not is_zero(row[-1]) for row in aug[len(pivots):]):
         return None
     sol = [0] * nvars
-    for i, col in enumerate(pivots):
-        sol[col] = demote(rhs[i])
+    for r, c in enumerate(pivots):
+        sol[c] = aug[r][-1]
     return sol

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 
+from .cyclotomic import power
+
 
 def trim(coeffs, p):
     coeffs = [c % p for c in coeffs]
@@ -78,14 +80,7 @@ def mulmod(a, b, m, p):
 
 
 def powmod(a, e, m, p):
-    result = (1,)
-    a = mod(a, m, p)
-    while e:
-        if e & 1:
-            result = mulmod(result, a, m, p)
-        a = mulmod(a, a, m, p)
-        e >>= 1
-    return result
+    return power(mod(a, m, p), e, lambda x, y: mulmod(x, y, m, p), (1,))
 
 
 def is_irreducible(f, p):

@@ -10,7 +10,9 @@ and parentheses, e.g. "x0^2+x1^2-1" or "2*x0*x1".
 from __future__ import annotations
 
 import math
+import operator
 
+from .cyclotomic import power
 from .errors import ParseError
 
 
@@ -95,21 +97,12 @@ class Poly:
         BudgetExceeded before it starts."""
         t = len(self.terms)
         if t > 1 and n > 1:
-            from .varieties import _check_budget
-
-            _check_budget(t * math.comb(n + t - 1, t), None)
+            _charge(_power_products(t, n))
             out = self
             for _ in range(n - 1):
                 out = out * self
             return out
-        out, base = None, self
-        while n > 0:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return Poly.constant(self.nvars, 1) if out is None else out
+        return power(self, max(n, 0), operator.mul, Poly.constant(self.nvars, 1))
 
     # -- structure ---------------------------------------------------------
 
@@ -232,14 +225,36 @@ class Poly:
         return f"Poly({self.to_string()})"
 
 
+def _power_products(t, n):
+    """The term products that a base of t > 1 terms raised to n > 1 can
+    form: t * C(n + t - 1, t)."""
+    return t * math.comb(n + t - 1, t)
+
+
+def _charge(products):
+    """Charge an expansion of ~products term products against the default
+    budget, so one too large to finish raises BudgetExceeded first."""
+    from .varieties import _check_budget
+
+    _check_budget(products, None)
+
+
 class _Parser:
+    """Recursive descent over the spec syntax.  The term products of every
+    power and `*` chain are charged before they are formed, added up over
+    the parse; nesting past Python's recursion limit is a ParseError."""
+
     def __init__(self, text, nvars):
         self.text = text
         self.nvars = nvars
         self.pos = 0
+        self.charged = 0
 
     def parse(self):
-        result = self._expr()
+        try:
+            result = self._expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply", self.pos) from None
         self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
@@ -253,14 +268,15 @@ class _Parser:
         self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def _charge(self, products):
+        self.charged += products
+        _charge(self.charged)
+
     def _expr(self):
-        sign = 1
-        if self._peek() == "-":
+        sign = self._peek()
+        if sign in ("+", "-"):
             self.pos += 1
-            sign = -1
-        elif self._peek() == "+":
-            self.pos += 1
-        result = sign * self._term()
+        result = -self._term() if sign == "-" else self._term()
         while self._peek() in ("+", "-"):
             op = self._peek()
             self.pos += 1
@@ -269,10 +285,22 @@ class _Parser:
         return result
 
     def _term(self):
-        result = self._factor()
+        factors = [self._factor()]
         while self._peek() == "*":
             self.pos += 1
-            result = result * self._factor()
+            factors.append(self._factor())
+        # the first i factors have at most `size` terms: no more than their
+        # term counts' product, nor than the monomials of their degree
+        products, size, degree = 0, 1, 0
+        for left, right in zip(factors, factors[1:]):
+            degree += max(left.total_degree(), 0)
+            size = min(size * len(left.terms), math.comb(self.nvars + degree, self.nvars))
+            products += size * len(right.terms)
+        if products:
+            self._charge(products)
+        result = factors[0]
+        for factor in factors[1:]:
+            result = result * factor
         return result
 
     def _factor(self):
@@ -285,7 +313,10 @@ class _Parser:
                 self.pos += 1
             if self.pos == start:
                 raise ParseError("expected integer exponent", start)
-            base = base ** int(self.text[start : self.pos])
+            n = int(self.text[start : self.pos])
+            if len(base.terms) > 1 and n > 1:
+                self._charge(_power_products(len(base.terms), n))
+            base = base**n
         return base
 
     def _atom(self):

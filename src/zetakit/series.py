@@ -93,19 +93,6 @@ class SeriesTrunc:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        result = SeriesTrunc.one(self.order)
-        base = self
-        if n < 0:
-            base = base.inverse()
-            n = -n
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def inverse(self):
         """Series inverse; the constant term must be a unit."""
         T = self.order
