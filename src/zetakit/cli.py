@@ -141,6 +141,9 @@ def _cmd_heights(args):
 
 
 def _cmd_witt(args):
+    # the lift searches P/Q of degrees up to (order - 2) // 2, none below order 2
+    if args.order < 2:
+        raise ParseError(f"witt needs --order at least 2, got {args.order}")
     X = varieties.load_spec(args.spec)
     F = _field(args.p, args.k)
     series = zetas.hw_zeta(X, F, args.order, args.budget)
@@ -279,6 +282,11 @@ def _cmd_selftest(args):
         zetas.hw_zeta(varieties.circle(), F3, 8, args.budget),
         [1] + [4 * 3 ** (m - 1) for m in range(1, 9)]))
     run("trace identity", lambda: witt.trace_identity_check([[1, 1], [1, 0]], 10))
+    # rank 10: cheap by elimination, out of reach of a factorial determinant
+    run("trace identity rank 10", lambda: witt.trace_identity_check(witt.direct_sum(
+        [[2, -1, 0, 3, 1], [1, 0, -2, 1, 0], [0, 3, 1, -1, 2], [-1, 1, 0, 2, -3], [2, 0, 1, 1, 1]],
+        [[0, 1, 1, -2, 1], [3, -1, 0, 1, 2], [1, 2, -1, 0, 0], [0, -3, 2, 1, 1], [1, 1, 0, -1, 2]]),
+        12))
     run("gauss sum square", lambda: _assert_equal(
         kexp.realize(kexp.kexp_mul(*(2 * [kexp.KExpClass.generator(
             varieties.affine_line(Poly.parse("x0^2", 1)))])), character(F3)), -3))

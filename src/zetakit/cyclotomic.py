@@ -19,7 +19,9 @@ It also holds the two algorithms every exact ring shares, each given the
 ring's operations: `power`, the one square-and-multiply (for Poly,
 Cyclotomic, GF(p)[x] mod m and the convolution kernel's rows), and
 `row_reduce`/`solve`, the one Gauss-Jordan (over Q and Q(zeta_p) as
-`solve_exact`, over GF(p) as cyclofield's `_row_reduce`/`_solve_mod_p`).
+`solve_exact`, over GF(p) as cyclofield's `_row_reduce`/`_solve_mod_p`,
+and over Q[[t]] truncated at t^n as the determinant of `witt.char_series`,
+where every pivot it meets is a unit).
 """
 
 from __future__ import annotations
@@ -251,7 +253,9 @@ def row_reduce(rows, n_cols, norm, inv):
     (nonzero ones).  Every entry is normalized first.  Returns the pivot
     columns, the i-th pivot in row i, and det, the product of the pivots
     signed by the row swaps, or 0 when a column has no pivot: the
-    determinant of a square matrix."""
+    determinant of a square matrix.  It also serves a ring that is not a
+    field, Q[[t]] truncated at t^n for `witt.char_series`, since every
+    pivot it meets there is a unit."""
     for i, row in enumerate(rows):
         rows[i] = [norm(v) for v in row]
     pivots, det = [], 1

@@ -239,6 +239,9 @@ def _charge(products):
     _check_budget(products, None)
 
 
+_DIGITS = frozenset("0123456789")
+
+
 class _Parser:
     """Recursive descent over the spec syntax.  The term products of every
     power and `*` chain are charged before they are formed, added up over
@@ -271,6 +274,18 @@ class _Parser:
     def _charge(self, products):
         self.charged += products
         _charge(self.charged)
+
+    def _digits(self):
+        """The ASCII digits at pos as an int, or None if there are none."""
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
+            self.pos += 1
+        if self.pos == start:
+            return None
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise ParseError(f"integer of {self.pos - start} digits is too long", start) from None
 
     def _expr(self):
         sign = self._peek()
@@ -309,11 +324,9 @@ class _Parser:
             self.pos += 1
             self._skip_ws()
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
+            n = self._digits()
+            if n is None:
                 raise ParseError("expected integer exponent", start)
-            n = int(self.text[start : self.pos])
             if len(base.terms) > 1 and n > 1:
                 self._charge(_power_products(len(base.terms), n))
             base = base**n
@@ -321,7 +334,6 @@ class _Parser:
 
     def _atom(self):
         ch = self._peek()
-        start = self.pos
         if ch == "(":
             self.pos += 1
             inner = self._expr()
@@ -332,18 +344,14 @@ class _Parser:
         if ch == "-":
             self.pos += 1
             return -self._factor()
-        if ch.isdigit():
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return Poly.constant(self.nvars, int(self.text[start : self.pos]))
+        if ch in _DIGITS:
+            return Poly.constant(self.nvars, self._digits())
         if ch == "x":
             self.pos += 1
             dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == dstart:
+            idx = self._digits()
+            if idx is None:
                 raise ParseError("expected variable index after 'x'", dstart)
-            idx = int(self.text[dstart : self.pos])
             if idx >= self.nvars:
                 raise ParseError(f"variable x{idx} out of range (nvars={self.nvars})", dstart)
             return Poly.variable(self.nvars, idx)

@@ -176,11 +176,23 @@ def _as_poly(e, nvars):
         if e.nvars != nvars:
             raise ValueError("variable count mismatch in spec polynomial")
         return e
-    if isinstance(e, int):
-        return Poly.constant(nvars, e)
-    if not isinstance(e, str):
+    if not _is_poly_value(e):
         raise ParseError(f"spec polynomial must be a string or an int, got {e!r}")
-    return Poly.parse(e, nvars)
+    return Poly.parse(e, nvars) if isinstance(e, str) else Poly.constant(nvars, e)
+
+
+def _is_poly_value(v):
+    return isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool))
+
+
+def _json_polys(data, key):
+    """The list under key, or None when it is absent or null; each entry
+    must be a string or a non-bool int, or a ParseError names the field."""
+    vals = data.get(key)
+    if vals is not None and not (isinstance(vals, (list, tuple))
+                                 and all(_is_poly_value(v) for v in vals)):
+        raise ParseError(f"spec field {key!r} must be a list of strings or integers, got {vals!r}")
+    return vals
 
 
 def spec_from_json(data):
@@ -190,15 +202,19 @@ def spec_from_json(data):
     dim = amb.get("dim")
     if type(dim) is not int or dim < 0:
         raise ParseError(f"ambient dim must be a nonnegative integer, got {dim!r}")
+    eqs = _json_polys(data, "equations") or ()
+    ineqs = _json_polys(data, "inequations") or ()
+    base_map = _json_polys(data, "base_map")
+    f = data.get("f")
+    if f is not None and not _is_poly_value(f):
+        raise ParseError(f"spec field 'f' must be a string or an integer, got {f!r}")
     if amb["type"] == "affine":
-        return affine(
-            dim,
-            data.get("equations", ()),
-            data.get("inequations", ()),
-            data.get("f"),
-            data.get("base_map"),
-        )
-    return projective(dim, data.get("equations", ()), data.get("inequations", ()))
+        return affine(dim, eqs, ineqs, f, base_map)
+    if base_map is not None:
+        raise ParseError("spec field 'base_map' is for affine specs only")
+    if f is not None and not _as_poly(f, dim + 1).is_zero():
+        raise ParseError("spec field 'f' must be zero on a projective spec")
+    return projective(dim, eqs, ineqs)
 
 
 def load_spec(path):

@@ -4,21 +4,24 @@ A Witt vector is a series with constant term 1; Witt addition is the
 series product and Witt multiplication goes through the ghost (log
 derivative) coordinates, where both operations become pointwise.  A
 rational series lifts to a graded pair of endomorphisms via companion
-matrices, with L(M) = det(1 - tM)^(-1) as the bridge back.
+matrices, with L(M) = det(1 - tM)^(-1) as the bridge back.  L(M) is
+computed by one route at every rank, exp of the power sums tr(M^m);
+det(1 - tM) comes from the shared Gauss-Jordan (`cyclotomic.row_reduce`)
+over Q[[t]], and trace_identity_check compares the two.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, json_scalar
+from .cyclotomic import Cyclotomic, json_scalar, row_reduce
 from .errors import (
     ConstantTermNotOne,
     NonIntegralResult,
     NonRational,
     NonSquare,
+    OrderMismatch,
     UnverifiedCandidate,
 )
 from .series import SeriesTrunc, exp_power_sums, from_log_derivative, log_derivative
@@ -79,11 +82,16 @@ class GhostVector:
     def order(self):
         return len(self.components)
 
+    def _pairs(self, other):
+        if self.order != other.order:
+            raise OrderMismatch(f"T={self.order} vs T={other.order}")
+        return zip(self.components, other.components)
+
     def __add__(self, other):
-        return GhostVector(tuple(a + b for a, b in zip(self.components, other.components)))
+        return GhostVector(tuple(a + b for a, b in self._pairs(other)))
 
     def __mul__(self, other):
-        return GhostVector(tuple(a * b for a, b in zip(self.components, other.components)))
+        return GhostVector(tuple(a * b for a, b in self._pairs(other)))
 
 
 def _as_series(u):
@@ -105,6 +113,8 @@ def ghost_inverse(g: GhostVector, order=None) -> WittVector:
     comps = g.components if isinstance(g, GhostVector) else tuple(g)
     if order is None:
         order = len(comps)
+    if order > len(comps):
+        raise OrderMismatch(f"{len(comps)} ghost coordinates, asked for T={order}")
     return WittVector(from_log_derivative(comps, order))
 
 
@@ -166,92 +176,50 @@ def kron(A, B):
 
 
 def char_series(M) -> SeriesTrunc:
-    """det(1 - tM) as an exact polynomial, by the Leibniz expansion.
-
-    Fine for the small ranks in scope; degree is len(M).
-    """
+    """det(1 - tM) as an exact polynomial of degree <= len(M), by the
+    shared Gauss-Jordan over Q[[t]] truncated at t^len(M)."""
     M = _check_square(M)
     n = len(M)
-    coeffs = [0] * (n + 1)
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        # product of (delta - t M)[i, perm(i)] as a degree-<=1 polynomial
-        prod = [sign, 0]
-        for i in range(n):
-            const = 1 if perm[i] == i else 0
-            lin = -M[i][perm[i]]
-            prod = _poly_mul_small(prod, [const, lin], n)
-        for d, c in enumerate(prod[: n + 1]):
-            coeffs[d] += c
-    return SeriesTrunc(n, coeffs)
-
-
-def _poly_mul_small(a, b, cap):
-    out = [0] * (cap + 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0 and i + j <= cap:
-                out[i + j] += x * y
-    return out
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-_LEIBNIZ_MAX = 8
+    # 1 - tM is the identity mod t, and elimination keeps it so: every
+    # diagonal entry stays a unit, so each pivot is the diagonal, no rows
+    # swap, and the determinant (degree <= n) loses nothing at t^n.
+    rows = [[SeriesTrunc(n, [int(i == j), -x]) for j, x in enumerate(row)]
+            for i, row in enumerate(M)]
+    _, det = row_reduce(rows, n, lambda s: s, SeriesTrunc.inverse)
+    return SeriesTrunc.one(n) * det
 
 
 def L_map(M, T: int) -> WittVector:
-    """L(M) = det(1 - tM)^(-1) through t^T.
-
-    Small matrices go through the exact determinant; larger ones through
-    exp of trace power sums (the two agree — see trace_identity_check).
-    """
-    M = _check_square(M)
-    if len(M) == 0:
-        return WittVector.one(T)
-    if len(M) <= _LEIBNIZ_MAX:
-        poly = char_series(M)
-        return WittVector(SeriesTrunc(T, poly.coeffs).inverse())
-    return WittVector(_trace_series(M, T))
+    """L(M) = det(1 - tM)^(-1) through t^T, as exp(sum tr(M^m) t^m / m);
+    trace_identity_check compares it with the determinant."""
+    return WittVector(_trace_series(_check_square(M), T))
 
 
 def trace_identity_check(M, T: int) -> dict:
     """exp(sum tr(M^m) t^m / m) == det(1 - tM)^(-1), exactly through t^T.
 
     The two sides are computed by genuinely different routes: power sums
-    of traces versus the Leibniz determinant.
+    of traces versus the determinant by elimination.
     """
     M = _check_square(M)
     lhs = _trace_series(M, T)
-    rhs = SeriesTrunc(T, char_series(M).coeffs).inverse() if M else SeriesTrunc.one(T)
+    rhs = SeriesTrunc(T, char_series(M).coeffs).inverse()
     lhs.require_equal(rhs)
     return {"verdict": "pass", "rank": len(M), "order": T, "series": lhs.to_json()}
 
 
-def _trace_series(M, T):
-    """exp(sum tr(M^m) t^m / m) through t^T: the trace route to L(M)."""
+def _power_traces(M, T):
+    """tr(M), tr(M^2), ..., tr(M^T)."""
     traces, P = [], M
     for _ in range(T):
         traces.append(mat_trace(P))
         P = mat_mul(P, M)
-    return exp_power_sums(traces, T)
+    return traces
+
+
+def _trace_series(M, T):
+    """exp(sum tr(M^m) t^m / m) through t^T: the trace route to L(M)."""
+    return exp_power_sums(_power_traces(M, T), T)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +240,10 @@ class EndoClass:
     minus_matrix: tuple
 
     def value(self, T: int) -> WittVector:
-        pos = L_map(self.plus_matrix, T).series
-        neg = L_map(self.minus_matrix, T).series
-        return WittVector(pos * neg.inverse())
+        # a Witt difference is a difference of ghost coordinates
+        plus = _power_traces(_check_square(self.plus_matrix), T)
+        minus = _power_traces(_check_square(self.minus_matrix), T)
+        return WittVector(exp_power_sums([a - b for a, b in zip(plus, minus)], T))
 
     def to_json(self):
         return {

@@ -116,6 +116,8 @@ class RationalCandidate:
 def rational_reconstruct(s: SeriesTrunc, max_deg: int) -> RationalCandidate:
     """Smallest rational function P/Q (by total then denominator degree)
     matching s through its full order, found by exact linear algebra."""
+    if max_deg < 0:
+        raise NoCandidate(f"max_deg must be at least 0, got {max_deg}: no degrees to search")
     if s.order < 2 * max_deg + 2:
         raise InsufficientOrder(f"order {s.order} < {2 * max_deg + 2}")
     if s.coeffs[0] != 1:

@@ -435,6 +435,38 @@ def test_non_string_spec_polynomial_exits_2(tmp_path, capsys):
     assert "1.5" in captured.err
 
 
+@pytest.mark.parametrize("fields, field", [
+    ({"ambient": {"type": "projective", "dim": 1}, "f": "x0*x1"}, "'f'"),
+    ({"ambient": {"type": "projective", "dim": 1}, "base_map": ["x0"]}, "'base_map'"),
+    ({"ambient": {"type": "affine", "dim": 1}, "equations": 5}, "'equations'"),
+    ({"ambient": {"type": "affine", "dim": 1}, "base_map": 3}, "'base_map'"),
+    ({"ambient": {"type": "affine", "dim": 1}, "equations": "x0"}, "'equations'"),
+    ({"ambient": {"type": "affine", "dim": 1}, "equations": [True]}, "'equations'"),
+    ({"ambient": {"type": "affine", "dim": 1}, "inequations": [None]}, "'inequations'"),
+    ({"ambient": {"type": "affine", "dim": 1}, "f": False}, "'f'"),
+], ids=["projective-f", "projective-base-map", "int-equations", "int-base-map",
+        "string-equations", "bool-equation", "null-inequation", "bool-f"])
+def test_spec_fields_of_the_wrong_kind_exit_2_naming_the_field(tmp_path, capsys, fields, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(fields))
+    err = usage_error(["expzeta", "--spec", str(path), "--p", "3", "--order", "2"], capsys)
+    assert field in err
+
+
+def test_projective_spec_with_a_zero_f_is_accepted(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"ambient": {"type": "projective", "dim": 1}, "f": "0"}))
+    code, out = run(["expzeta", "--spec", str(path), "--p", "3", "--order", "2"], capsys)
+    assert code == 0
+    assert json.loads(out)["series"] == [1, [4, 0], [13, 0]]
+
+
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_witt_order_below_two_exits_2(specs, capsys, order):
+    err = usage_error(["witt", "--spec", specs["p1"], "--p", "3", "--order", order], capsys)
+    assert "--order" in err
+
+
 def test_stratify_candidate_with_two_extra_equations_exits_1(tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({

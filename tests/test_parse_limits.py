@@ -1,5 +1,6 @@
-"""The spec parser's limits: deep nesting is a ParseError, and every
-power and `*` chain is charged against the budget before it expands."""
+"""The spec parser's limits: deep nesting, non-ASCII digits and integers
+too long for int() are ParseErrors, and every power and `*` chain is
+charged against the budget before it expands."""
 
 import json
 
@@ -88,3 +89,20 @@ def test_charges_add_up_over_one_parse(monkeypatch):
     for text in (f"{chain} + {chain}", f"{chain} - {power}", f"({power})*x0 + {chain}"):
         with pytest.raises(BudgetExceeded):
             Poly.parse(text, 4)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\u00b2", "unexpected character"),
+    ("x\u00b2", "expected variable index"),
+    ("x0^\u00b2", "expected integer exponent"),
+    ("\u0663", "unexpected character"),
+    ("9" * 5000, "integer of 5000 digits is too long"),
+], ids=["superscript", "superscript-index", "superscript-exponent", "arabic-indic",
+        "5000-digit"])
+def test_digits_int_cannot_read_are_a_parse_error(text, message):
+    with pytest.raises(ParseError, match=message):
+        Poly.parse(text, 2)
+
+
+def test_ascii_digits_still_parse():
+    assert Poly.parse("12 + 3*x1^10", 2) == Poly.parse("x1^10*3 + 12", 2)

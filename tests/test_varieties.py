@@ -34,6 +34,7 @@ from zetakit.errors import (
     ProjectiveWithNonzeroF,
     RouteMismatch,
     TallyTooShallow,
+    ZetakitError,
 )
 from zetakit.polynomials import Poly
 from zetakit.varieties import (
@@ -338,6 +339,25 @@ def test_projective_spec_roundtrip():
     X = projective(2, equations=["x0*x2 - x1^2"])
     Y = spec_from_json(X.to_json())
     assert Y.canonical_key() == X.canonical_key()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["x0", "x0*x1 + 1", "0", "x9", "x0^"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(["affine", "projective"]), st.integers(0, 3),
+       st.dictionaries(st.sampled_from(["equations", "inequations", "f", "base_map"]),
+                       json_values))
+def test_spec_fields_of_any_json_value_give_a_spec_or_a_typed_error(kind, dim, fields):
+    try:
+        X = spec_from_json({"ambient": {"type": kind, "dim": dim}, **fields})
+    except ZetakitError:
+        return
+    assert X.ambient == kind and X.dim == dim
 
 
 # -- the engine against the scalar oracle on generated specs -------------------

@@ -15,12 +15,14 @@ from zetakit.errors import (
     ConstantTermNotOne,
     NonRational,
     NonSquare,
+    OrderMismatch,
     UnverifiedCandidate,
     ZetakitError,
 )
 from zetakit.series import SeriesTrunc, log_derivative
 from zetakit.witt import (
     EndoClass,
+    GhostVector,
     L_map,
     WittVector,
     char_series,
@@ -95,7 +97,6 @@ def test_L_of_a_large_direct_sum_goes_through_the_trace_series():
     rng = random.Random(11)
     A, B = ([[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)] for _ in range(2))
     M = direct_sum(A, B)
-    assert len(M) > witt._LEIBNIZ_MAX >= len(A)
     assert L_map(M, 8) == witt_add(L_map(A, 8), L_map(B, 8))
 
 
@@ -223,3 +224,52 @@ def test_witt_multiplication_distributes(a, b, c):
 @given(witt_vec())
 def test_mul_unit_is_neutral(a):
     assert witt_mul(a, WittVector.mul_unit(5)) == a
+
+
+def _random_matrix(rng, n, fractions):
+    def entry():
+        if fractions:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return rng.randint(-4, 4)
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "fraction"])
+@pytest.mark.parametrize("n", range(11))
+def test_char_series_is_the_inverse_of_the_trace_series(n, fractions):
+    # the determinant by elimination against exp of the trace power sums
+    M = _random_matrix(random.Random(n), n, fractions)
+    det = char_series(M)
+    assert det.order == n
+    assert det == witt._trace_series(M, n).inverse()
+
+
+def test_char_series_of_a_rank_12_direct_sum_is_the_product_of_its_blocks():
+    # 12! permutations would be out of reach; elimination is polynomial in the rank
+    rng = random.Random(12)
+    A, B = (_random_matrix(rng, 6, False) for _ in range(2))
+    det = char_series(direct_sum(A, B))
+    assert det.order == 12
+    assert det == SeriesTrunc(12, char_series(A).coeffs) * SeriesTrunc(12, char_series(B).coeffs)
+
+
+@given(st.lists(small, max_size=4), st.lists(small, max_size=4))
+def test_endo_class_value_is_the_witt_difference_of_the_two_L_maps(num, den):
+    plus, minus = companion_matrix([1, *den]), companion_matrix([1, *num])
+    got = EndoClass(len(plus), plus, len(minus), minus).value(T).series
+    assert got == L_map(plus, T).series * L_map(minus, T).series.inverse()
+
+
+@pytest.mark.parametrize("op", [witt_mul, lambda u, v: ghost(u) + ghost(v)],
+                         ids=["witt_mul", "ghost_add"])
+def test_witt_products_of_different_orders_raise_order_mismatch(op):
+    u, v = line(2, order=8), line(3, order=5)
+    for a, b in ((u, v), (v, u)):
+        with pytest.raises(OrderMismatch):
+            op(a, b)
+
+
+def test_ghost_inverse_past_its_coordinates_raises_order_mismatch():
+    with pytest.raises(OrderMismatch):
+        ghost_inverse(GhostVector((1, 2)), 5)
+    assert ghost_inverse(GhostVector((1, 2)), 1) == line(1, order=1)

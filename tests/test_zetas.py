@@ -179,3 +179,8 @@ def test_dual_route_raises_when_the_routes_differ():
     # route A: exp(t) = 1 + t; route B: (1 - t)^-2 = 1 + 2t
     with pytest.raises(RouteMismatch, match="zeta routes differ"):
         _dual_route([1], [euler_factor(1, 1, 2, 1)], 1)
+
+
+def test_rational_reconstruct_refuses_a_negative_degree_bound():
+    with pytest.raises(NoCandidate, match="max_deg must be at least 0"):
+        rational_reconstruct(SeriesTrunc(3, [1, 1, 1, 1]), -1)
